@@ -205,7 +205,3 @@ def fit_plda(vectors, labels, iterations=20, check_normalized=True, track_likeli
             history.append(plda_log_likelihood(PldaModel(mu, between, within), x, labels))
     model = PldaModel(mu, between, within)
     return (model, history) if track_likelihood else model
-
-
-def plda_score(model, enroll, test):
-    return model.score(enroll, test)

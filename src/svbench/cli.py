@@ -2,15 +2,14 @@
 
 import dataclasses
 import os
-import sys
 
 import click
 import numpy as np
 
-from . import config as config_mod
 from . import pipeline, store
 from .backends import center_and_length_normalize, fit_lda, fit_plda
 from .container import read_container
+from .config import dump_config, from_sections, load_config
 from .corpus import read_manifest, split_train_eval, write_manifest
 from .datagen import SyntheticSpec, generate_corpus
 from .dvector import (DVectorConfig, extract_frame_features, pool_dvector,
@@ -21,7 +20,7 @@ from .evaluation import (build_conditions, compute_eer, emit_report,
                          read_score_file, read_segments_file, read_trial_file,
                          write_score_file, write_segments_file,
                          write_trial_file)
-from .gradcheck import TOLERANCE
+from .gradcheck import TOLERANCE, gradcheck_dvector, gradcheck_e2e, passed
 from .nn import TrainerConfig
 
 
@@ -34,13 +33,23 @@ class Workspace:
     def prepare(self):
         os.makedirs(self.out_dir, exist_ok=True)
         with open(os.path.join(self.out_dir, "config.resolved.ini"), "w") as f:
-            f.write(config_mod.dump_config(self.cfg))
+            f.write(dump_config(self.cfg))
 
     def path(self, *parts):
         return os.path.join(self.out_dir, *parts)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports svbench errors as usage failures (message, exit 1), not tracebacks."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SvbenchError as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Run configuration file (INI sections per module).")
 @click.option("--seed", type=int, default=None, help="Override the configured seed.")
@@ -54,22 +63,11 @@ def main(ctx, config_path, seed, out_dir):
         overrides[("run", "seed")] = seed
     if out_dir is not None:
         overrides[("run", "out_dir")] = out_dir
-    try:
-        cfg = config_mod.load_config(config_path, overrides)
-    except SvbenchError as e:
-        raise click.ClickException(str(e))
-    ctx.obj = Workspace(cfg)
+    ctx.obj = Workspace(load_config(config_path, overrides))
 
 
 def _fail(message):
     raise click.ClickException(message)
-
-
-def _trainer_config(cfg, seed):
-    t = cfg["trainer"]
-    return TrainerConfig(learning_rate=t["learning_rate"], lr_decay=t["lr_decay"],
-                         lr_decay_interval=t["lr_decay_interval"], momentum=t["momentum"],
-                         max_epochs=t["max_epochs"], clip_norm=t["clip_norm"], seed=seed)
 
 
 @main.command("gen-data")
@@ -78,13 +76,7 @@ def gen_data(ws):
     """Generate the synthetic corpus (plus train/eval split if configured)."""
     ws.prepare()
     d = ws.cfg["datagen"]
-    spec = SyntheticSpec(num_speakers=d["num_speakers"],
-                         utterances_per_speaker=d["utterances_per_speaker"],
-                         utterance_secs=d["utterance_secs"],
-                         sample_rate=d["sample_rate"],
-                         separability=d["separability"],
-                         noise_level=d["noise_level"],
-                         seed=ws.seed)
+    spec = from_sections(SyntheticSpec, ws.cfg, "datagen", seed=ws.seed)
     corpus_dir = ws.path("corpus")
     entries = generate_corpus(spec, corpus_dir)
     click.echo(f"wrote {len(entries)} utterances to {corpus_dir}")
@@ -113,18 +105,7 @@ def featurize(ws, manifest, feature_type, apply_cmvn, dir_name):
     if not apply_cmvn:
         fcfg = dataclasses.replace(fcfg, cmvn_mode="none")
     feats_dir = ws.path(dir_name)
-    if feature_type == "fbank":
-        pipeline.featurize_entries(entries, fcfg, feats_dir)
-    else:
-        from .audio import read_wav
-        from .frontend import add_deltas, cmvn, compute_mfcc_e
-        os.makedirs(feats_dir, exist_ok=True)
-        for e in entries:
-            clip = read_wav(e.path)
-            feat = add_deltas(compute_mfcc_e(clip, fcfg))
-            if fcfg.cmvn_mode == "per-utterance" and feat.num_frames >= 2:
-                feat = cmvn(feat)
-            store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"), feat)
+    pipeline.featurize_entries(entries, fcfg, feats_dir, feature_type)
     click.echo(f"featurized {len(entries)} utterances into {feats_dir}")
 
 
@@ -138,15 +119,13 @@ def cmd_train_dvector(ws, manifest, feats_dir):
     entries = read_manifest(manifest)
     feats = pipeline.load_feature_dir(entries, feats_dir)
     utts, speakers = pipeline.labelled_utterances(entries, feats)
-    dv = ws.cfg["dvector"]
-    cfg = DVectorConfig(input_dim=ws.cfg["frontend"]["num_mel_bins"],
-                        conv_dim=dv["conv_dim"], bottleneck_dim=dv["bottleneck_dim"],
-                        td_dim=dv["td_dim"], feature_dim=dv["feature_dim"],
-                        num_speakers=len(speakers))
+    cfg = from_sections(DVectorConfig, ws.cfg, "dvector",
+                        input_dim=ws.cfg["frontend"]["num_mel_bins"], num_speakers=len(speakers))
+    tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", seed=ws.seed)
     log_path = ws.path("dvector_train.log")
     with open(log_path, "w") as log:
         log.write("epoch\tloss\taccuracy\n")
-        net = train_dvector(utts, cfg, _trainer_config(ws.cfg, ws.seed),
+        net = train_dvector(utts, cfg, tcfg,
                             log=lambda h: log.write(f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\n"))
     net.meta["speakers"] = speakers
     store.save_network(ws.path("dvector.svbf"), net, kind="dvector_net")
@@ -164,23 +143,17 @@ def cmd_train_e2e(ws, manifest, feats_dir):
     feats = pipeline.load_feature_dir(entries, feats_dir)
     corpus = pipeline.corpus_by_speaker(entries, feats)
     e = ws.cfg["e2e"]
-    cfg = E2EConfig(input_dim=ws.cfg["frontend"]["num_mel_bins"],
-                    lift_dim=e["lift_dim"], nin_hidden=e["nin_hidden"],
-                    nin_out=e["nin_out"], pre_pool_dim=e["pre_pool_dim"],
-                    embedding_dim=e["embedding_dim"])
+    cfg = from_sections(E2EConfig, ws.cfg, "e2e", input_dim=ws.cfg["frontend"]["num_mel_bins"])
     n = e["pair_batch_n"]
     k = e["loss_k"] if e["loss_k"] > 0 else 1.0 / (n - 1)
-    t = ws.cfg["trainer"]
-    tcfg = TrainerConfig(learning_rate=e["learning_rate"], lr_decay=e["lr_decay"],
-                         lr_decay_interval=e["lr_decay_interval"],
-                         momentum=t["momentum"], clip_norm=t["clip_norm"],
-                         max_epochs=1, seed=ws.seed)
+    tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", "e2e", max_epochs=1, seed=ws.seed)
     log_path = ws.path("e2e_train.log")
     with open(log_path, "w") as log:
         log.write("iteration\tloss\tpair_accuracy\n")
         net, scorer = train_e2e(
             corpus, cfg, E2ELossConfig(k=k), tcfg,
             n_pairs=n, iterations=e["iterations"],
+            chunk_bounds=(e["chunk_min"], e["chunk_max"]),
             log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}\n"))
     store.save_e2e_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
@@ -341,31 +314,19 @@ def cmd_eval(ws, score_specs):
 def cmd_gradcheck(ws, arch):
     """Finite-difference gradient verification at reduced dimensions."""
     ws.prepare()
-    from .gradcheck import gradcheck_dvector, gradcheck_e2e
     reports = {}
     if arch in ("dvector", "both"):
         reports["dvector"] = gradcheck_dvector(seed=ws.seed)
     if arch in ("e2e", "both"):
         reports["e2e"] = gradcheck_e2e(seed=ws.seed)
-    ok = True
     for name, per in reports.items():
-        worst = max(per.values())
-        status = "PASS" if worst < TOLERANCE else "FAIL"
-        ok = ok and worst < TOLERANCE
-        click.echo(f"{name}: max relative error {worst:.3e} [{status}]")
+        status = "PASS" if passed({name: per}) else "FAIL"
+        click.echo(f"{name}: max relative error {max(per.values()):.3e} [{status}]")
         for param in sorted(per):
             click.echo(f"  {param}: {per[param]:.3e}")
-    if not ok:
+    if not passed(reports):
         _fail(f"gradient check exceeded tolerance {TOLERANCE}")
 
 
-def run_main():
-    try:
-        main(standalone_mode=True)
-    except SvbenchError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-
-
 if __name__ == "__main__":
-    run_main()
+    main()

@@ -7,6 +7,7 @@ artifacts.
 """
 
 import configparser
+import dataclasses
 import io
 
 from .errors import ConfigError
@@ -110,6 +111,20 @@ def load_config(path=None, overrides=None):
     for (section, key), value in (overrides or {}).items():
         cfg[section][key] = value
     return cfg
+
+
+def from_sections(cls, cfg, *sections, **explicit):
+    """Dataclass `cls` from the keys of `sections` that match its field names.
+
+    Later sections override earlier ones, and `explicit` overrides both; it
+    also carries values whose config key differs from the field name.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for section in sections:
+        kwargs.update((key, value) for key, value in cfg[section].items() if key in names)
+    kwargs.update(explicit)
+    return cls(**kwargs)
 
 
 def dump_config(cfg):

@@ -27,26 +27,35 @@ def write_manifest(path, entries):
             f.write(f"{e.utt_id}\t{e.speaker_id}\t{e.gender}\t{e.path}\t{e.duration:.6f}\n")
 
 
-def read_manifest(path):
-    entries = []
+def read_rows(path, layout):
+    """Rows of a tab-separated file as tuples, one per non-empty line.
+
+    `layout` holds one converter per field (e.g. (str, float)), or maps a
+    row's first field to its converters when rows differ in kind. A wrong
+    field count, an unknown kind or an unparsable field raises FormatError
+    naming path:line.
+    """
+    rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
+            parts = line.rstrip("\n").split("\t")
+            if parts == [""]:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            entries.append(ManifestEntry(parts[0], parts[1], parts[2], parts[3], float(parts[4])))
-    return entries
+            types = layout.get(parts[0]) if isinstance(layout, dict) else layout
+            if types is None:
+                raise FormatError(f"{path}:{lineno}: unknown row kind {parts[0]!r}")
+            if len(parts) != len(types):
+                raise FormatError(f"{path}:{lineno}: expected {len(types)} "
+                                  f"tab-separated fields, got {len(parts)}")
+            try:
+                rows.append(tuple(convert(p) for convert, p in zip(types, parts)))
+            except ValueError as e:
+                raise FormatError(f"{path}:{lineno}: {e}") from None
+    return rows
 
 
-def speakers_of(entries):
-    seen = []
-    for e in entries:
-        if e.speaker_id not in seen:
-            seen.append(e.speaker_id)
-    return seen
+def read_manifest(path):
+    return [ManifestEntry(*row) for row in read_rows(path, (str, str, str, str, float))]
 
 
 def split_train_eval(entries, train_speakers, eval_speakers, seed=0):

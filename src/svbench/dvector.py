@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingDivergedError, UsageError
-from .nn import Affine, Network, SgdOptimizer, effective_context, softmax_xent
+from .nn import Network, SgdOptimizer, effective_context, softmax_xent
 
 
 @dataclass
@@ -60,30 +60,19 @@ def dvector_specs(cfg):
     return specs
 
 
-def initialize_network(net, seed):
-    rng = np.random.default_rng(seed)
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            bound = np.sqrt(6.0 / (layer.d_in + layer.d_out))
-            layer.W[...] = rng.uniform(-bound, bound, size=layer.W.shape)
-            layer.b[...] = 0.0
-    return net
-
-
 def build_dvector_net(cfg, seed=0):
     specs = dvector_specs(cfg)
     ctx = effective_context(specs)
     if ctx != 20:
         warnings.warn(f"d-vector receptive field is {ctx} frames, not the standard 20")
-    net = Network.from_specs(specs, meta={
+    return Network.from_specs(specs, meta={
         "model": "dvector",
         "input_dim": cfg.input_dim,
         "feature_dim": cfg.feature_dim,
         "num_speakers": cfg.num_speakers,
         "effective_context": ctx,
         "seed": seed,
-    })
-    return initialize_network(net, seed)
+    }, rng=np.random.default_rng(seed))
 
 
 def train_dvector(utterances, cfg, tcfg, log=None):
@@ -143,7 +132,3 @@ def pool_dvector(frame_features):
     if frame_features.ndim != 2 or frame_features.shape[0] < 1:
         raise UsageError("need a non-empty T x F feature sequence")
     return frame_features.mean(axis=0)
-
-
-def dvector_context(cfg):
-    return effective_context(dvector_specs(cfg))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplingError, TrainingDivergedError, UsageError
-from .nn import Network, SgdOptimizer, effective_context
-from .dvector import initialize_network
+from .nn import Affine, Network, SgdOptimizer, effective_context
 
 CHUNK_LEN_MIN = 50
 CHUNK_LEN_MAX = 300
@@ -105,8 +104,8 @@ def build_e2e_net(cfg, seed=0):
         "embedding_dim": cfg.embedding_dim,
         "effective_context": ctx,
         "seed": seed,
-    })
-    return initialize_network(net, seed), BilinearScorer(cfg.embedding_dim)
+    }, rng=np.random.default_rng(seed))
+    return net, BilinearScorer(cfg.embedding_dim)
 
 
 def calibrate_network(net, sample_chunks, embedding_scale=0.3):
@@ -125,7 +124,6 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
     gradients vanish and training stalls. Starting with O(1) logits keeps
     the sigmoids responsive.
     """
-    from .nn import Affine
     affines = [layer for layer in net.layers if isinstance(layer, Affine)]
     for i, layer in enumerate(net.layers):
         if isinstance(layer, Affine):
@@ -142,10 +140,6 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
     affines[-1].W *= embedding_scale
     affines[-1].b *= embedding_scale
     return net
-
-
-def score_pair(scorer, x, y):
-    return scorer.score(x, y)
 
 
 def pair_probability(logit):
@@ -297,22 +291,24 @@ def _batch_step(net, scorer, batch, loss_cfg):
     return loss, grads, same_logits, diff_logits
 
 
-def train_e2e(corpus, cfg, loss_cfg, tcfg, n_pairs=64, iterations=200, log=None):
+def train_e2e(corpus, cfg, loss_cfg, tcfg, n_pairs=64, iterations=200, log=None,
+              chunk_bounds=(CHUNK_LEN_MIN, CHUNK_LEN_MAX)):
     """Train embedding network and scorer jointly on sampled pair batches.
 
+    Chunk lengths are drawn log-uniformly from `chunk_bounds` (frames).
     Returns (net, scorer); the per-iteration loss history lands in
     net.meta["history"].
     """
     net, scorer = build_e2e_net(cfg, seed=tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 2)
-    warmup = sample_pair_batch(corpus, min(n_pairs, len(corpus)), rng)
+    warmup = sample_pair_batch(corpus, min(n_pairs, len(corpus)), rng, chunk_bounds)
     calibrate_network(net, warmup.chunks)
     opt = SgdOptimizer(tcfg)
     params = dict(net.param_map())
     params.update(scorer.param_map())
     history = []
     for it in range(iterations):
-        batch = sample_pair_batch(corpus, n_pairs, rng)
+        batch = sample_pair_batch(corpus, n_pairs, rng, chunk_bounds)
         loss, grads, same_logits, diff_logits = _batch_step(net, scorer, batch, loss_cfg)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at iteration {it}", where=it)
@@ -324,8 +320,3 @@ def train_e2e(corpus, cfg, loss_cfg, tcfg, n_pairs=64, iterations=200, log=None)
             log(history[-1])
     net.meta["history"] = history
     return net, scorer
-
-
-def verify_pair(net, scorer, enroll_feat, test_feat):
-    """Same-speaker logit for an (enrollment, test) feature pair."""
-    return scorer.score(embed(net, enroll_feat), embed(net, test_feat))

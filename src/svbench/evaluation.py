@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import read_rows
 from .errors import UsageError
 
 MIN_SEGMENT_SECS = 0.1             # shortest cut worth featurizing
@@ -158,15 +159,7 @@ def write_score_file(path, records):
 
 
 def read_score_file(path):
-    records = []
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            enroll_id, test_id, score, label = line.split("\t")
-            records.append((enroll_id, test_id, float(score), label))
-    return records
+    return read_rows(path, (str, str, float, str))
 
 
 def write_trial_file(path, trials):
@@ -176,15 +169,7 @@ def write_trial_file(path, trials):
 
 
 def read_trial_file(path):
-    trials = []
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            enroll_id, test_id, label = line.split("\t")
-            trials.append(Trial(enroll_id, test_id, label))
-    return trials
+    return [Trial(*row) for row in read_rows(path, (str, str, str))]
 
 
 def write_segments_file(path, trial_list):
@@ -207,20 +192,15 @@ def read_segments_file(path):
     condition = ""
     enroll_segments = {}
     test_segments = {}
-    with open(path) as f:
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if not parts or not parts[0]:
-                continue
-            if parts[0] == "#condition":
-                condition = parts[1]
-                continue
-            kind, seg_id, speaker_id, gender, utt_id, start, dur = parts
-            seg = Segment(seg_id, speaker_id, gender, utt_id, float(start), float(dur))
-            if kind == "enroll":
-                enroll_segments.setdefault(seg_id, []).append(seg)
-            else:
-                test_segments[seg_id] = seg
+    segment = (str, str, str, str, str, float, float)
+    layout = {"#condition": (str, str, float, float), "enroll": segment, "test": segment}
+    for kind, *fields in read_rows(path, layout):
+        if kind == "#condition":
+            condition = fields[0]
+        elif kind == "enroll":
+            enroll_segments.setdefault(fields[0], []).append(Segment(*fields))
+        else:
+            test_segments[fields[0]] = Segment(*fields)
     return condition, enroll_segments, test_segments
 
 

@@ -1,8 +1,9 @@
-"""Acoustic front-end: Fbank / MFCC extraction, deltas, splicing, CMVN.
+"""Acoustic front-end: Fbank / MFCC extraction, deltas, CMVN.
 
 Produces the two feature layouts the models consume: 40-d log mel
-filterbanks (spliced downstream) and 19 MFCCs + log energy extended with
-first and second derivatives to 60 dimensions.
+filterbanks (spliced by each network's first time-delay layer) and 19
+MFCCs plus log energy extended with first and second derivatives to 60
+dimensions.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ class FrontendConfig:
 class FeatureMatrix:
     frames: np.ndarray             # T x D
     frame_period: float            # seconds per frame
-    kind: str                      # "fbank40", "mfcc_e20", "mfcc_e_dd60", "spliced{k}(<base>)"
+    kind: str                      # "fbank40", "mfcc_e20", "mfcc_e_dd60"
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -92,13 +93,6 @@ def mel_filterbank(num_bins, fft_size, sample_rate, low_hz=20.0, high_hz=None):
         down = (hi - bin_hz) / (hi - center)
         fb[i] = np.clip(np.minimum(up, down), 0.0, None)
     return fb
-
-
-def filter_center_frequencies(num_bins, sample_rate, low_hz=20.0, high_hz=None):
-    if high_hz is None:
-        high_hz = sample_rate / 2.0
-    edges = inverse_mel_scale(np.linspace(mel_scale(low_hz), mel_scale(high_hz), num_bins + 2))
-    return edges[1:-1]
 
 
 def _spectra(clip, cfg):
@@ -167,21 +161,6 @@ def add_deltas(feat, order=2):
     if feat.kind.startswith("mfcc_e"):
         kind = f"mfcc_e_dd{out.shape[1]}"
     return FeatureMatrix(out, feat.frame_period, kind)
-
-
-def splice(feat, context):
-    """Concatenate each frame with its +-context neighbours (edge replication)."""
-    if context < 0:
-        raise UsageError("splice context must be >= 0")
-    if context == 0:
-        return feat
-    t = feat.num_frames
-    cols = []
-    for off in range(-context, context + 1):
-        idx = np.clip(np.arange(t) + off, 0, t - 1)
-        cols.append(feat.frames[idx])
-    return FeatureMatrix(np.concatenate(cols, axis=1), feat.frame_period,
-                         f"spliced{context}({feat.kind})")
 
 
 def cmvn(feat, eps=1e-10):

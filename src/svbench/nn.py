@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError, UsageError
+from .errors import ConfigError, FormatError, TrainingDivergedError, UsageError
 
 
 class Affine:
@@ -112,17 +112,15 @@ class MeanPool:
 _LAYER_KINDS = {cls.kind: cls for cls in (Affine, ReLU, TimeDelay, MeanPool)}
 
 
-def layer_from_spec(spec):
-    kind = spec.get("kind")
-    if kind == "affine":
-        return Affine(spec["d_in"], spec["d_out"])
-    if kind == "relu":
-        return ReLU()
-    if kind == "time_delay":
-        return TimeDelay(spec["offsets"])
-    if kind == "temporal_mean_pool":
-        return MeanPool()
-    raise ConfigError(f"unknown layer kind {kind!r}")
+def layer_from_spec(spec, rng=None):
+    """Layer built from its spec; `rng` draws affine weights (zeros without it)."""
+    args = dict(spec)
+    cls = _LAYER_KINDS.get(args.pop("kind", None))
+    if cls is None:
+        raise ConfigError(f"unknown layer kind {spec.get('kind')!r}")
+    if cls is Affine:
+        args["rng"] = rng
+    return cls(**args)
 
 
 class Network:
@@ -140,10 +138,16 @@ class Network:
         return out
 
     def set_params(self, values):
-        for name, arr in values.items():
-            li, pname = name.split(".", 1)
-            layer = self.layers[int(li[1:])]
-            layer.params[pname][...] = arr
+        """Copy in every parameter array; names and shapes must match exactly."""
+        own = self.param_map()
+        missing, extra = sorted(set(own) - set(values)), sorted(set(values) - set(own))
+        if missing or extra:
+            raise FormatError(f"parameter arrays missing {missing}, unexpected {extra}")
+        for name, arr in own.items():
+            if np.shape(values[name]) != arr.shape:
+                raise FormatError(f"parameter array {name!r} has shape "
+                                  f"{np.shape(values[name])}, expected {arr.shape}")
+            arr[...] = values[name]
 
     def forward(self, x, up_to=None):
         """Run layers [0, up_to); returns (output, caches)."""
@@ -165,22 +169,18 @@ class Network:
             g, pg = self.layers[i].backward(g, caches[i])
             for name, arr in pg.items():
                 grads[f"l{i}.{name}"] = arr
-        # layers past the cache (e.g. a bypassed head) still need entries
-        for i in range(len(caches), len(self.layers)):
-            for name, arr in self.layers[i].params.items():
-                grads[f"l{i}.{name}"] = np.zeros_like(arr)
         return grads
 
     def specs(self):
         return [layer.spec() for layer in self.layers]
 
     @classmethod
-    def from_specs(cls, specs, meta=None):
-        return cls([layer_from_spec(s) for s in specs], meta=meta)
+    def from_specs(cls, specs, meta=None, rng=None):
+        return cls([layer_from_spec(s, rng) for s in specs], meta=meta)
 
 
-def effective_context(net_or_specs):
-    """Temporal receptive field (frame count) of a layer stack.
+def context_window(net_or_specs):
+    """(left, right) frame extents of the receptive field around t.
 
     Computed from the time-delay offsets: the output at frame t depends on
     input frames [t + sum(min offsets), t + sum(max offsets)].
@@ -193,20 +193,13 @@ def effective_context(net_or_specs):
             right += max(s["offsets"])
         if s["kind"] == "temporal_mean_pool":
             break
-    return right - left + 1
-
-
-def context_window(net_or_specs):
-    """(left, right) frame extents of the receptive field around t."""
-    specs = net_or_specs.specs() if isinstance(net_or_specs, Network) else list(net_or_specs)
-    left = right = 0
-    for s in specs:
-        if s["kind"] == "time_delay":
-            left += min(s["offsets"])
-            right += max(s["offsets"])
-        if s["kind"] == "temporal_mean_pool":
-            break
     return left, right
+
+
+def effective_context(net_or_specs):
+    """Temporal receptive field (frame count) of a layer stack."""
+    left, right = context_window(net_or_specs)
+    return right - left + 1
 
 
 def softmax_xent(logits, labels):
@@ -240,7 +233,6 @@ class TrainerConfig:
     lr_decay_interval: int = 2      # epochs between decays
     momentum: float = 0.9
     max_epochs: int = 10
-    batch_size: int = 1
     clip_norm: float = 5.0
     seed: int = 0
 

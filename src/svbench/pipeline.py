@@ -7,44 +7,37 @@ import numpy as np
 
 from .audio import AudioClip, read_wav
 from .backends import center_and_length_normalize, cosine_score
+from .config import from_sections
 from .dvector import extract_frame_features, pool_dvector
 from .e2e import embed
 from .errors import UsageError
-from .frontend import FrontendConfig, cmvn, compute_fbank
+from .frontend import FrontendConfig, add_deltas, cmvn, compute_fbank, compute_mfcc_e
 from . import store
 
 
 def make_frontend_config(cfg):
-    f = cfg["frontend"]
-    return FrontendConfig(
-        frame_length_ms=f["frame_length_ms"],
-        frame_shift_ms=f["frame_shift_ms"],
-        num_mel_bins=f["num_mel_bins"],
-        num_cepstra=f["num_cepstra"],
-        pre_emphasis=f["pre_emphasis"],
-        dither=f["dither"],
-        cmvn_mode=f["cmvn"],
-    )
+    return from_sections(FrontendConfig, cfg, "frontend", cmvn_mode=cfg["frontend"]["cmvn"])
 
 
-def clip_features(clip, fcfg):
-    """Fbank features with per-utterance CMVN (applied before any splicing)."""
-    feat = compute_fbank(clip, fcfg)
+def clip_features(clip, fcfg, feature_type="fbank"):
+    """Fbank (or MFCC + energy with deltas) features with per-utterance CMVN
+    (applied before any splicing)."""
+    if feature_type == "fbank":
+        feat = compute_fbank(clip, fcfg)
+    else:
+        feat = add_deltas(compute_mfcc_e(clip, fcfg))
     if fcfg.cmvn_mode == "per-utterance" and feat.num_frames >= 2:
         feat = cmvn(feat)
     return feat
 
 
-def featurize_entries(entries, fcfg, feats_dir):
+def featurize_entries(entries, fcfg, feats_dir, feature_type="fbank"):
+    """Write one feature file per manifest entry into `feats_dir`."""
     os.makedirs(feats_dir, exist_ok=True)
-    paths = {}
     for e in entries:
         clip = read_wav(e.path, id=e.utt_id, speaker_id=e.speaker_id, gender=e.gender)
-        feat = clip_features(clip, fcfg)
-        path = os.path.join(feats_dir, f"{e.utt_id}.svbf")
-        store.save_features(path, feat)
-        paths[e.utt_id] = path
-    return paths
+        store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"),
+                            clip_features(clip, fcfg, feature_type))
 
 
 def load_feature_dir(entries, feats_dir):

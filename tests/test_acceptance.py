@@ -23,14 +23,14 @@ import scipy.linalg
 
 from svbench import gradcheck, store
 from svbench.backends import (PldaModel, center_and_length_normalize, fit_lda,
-                              fit_plda, plda_score)
+                              fit_plda)
 from svbench.corpus import split_train_eval
 from svbench.datagen import SyntheticSpec, generate_corpus
 from svbench.dvector import (DVectorConfig, build_dvector_net, dvector_specs,
                              extract_frame_features, train_dvector)
 from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig,
                          build_e2e_net, e2e_specs, pair_loss,
-                         sample_pair_batch, score_pair, train_e2e)
+                         sample_pair_batch, train_e2e)
 from svbench.evaluation import build_conditions, compute_eer
 from svbench.frontend import FrontendConfig
 from svbench.nn import TrainerConfig, context_window, effective_context
@@ -223,7 +223,7 @@ def test_plda_llr_matches_direct_densities_100_instances():
             return -0.5 * (z @ np.linalg.inv(cov) @ z + logdet)
 
         expect = log_density(same_cov) - log_density(diff_cov)
-        assert plda_score(model, a, b) == pytest.approx(expect, abs=1e-9)
+        assert model.score(a, b) == pytest.approx(expect, abs=1e-9)
 
 
 def test_plda_em_likelihood_monotone():
@@ -247,7 +247,7 @@ def test_bilinear_scorer_laws():
     scorer = BilinearScorer(6)
     x, y = rng.standard_normal(6), rng.standard_normal(6)
     # fresh scorer: S = 0, b = 0, so the score is the plain inner product
-    assert score_pair(scorer, x, y) == pytest.approx(float(x @ y), abs=1e-12)
+    assert scorer.score(x, y) == pytest.approx(float(x @ y), abs=1e-12)
     scorer.S[...] = rng.standard_normal((6, 6))
     scorer.symmetrize()
     scorer.b[...] = rng.standard_normal()

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from svbench import store
+from svbench import e2e, store
+from svbench.audio import read_wav
 from svbench.cli import main
+from svbench.corpus import read_manifest
+from svbench.frontend import add_deltas, cmvn, compute_mfcc_e
 
 CONFIG = """
 [run]
@@ -175,3 +178,116 @@ def test_gradcheck_command(tmp_path):
                            catch_exceptions=False)
     assert result.exit_code == 0
     assert "PASS" in result.output
+
+
+TINY_CONFIG = """
+[datagen]
+num_speakers = 4
+utterances_per_speaker = 2
+
+[e2e]
+lift_dim = 12
+nin_hidden = 16
+nin_out = 12
+pre_pool_dim = 10
+embedding_dim = 8
+pair_batch_n = 3
+iterations = 2
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 4-speaker corpus with raw fbank features; (runner, config path, out dir)."""
+    base = tmp_path_factory.mktemp("tiny")
+    config = str(base / "run.ini")
+    with open(config, "w") as f:
+        f.write(TINY_CONFIG)
+    runner = CliRunner()
+    out = str(base / "out")
+    _invoke(runner, config, out, "gen-data")
+    _invoke(runner, config, out, "featurize", "--manifest",
+            os.path.join(out, "corpus", "manifest.tsv"), "--no-cmvn", "--name", "feats_raw")
+    return runner, config, out
+
+
+def test_featurize_mfcc(tiny_run):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    _invoke(runner, config, out, "featurize", "--manifest", manifest,
+            "--feature-type", "mfcc", "--name", "mfcc")
+    _invoke(runner, config, out, "featurize", "--manifest", manifest,
+            "--feature-type", "mfcc", "--no-cmvn", "--name", "mfcc_raw")
+    for e in read_manifest(manifest):
+        raw = add_deltas(compute_mfcc_e(read_wav(e.path)))
+        normed = store.load_features(os.path.join(out, "mfcc", f"{e.utt_id}.svbf"))
+        unnormed = store.load_features(os.path.join(out, "mfcc_raw", f"{e.utt_id}.svbf"))
+        assert normed.kind == unnormed.kind == "mfcc_e_dd60"
+        assert normed.frames.shape == unnormed.frames.shape == (raw.num_frames, 60)
+        # feature files store float32
+        np.testing.assert_array_equal(unnormed.frames, raw.frames.astype(np.float32))
+        np.testing.assert_array_equal(normed.frames, cmvn(raw).frames.astype(np.float32))
+        assert np.all(np.abs(normed.frames.mean(axis=0)) < 1e-4)
+
+
+def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch):
+    runner, _, out = tiny_run
+    config = tmp_path / "chunks.ini"
+    config.write_text(TINY_CONFIG + "chunk_min = 60\nchunk_max = 60\n")
+    lengths = []
+    sample = e2e.sample_pair_batch
+
+    def recording_sample(*args, **kwargs):
+        batch = sample(*args, **kwargs)
+        lengths.extend(chunk.shape[0] for chunk in batch.chunks)
+        return batch
+
+    monkeypatch.setattr(e2e, "sample_pair_batch", recording_sample)
+    _invoke(runner, str(config), str(tmp_path / "out"), "train-e2e", "--manifest",
+            os.path.join(out, "corpus", "manifest.tsv"),
+            "--features", os.path.join(out, "feats_raw"))
+    # warm-up batch plus two training batches of 2N chunks each
+    assert len(lengths) == 3 * 6
+    assert set(lengths) == {60}
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _bad_score_file(tmp_path):
+    return ["eval", _write(tmp_path / "bad.tsv", "e1\tt1\tnotanumber\ttarget\n")]
+
+
+def _bad_manifest(tmp_path):
+    return ["trials", "--manifest",
+            _write(tmp_path / "bad.tsv", "u1\tspk1\tfemale\tu1.wav\tabc\n")]
+
+
+def _score_args(tmp_path, trials, segments):
+    manifest = _write(tmp_path / "manifest.tsv", "u1\tspk1\tfemale\tu1.wav\t2.0\n")
+    return ["score", "--system", "random", "--trials", trials, "--segments", segments,
+            "--manifest", manifest, "--out", str(tmp_path / "scores.tsv")]
+
+
+def _bad_trial_file(tmp_path):
+    segments = _write(tmp_path / "segments.tsv", "#condition\tC(4-2)\t4\t2\n")
+    return _score_args(tmp_path, _write(tmp_path / "bad.tsv", "e1\tt1\n"), segments)
+
+
+def _bad_segments_file(tmp_path):
+    trials = _write(tmp_path / "trials.tsv", "e1\tt1\ttarget\n")
+    bad = _write(tmp_path / "bad.tsv", "enroll\te1\tspk1\tfemale\tu1\t0.0\n")
+    return _score_args(tmp_path, trials, bad)
+
+
+@pytest.mark.parametrize("make_args", [_bad_score_file, _bad_manifest,
+                                       _bad_trial_file, _bad_segments_file])
+def test_malformed_tsv_fails_with_location(tmp_path, make_args):
+    args = make_args(tmp_path)
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), *args])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)      # a reported error, not a crash
+    assert "Traceback" not in result.output
+    assert f"{tmp_path / 'bad.tsv'}:1:" in result.output

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from svbench.dvector import (DVectorConfig, build_dvector_net, dvector_context,
-                             dvector_specs, extract_frame_features,
-                             pool_dvector, train_dvector)
+from svbench.dvector import (DVectorConfig, build_dvector_net, dvector_specs,
+                             extract_frame_features, pool_dvector,
+                             train_dvector)
 from svbench.errors import UsageError
-from svbench.nn import TrainerConfig, context_window
+from svbench.nn import TrainerConfig, context_window, effective_context
 
 SMALL = dict(conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16, num_speakers=5)
 
 
 def test_default_effective_context_is_20():
-    assert dvector_context(DVectorConfig()) == 20
+    assert effective_context(dvector_specs(DVectorConfig())) == 20
 
 
 def test_default_input_row_width():

@@ -4,7 +4,7 @@ import pytest
 from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig, PairBatch,
                          build_e2e_net, calibrate_network, e2e_specs, embed,
                          pair_loss, pair_probability, sample_chunk_length,
-                         sample_pair_batch, score_pair, train_e2e, verify_pair)
+                         sample_pair_batch, train_e2e)
 from svbench.errors import ConfigError, SamplingError, UsageError
 from svbench.nn import TrainerConfig, effective_context
 
@@ -32,7 +32,7 @@ def test_scorer_reduces_to_dot_product():
     scorer = BilinearScorer(4)
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal(4), rng.standard_normal(4)
-    assert score_pair(scorer, x, y) == pytest.approx(float(x @ y), abs=1e-12)
+    assert scorer.score(x, y) == pytest.approx(float(x @ y), abs=1e-12)
 
 
 def test_scorer_zero_embeddings_give_bias():
@@ -176,8 +176,8 @@ def test_verify_pair_symmetric_and_finite():
     scorer.S[...] = 0.1 * rng.standard_normal(scorer.S.shape)
     scorer.symmetrize()
     a, b = rng.standard_normal((40, 8)), rng.standard_normal((60, 8))
-    ab = verify_pair(net, scorer, a, b)
-    assert ab == verify_pair(net, scorer, b, a)
+    ab = scorer.score(embed(net, a), embed(net, b))
+    assert ab == scorer.score(embed(net, b), embed(net, a))
     assert np.isfinite(ab)
 
 

@@ -4,9 +4,8 @@ import pytest
 from svbench.audio import AudioClip
 from svbench.errors import UsageError
 from svbench.frontend import (FeatureMatrix, add_deltas, cmvn,
-                              compute_fbank, compute_mfcc_e,
-                              filter_center_frequencies, num_frames_for,
-                              splice)
+                              compute_fbank, compute_mfcc_e, mel_filterbank,
+                              num_frames_for)
 
 
 def test_frame_count_one_second(tone_clip):
@@ -24,7 +23,8 @@ def test_num_frames_for_formula():
 
 def test_tone_peaks_in_matching_mel_bin(tone_clip):
     feat = compute_fbank(tone_clip)
-    centers = filter_center_frequencies(40, 16000)
+    # 400-sample frames use a 512-point FFT; each filter peaks at its center bin
+    centers = np.argmax(mel_filterbank(40, 512, 16000), axis=1) * 16000 / 512
     expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
     assert int(np.argmax(feat.frames.mean(axis=0))) == expected_bin
 
@@ -81,20 +81,6 @@ def test_deltas_match_direct_formula():
         expect[t] = sum(n * (padded[t + 2 + n] - padded[t + 2 - n])
                         for n in (1, 2)) / (2.0 * (1 + 4))
     np.testing.assert_allclose(out[:, 20:40], expect, atol=1e-12)
-
-
-def test_splice_widths():
-    feat = FeatureMatrix(np.zeros((7, 40)), 0.01, "fbank40")
-    assert splice(feat, 4).frames.shape == (7, 360)   # 9 frames total
-    assert splice(feat, 1).frames.shape == (7, 120)   # 3 frames total
-    assert splice(feat, 0) is feat
-
-
-def test_splice_edge_replication():
-    x = np.arange(5, dtype=np.float64)[:, None]
-    out = splice(FeatureMatrix(x, 0.01, "f"), 1).frames
-    np.testing.assert_array_equal(out[0], [0, 0, 1])   # left edge replicated
-    np.testing.assert_array_equal(out[-1], [3, 4, 4])  # right edge replicated
 
 
 def test_cmvn_zero_mean_unit_variance():

@@ -170,6 +170,21 @@ def test_clipping_bounds_update_norm():
     assert np.linalg.norm(p) == pytest.approx(1.0)
 
 
+def test_splice_widths():
+    x = np.zeros((7, 40))
+    assert TimeDelay(range(-4, 5)).forward(x)[0].shape == (7, 360)   # 9 frames total
+    assert TimeDelay(range(-1, 2)).forward(x)[0].shape == (7, 120)   # 3 frames total
+    x = np.random.default_rng(3).standard_normal((7, 40))
+    np.testing.assert_array_equal(TimeDelay([0]).forward(x)[0], x)  # context 0: unchanged
+
+
+def test_splice_edge_replication():
+    x = np.arange(5, dtype=np.float64)[:, None]
+    out, _ = TimeDelay([-1, 0, 1]).forward(x)
+    np.testing.assert_array_equal(out[0], [0, 0, 1])   # left edge replicated
+    np.testing.assert_array_equal(out[-1], [3, 4, 4])  # right edge replicated
+
+
 def test_effective_context_splice_only():
     specs = [{"kind": "time_delay", "offsets": [-3, -2, -1, 0, 1, 2, 3]}]
     assert effective_context(specs) == 7

@@ -3,6 +3,7 @@ import pytest
 
 from svbench import store
 from svbench.backends import LdaTransform, PldaModel
+from svbench.container import read_container, write_container
 from svbench.config import default_config, dump_config, load_config
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.e2e import E2EConfig, build_e2e_net
@@ -140,3 +141,44 @@ def test_dump_config_round_trip(tmp_path):
     again = load_config(str(path))
     assert again == cfg
     assert dump_config(again) == text
+
+
+def _small_models(tmp_path):
+    """(path, loader) for a saved d-vector network and a saved e2e model."""
+    dnet = build_dvector_net(DVectorConfig(input_dim=8, conv_dim=16, bottleneck_dim=12,
+                                           td_dim=16, feature_dim=16, num_speakers=5))
+    store.save_network(str(tmp_path / "net.svbf"), dnet, kind="dvector_net")
+    enet, scorer = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
+                                           pre_pool_dim=10, embedding_dim=16))
+    store.save_e2e_model(str(tmp_path / "e2e.svbf"), enet, scorer)
+    return [(str(tmp_path / "net.svbf"), lambda p: store.load_network(p, kind="dvector_net")),
+            (str(tmp_path / "e2e.svbf"), store.load_e2e_model)]
+
+
+def _drop_weight(arrays):
+    name = min(k for k in arrays if k.endswith(".W"))
+    del arrays[name]
+    return name
+
+
+def _add_array(arrays):
+    arrays["l99.W"] = np.zeros((2, 2))
+    return "l99.W"
+
+
+def _flatten_weight(arrays):
+    # one row of the right width: would broadcast silently if not checked
+    name = min(k for k in arrays if k.endswith(".W"))
+    arrays[name] = arrays[name][0]
+    return name
+
+
+@pytest.mark.parametrize("change", [_drop_weight, _add_array, _flatten_weight],
+                         ids=["missing", "extra", "misshaped"])
+def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
+    for path, load in _small_models(tmp_path):
+        kind, header, arrays = read_container(path)
+        name = change(arrays)
+        write_container(path, kind, header, arrays)
+        with pytest.raises(FormatError, match=name):
+            load(path)
