@@ -15,6 +15,7 @@ class AudioClip:
     id: str = ""
     speaker_id: str = ""
     gender: str = ""               # "female" | "male" | ""
+    start: int = 0                 # first sample's offset in the recording `id`
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)

@@ -170,15 +170,15 @@ def extract(ws, model, manifest, feats_dir, out_path):
     ws.prepare()
     entries = sorted(read_manifest(manifest), key=lambda e: e.utt_id)
     feats = pipeline.load_feature_dir(entries, feats_dir)
-    kind, _, _ = read_container(model)
+    kind, header, arrays = read_container(model)
     ids = [e.utt_id for e in entries]
     speakers = [e.speaker_id for e in entries]
     if kind == "dvector_net":
-        net = store.load_network(model, kind="dvector_net")
+        net = store.build_network(model, header, arrays)
         vecs = [pool_dvector(extract_frame_features(net, feats[u])) for u in ids]
         store.save_vectors(out_path, "dvector", ids, speakers, np.array(vecs))
     elif kind == "e2e_model":
-        net, _ = store.load_e2e_model(model)
+        net, _ = store.build_e2e_model(model, header, arrays)
         vecs = [embed(net, feats[u]) for u in ids]
         store.save_vectors(out_path, "embedding", ids, speakers, np.array(vecs))
     else:

@@ -124,21 +124,21 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
     gradients vanish and training stalls. Starting with O(1) logits keeps
     the sigmoids responsive.
     """
-    affines = [layer for layer in net.layers if isinstance(layer, Affine)]
-    for i, layer in enumerate(net.layers):
+    last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, Affine))
+    # each chunk's activations are carried up one layer at a time, through
+    # layers already calibrated
+    hs = [np.asarray(chunk, dtype=np.float64) for chunk in sample_chunks]
+    for i, layer in enumerate(net.layers[:last + 1]):
         if isinstance(layer, Affine):
-            rows = []
-            for chunk in sample_chunks:
-                h, _ = net.forward(chunk, up_to=i)
-                rows.append(h)
-            h = np.concatenate(rows, axis=0)
-            z = h @ layer.W + layer.b
+            z = np.concatenate(hs, axis=0) @ layer.W + layer.b
             std = z.std(axis=0)
             std[std < 1e-8] = 1.0
             layer.W /= std
             layer.b[...] = (layer.b - z.mean(axis=0)) / std
-    affines[-1].W *= embedding_scale
-    affines[-1].b *= embedding_scale
+        if i < last:
+            hs = [layer.forward(h)[0] for h in hs]
+    net.layers[last].W *= embedding_scale
+    net.layers[last].b *= embedding_scale
     return net
 
 

@@ -23,8 +23,8 @@ class FrontendConfig:
     num_mel_bins: int = 40
     num_cepstra: int = 19
     pre_emphasis: float = 0.97
-    dither: float = 0.0            # amplitude; 0 keeps the pipeline deterministic
-    dither_seed: int = 0
+    dither: float = 0.0            # amplitude of added Gaussian noise
+    dither_seed: int = 0           # run seed; noise is drawn per (seed, clip id, clip start)
     cmvn_mode: str = "per-utterance"   # or "none"
 
     def __post_init__(self):
@@ -99,7 +99,8 @@ def _spectra(clip, cfg):
     """Framed power spectra plus raw per-frame energies."""
     samples = clip.samples
     if cfg.dither > 0:
-        rng = np.random.default_rng(cfg.dither_seed)
+        # each clip gets its own noise, and the same noise on every rerun
+        rng = np.random.default_rng([cfg.dither_seed, clip.start, *clip.id.encode("utf-8")])
         samples = samples + cfg.dither * rng.standard_normal(len(samples))
     frames, flen, fshift = _frame_signal(samples, cfg, clip.sample_rate)
     energy = np.sum(frames ** 2, axis=1)

@@ -5,6 +5,10 @@ Networks are ordered stacks of layers operating on time-major matrices
 concatenation, and temporal mean pooling. Everything runs in float64 and
 is deterministic given the seed, which keeps finite-difference gradient
 checks meaningful.
+
+Backward computes parameter gradients only: it stops at the lowest layer
+that has parameters and never forms the gradient with respect to the
+network input, which no caller uses.
 """
 
 from dataclasses import dataclass
@@ -35,9 +39,11 @@ class Affine:
     def forward(self, x):
         return x @ self.W + self.b, x
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, input_grad=True):
+        """(dL/dx, or None without `input_grad`; parameter gradients)."""
         x = cache
-        return g @ self.W.T, {"W": x.T @ g, "b": g.sum(axis=0)}
+        gx = g @ self.W.T if input_grad else None
+        return gx, {"W": x.T @ g, "b": g.sum(axis=0)}
 
     def spec(self):
         return {"kind": self.kind, "d_in": self.d_in, "d_out": self.d_out}
@@ -71,21 +77,41 @@ class TimeDelay:
 
     def __init__(self, offsets):
         offsets = tuple(int(o) for o in offsets)
+        if not offsets:
+            raise ConfigError("time_delay needs at least one offset")
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ConfigError("time_delay offsets must be strictly increasing")
         self.offsets = offsets
 
     def forward(self, x):
-        t = x.shape[0]
-        cols = [x[np.clip(np.arange(t) + o, 0, t - 1)] for o in self.offsets]
-        return np.concatenate(cols, axis=1), (t, x.shape[1])
+        t, d = x.shape
+        left, right = max(0, -self.offsets[0]), max(0, self.offsets[-1])
+        padded = np.concatenate([np.repeat(x[:1], left, axis=0), x,
+                                 np.repeat(x[-1:], right, axis=0)])
+        out = np.empty((t, d * len(self.offsets)), dtype=x.dtype)
+        for j, o in enumerate(self.offsets):
+            out[:, j * d:(j + 1) * d] = padded[left + o:left + o + t]
+        return out, (t, d)
 
     def backward(self, g, cache):
+        """Adjoint of the edge-replicating gather.
+
+        Each input row sums its gradient contributions offset by offset and,
+        within an offset, in time order; interior rows get one contribution
+        per offset (one slice add), edge rows take the clipped ones a row at
+        a time. Summing the clipped rows first would round differently.
+        """
         t, d = cache
         gx = np.zeros((t, d))
         for j, o in enumerate(self.offsets):
-            idx = np.clip(np.arange(t) + o, 0, t - 1)
-            np.add.at(gx, idx, g[:, j * d:(j + 1) * d])
+            gj = g[:, j * d:(j + 1) * d]
+            lo, hi = max(1, o), min(t - 1, t + o)        # interior target rows [lo, hi)
+            if lo < hi:
+                gx[lo:hi] += gj[lo - o:hi - o]
+            for i in range(min(t, 1 - o)):               # rows mapped to frame 0
+                gx[0] += gj[i]
+            for i in range(max(0, 1 - o, t - 1 - o), t):  # rows mapped to frame T-1, and
+                gx[t - 1] += gj[i]                       # not counted above when T = 1
         return gx, {}
 
     def spec(self):
@@ -112,15 +138,23 @@ class MeanPool:
 _LAYER_KINDS = {cls.kind: cls for cls in (Affine, ReLU, TimeDelay, MeanPool)}
 
 
-def layer_from_spec(spec, rng=None):
-    """Layer built from its spec; `rng` draws affine weights (zeros without it)."""
-    args = dict(spec)
-    cls = _LAYER_KINDS.get(args.pop("kind", None))
+def layer_from_spec(spec, rng=None, index=0):
+    """Layer built from its spec; `rng` draws affine weights (zeros without it).
+
+    A spec that is not a mapping, names an unknown kind or has arguments
+    its kind does not take raises FormatError naming the layer `index`.
+    """
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    cls = _LAYER_KINDS.get(kind)
     if cls is None:
-        raise ConfigError(f"unknown layer kind {spec.get('kind')!r}")
+        raise FormatError(f"layer {index}: unknown layer kind {kind!r}")
+    args = {key: value for key, value in spec.items() if key != "kind"}
     if cls is Affine:
         args["rng"] = rng
-    return cls(**args)
+    try:
+        return cls(**args)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"layer {index} ({kind!r}): malformed spec: {e}") from e
 
 
 class Network:
@@ -162,11 +196,19 @@ class Network:
         return x, caches
 
     def backward(self, grad_out, caches):
-        """Gradient map over all parameters of the layers that ran forward."""
+        """Gradient map over all parameters of the layers that ran forward.
+
+        Layers below the lowest parameterized one are not visited, and that
+        layer computes no input gradient.
+        """
+        lowest = next((i for i, layer in enumerate(self.layers) if layer.params), len(caches))
         grads = {}
         g = grad_out
-        for i in reversed(range(len(caches))):
-            g, pg = self.layers[i].backward(g, caches[i])
+        for i in reversed(range(lowest, len(caches))):
+            if i == lowest:
+                g, pg = self.layers[i].backward(g, caches[i], input_grad=False)
+            else:
+                g, pg = self.layers[i].backward(g, caches[i])
             for name, arr in pg.items():
                 grads[f"l{i}.{name}"] = arr
         return grads
@@ -176,7 +218,7 @@ class Network:
 
     @classmethod
     def from_specs(cls, specs, meta=None, rng=None):
-        return cls([layer_from_spec(s, rng) for s in specs], meta=meta)
+        return cls([layer_from_spec(s, rng, i) for i, s in enumerate(specs)], meta=meta)
 
 
 def context_window(net_or_specs):

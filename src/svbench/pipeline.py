@@ -16,7 +16,8 @@ from . import store
 
 
 def make_frontend_config(cfg):
-    return from_sections(FrontendConfig, cfg, "frontend", cmvn_mode=cfg["frontend"]["cmvn"])
+    return from_sections(FrontendConfig, cfg, "frontend", cmvn_mode=cfg["frontend"]["cmvn"],
+                         dither_seed=cfg["run"]["seed"])
 
 
 def clip_features(clip, fcfg, feature_type="fbank"):
@@ -73,7 +74,7 @@ def segment_frames(segments, entries_by_utt, fcfg):
         clip = read_wav(entry.path)
         lo = int(round(seg.start * clip.sample_rate))
         hi = int(round((seg.start + seg.duration) * clip.sample_rate))
-        piece = AudioClip(clip.samples[lo:hi], clip.sample_rate)
+        piece = AudioClip(clip.samples[lo:hi], clip.sample_rate, id=seg.utt_id, start=lo)
         parts.append(clip_features(piece, fcfg).frames)
     return np.concatenate(parts, axis=0)
 

@@ -5,8 +5,17 @@ import numpy as np
 from .backends import LdaTransform, PldaModel
 from .container import read_container, write_container
 from .e2e import BilinearScorer
+from .errors import FormatError
 from .frontend import FeatureMatrix
 from .nn import Network
+
+
+def _entry(path, table, key):
+    """table[key] from a container's header or arrays; FormatError naming file and key if absent."""
+    try:
+        return table[key]
+    except KeyError:
+        raise FormatError(f"{path}: missing {key!r}") from None
 
 
 def save_features(path, feat):
@@ -17,8 +26,8 @@ def save_features(path, feat):
 
 def load_features(path):
     _, header, arrays = read_container(path, expect_kind="features")
-    return FeatureMatrix(arrays["frames"].astype(np.float64),
-                         header["frame_period"], header["feature_kind"])
+    return FeatureMatrix(_entry(path, arrays, "frames").astype(np.float64),
+                         _entry(path, header, "frame_period"), _entry(path, header, "feature_kind"))
 
 
 def save_vectors(path, kind, ids, speakers, matrix):
@@ -28,8 +37,9 @@ def save_vectors(path, kind, ids, speakers, matrix):
 
 
 def load_vectors(path, kind=None):
-    actual, header, arrays = read_container(path, expect_kind=kind)
-    return header["ids"], header["speakers"], arrays["vectors"].astype(np.float64)
+    _, header, arrays = read_container(path, expect_kind=kind)
+    return (_entry(path, header, "ids"), _entry(path, header, "speakers"),
+            _entry(path, arrays, "vectors").astype(np.float64))
 
 
 def save_network(path, net, kind="network"):
@@ -37,11 +47,16 @@ def save_network(path, net, kind="network"):
     write_container(path, kind, {"layers": net.specs(), "meta": net.meta}, arrays)
 
 
-def load_network(path, kind="network"):
-    _, header, arrays = read_container(path, expect_kind=kind)
-    net = Network.from_specs(header["layers"], meta=header["meta"])
+def build_network(path, header, arrays):
+    """Network from the header and arrays of a container read from `path`."""
+    net = Network.from_specs(_entry(path, header, "layers"), meta=_entry(path, header, "meta"))
     net.set_params(arrays)
     return net
+
+
+def load_network(path, kind="network"):
+    _, header, arrays = read_container(path, expect_kind=kind)
+    return build_network(path, header, arrays)
 
 
 def save_e2e_model(path, net, scorer):
@@ -51,15 +66,22 @@ def save_e2e_model(path, net, scorer):
     write_container(path, "e2e_model", {"layers": net.specs(), "meta": net.meta}, arrays)
 
 
+def build_e2e_model(path, header, arrays):
+    """(network, scorer) from the header and arrays of an e2e_model container."""
+    S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or b.shape != (1,):
+        raise FormatError(f"{path}: scorer arrays have shapes {S.shape} and {b.shape}, "
+                          f"expected (d, d) and (1,)")
+    scorer = BilinearScorer(S.shape[0])
+    scorer.S[...] = S
+    scorer.b[...] = b
+    net_params = {k: v for k, v in arrays.items() if not k.startswith("scorer.")}
+    return build_network(path, header, net_params), scorer
+
+
 def load_e2e_model(path):
     _, header, arrays = read_container(path, expect_kind="e2e_model")
-    scorer = BilinearScorer(arrays["scorer.S"].shape[0])
-    scorer.S[...] = arrays["scorer.S"]
-    scorer.b[...] = arrays["scorer.b"]
-    net_params = {k: v for k, v in arrays.items() if not k.startswith("scorer.")}
-    net = Network.from_specs(header["layers"], meta=header["meta"])
-    net.set_params(net_params)
-    return net, scorer
+    return build_e2e_model(path, header, arrays)
 
 
 def save_lda(path, lda):
@@ -68,7 +90,8 @@ def save_lda(path, lda):
 
 def load_lda(path):
     _, _, arrays = read_container(path, expect_kind="lda")
-    return LdaTransform(mean=arrays["mean"], projection=arrays["projection"])
+    return LdaTransform(mean=_entry(path, arrays, "mean"),
+                        projection=_entry(path, arrays, "projection"))
 
 
 def save_plda(path, model, center_mean):
@@ -80,5 +103,6 @@ def save_plda(path, model, center_mean):
 
 def load_plda(path):
     _, _, arrays = read_container(path, expect_kind="plda")
-    return (PldaModel(arrays["mean"], arrays["between"], arrays["within"]),
-            arrays["center_mean"])
+    mean, between, within, center_mean = (
+        _entry(path, arrays, key) for key in ("mean", "between", "within", "center_mean"))
+    return PldaModel(mean, between, within), center_mean

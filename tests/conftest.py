@@ -1,6 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+import oracles
+from svbench import e2e, nn
 from svbench.audio import AudioClip
 from svbench.datagen import SyntheticSpec, generate_corpus
 
@@ -24,3 +28,17 @@ def tone_clip():
 @pytest.fixture
 def silence_clip():
     return AudioClip(np.zeros(16000), 16000)
+
+
+@pytest.fixture
+def reference_engine(monkeypatch):
+    """Context manager that runs svbench on the reference layer engine in oracles.py."""
+    @contextlib.contextmanager
+    def use():
+        with monkeypatch.context() as m:
+            m.setattr(nn.TimeDelay, "forward", oracles.time_delay_forward)
+            m.setattr(nn.TimeDelay, "backward", oracles.time_delay_backward)
+            m.setattr(nn.Network, "backward", oracles.network_backward)
+            m.setattr(e2e, "calibrate_network", oracles.calibrate_network)
+            yield
+    return use

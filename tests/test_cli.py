@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from svbench import e2e, store
+from svbench import cli, e2e, store
 from svbench.audio import read_wav
 from svbench.cli import main
 from svbench.corpus import read_manifest
+from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.frontend import add_deltas, cmvn, compute_mfcc_e
 
 CONFIG = """
@@ -249,6 +250,30 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     # warm-up batch plus two training batches of 2N chunks each
     assert len(lengths) == 3 * 6
     assert set(lengths) == {60}
+
+
+def test_extract_reads_model_once(tiny_run, tmp_path, monkeypatch):
+    runner, config, out = tiny_run
+    store.save_network(str(tmp_path / "dvector.svbf"), build_dvector_net(DVectorConfig(
+        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)),
+        kind="dvector_net")
+    enet, scorer = e2e.build_e2e_net(e2e.E2EConfig(lift_dim=8, nin_hidden=8, nin_out=8,
+                                                   pre_pool_dim=8, embedding_dim=8))
+    store.save_e2e_model(str(tmp_path / "e2e.svbf"), enet, scorer)
+    reads = []
+    for module in (cli, store):
+        def counting(path, *args, _read=module.read_container, **kwargs):
+            reads.append(str(path))
+            return _read(path, *args, **kwargs)
+        monkeypatch.setattr(module, "read_container", counting)
+    for name in ("dvector", "e2e"):
+        model = str(tmp_path / f"{name}.svbf")
+        _invoke(runner, config, out, "extract", "--model", model,
+                "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                "--features", os.path.join(out, "feats_raw"),
+                "--out", str(tmp_path / f"{name}_vectors.svbf"))
+        assert reads.count(model) == 1
+        assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
 
 
 def _write(path, text):

@@ -120,6 +120,18 @@ def test_training_deterministic():
         np.testing.assert_array_equal(va, vb)
 
 
+def test_training_matches_reference_engine(reference_engine):
+    utts = _separable_utterances(num_speakers=3, utts_each=2, frames=40, seed=5)
+    cfg = DVectorConfig(**SMALL, input_dim=8)
+    tcfg = TrainerConfig(learning_rate=0.02, max_epochs=2, seed=4)
+    net = train_dvector(utts, cfg, tcfg)
+    with reference_engine():
+        ref = train_dvector(utts, cfg, tcfg)
+    assert net.meta["history"] == ref.meta["history"]
+    for name, arr in ref.param_map().items():
+        assert net.param_map()[name].tobytes() == arr.tobytes(), name
+
+
 def test_extract_checks_model_kind():
     from svbench.nn import Affine, Network
     net = Network([Affine(4, 4)])

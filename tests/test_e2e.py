@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig, PairBatch,
                          build_e2e_net, calibrate_network, e2e_specs, embed,
                          pair_loss, pair_probability, sample_chunk_length,
@@ -213,3 +214,27 @@ def test_calibration_centers_embeddings():
     embs = np.array([embed(net, c) for c in chunks])
     # embeddings vary across inputs instead of collapsing to a common point
     assert embs.std(axis=0).max() > 0.05
+
+
+def test_calibration_matches_reference_bytes():
+    corpus = _toy_corpus(seed=3)
+    rng = np.random.default_rng(4)
+    chunks = [u[:int(rng.integers(20, 120))] for s in sorted(corpus) for u in corpus[s]]
+    net, _ = build_e2e_net(E2EConfig(**SMALL), seed=6)
+    ref, _ = build_e2e_net(E2EConfig(**SMALL), seed=6)
+    calibrate_network(net, chunks)
+    oracles.calibrate_network(ref, chunks)
+    for name, arr in ref.param_map().items():
+        assert net.param_map()[name].tobytes() == arr.tobytes(), name
+
+
+def test_training_matches_reference_engine(reference_engine):
+    corpus = _toy_corpus(seed=4)
+    net, scorer = _short_train(5, corpus, iterations=4)
+    with reference_engine():
+        ref_net, ref_scorer = _short_train(5, corpus, iterations=4)
+    assert net.meta["history"] == ref_net.meta["history"]
+    for name, arr in ref_net.param_map().items():
+        assert net.param_map()[name].tobytes() == arr.tobytes(), name
+    assert scorer.S.tobytes() == ref_scorer.S.tobytes()
+    assert scorer.b.tobytes() == ref_scorer.b.tobytes()

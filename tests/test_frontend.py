@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from svbench.audio import AudioClip
+from svbench import pipeline
+from svbench.audio import AudioClip, write_wav
+from svbench.config import load_config
+from svbench.corpus import ManifestEntry
 from svbench.errors import UsageError
+from svbench.evaluation import Segment
 from svbench.frontend import (FeatureMatrix, add_deltas, cmvn,
                               compute_fbank, compute_mfcc_e, mel_filterbank,
                               num_frames_for)
@@ -115,3 +119,23 @@ def test_feature_matrix_validation():
         FeatureMatrix(np.zeros((0, 4)), 0.01, "f")
     with pytest.raises(UsageError):
         FeatureMatrix(np.full((2, 2), np.nan), 0.01, "f")
+
+
+def test_dither_noise_differs_per_clip_and_repeats_per_run(tmp_path):
+    entries = {}
+    for utt in ("u1", "u2"):
+        path = str(tmp_path / f"{utt}.wav")
+        write_wav(path, AudioClip(np.zeros(16000), 16000))
+        entries[utt] = ManifestEntry(utt, "s1", "female", path, 1.0)
+
+    def side(utt, start, seed=3, dither=0.01):
+        cfg = load_config(None, {("run", "seed"): seed, ("frontend", "dither"): dither})
+        seg = Segment("x", "s1", "female", utt, start, 0.5)
+        return pipeline.segment_frames([seg], entries, pipeline.make_frontend_config(cfg))
+
+    # every input is silence, so any difference between the features is the dither noise
+    base = side("u1", 0.0)
+    assert base.tobytes() == side("u1", 0.0).tobytes()
+    for other in (side("u2", 0.0), side("u1", 0.25), side("u1", 0.0, seed=4)):
+        assert other.shape == base.shape and not np.array_equal(other, base)
+    assert side("u1", 0.0, dither=0.0).tobytes() == side("u2", 0.25, dither=0.0).tobytes()

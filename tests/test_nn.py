@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from svbench.errors import ConfigError, TrainingDivergedError, UsageError
+import oracles
+from svbench.dvector import DVectorConfig, build_dvector_net
+from svbench.e2e import E2EConfig, build_e2e_net
+from svbench.errors import ConfigError, FormatError, TrainingDivergedError, UsageError
 from svbench.nn import (Affine, MeanPool, Network, ReLU, SgdOptimizer,
                         TimeDelay, TrainerConfig, effective_context,
                         grad_check, softmax_xent)
@@ -54,6 +57,22 @@ def test_time_delay_offsets_validation():
         TimeDelay([0, 0])
     with pytest.raises(ConfigError):
         TimeDelay([1, -1])
+    with pytest.raises(ConfigError):
+        TimeDelay([])
+
+
+@pytest.mark.parametrize("offsets", [range(-4, 5), (0, 1), (-3, 0, 3), (2, 5), (-6, -5)])
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 50])
+def test_time_delay_matches_reference_bytes(t, offsets):
+    # includes T <= |offset|, where whole columns replicate one edge frame
+    td = TimeDelay(offsets)
+    rng = np.random.default_rng(t)
+    x = rng.standard_normal((t, 3))
+    out, cache = td.forward(x)
+    ref_out, ref_cache = oracles.time_delay_forward(td, x)
+    assert out.tobytes() == ref_out.tobytes() and cache == ref_cache
+    g = rng.standard_normal(out.shape)
+    assert td.backward(g, cache)[0].tobytes() == oracles.time_delay_backward(td, g, cache)[0].tobytes()
 
 
 def test_time_delay_dependency_structure():
@@ -188,6 +207,63 @@ def test_splice_edge_replication():
 def test_effective_context_splice_only():
     specs = [{"kind": "time_delay", "offsets": [-3, -2, -1, 0, 1, 2, 3]}]
     assert effective_context(specs) == 7
+
+
+def _small_nets():
+    """(network, input) for a d-vector and an e2e network at test widths."""
+    rng = np.random.default_rng(11)
+    dnet = build_dvector_net(DVectorConfig(input_dim=8, conv_dim=16, bottleneck_dim=12,
+                                           td_dim=16, feature_dim=16, num_speakers=5), seed=1)
+    enet, _ = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
+                                      pre_pool_dim=10, embedding_dim=16), seed=2)
+    return [(dnet, rng.standard_normal((30, 8))), (enet, rng.standard_normal((30, 8)))]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["dvector", "e2e"])
+def test_backward_stops_at_lowest_parameterized_layer(which, monkeypatch):
+    net, x = _small_nets()[which]
+    out, caches = net.forward(x)
+    g = np.random.default_rng(12).standard_normal(out.shape)
+    expected = oracles.network_backward(net, g, caches)
+
+    calls = []
+    for i, layer in enumerate(net.layers):
+        def recording(g, cache, _i=i, _backward=layer.backward, **kwargs):
+            calls.append((_i, kwargs))
+            return _backward(g, cache, **kwargs)
+        monkeypatch.setattr(layer, "backward", recording)
+    grads = net.backward(g, caches)
+
+    lowest = min(i for i, layer in enumerate(net.layers) if layer.params)
+    assert lowest > 0       # both nets start with an input splice
+    assert [i for i, _ in calls] == list(reversed(range(lowest, len(net.layers))))
+    assert calls[-1][1] == {"input_grad": False}
+    assert sorted(grads) == sorted(expected) == sorted(net.param_map())
+    for name in expected:
+        assert grads[name].tobytes() == expected[name].tobytes(), name
+
+
+def test_affine_backward_without_input_grad():
+    layer = Affine(4, 3, rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((6, 4))
+    g = np.random.default_rng(2).standard_normal((6, 3))
+    full_gx, full = layer.backward(g, x)
+    gx, grads = layer.backward(g, x, input_grad=False)
+    assert gx is None and full_gx.shape == x.shape
+    assert all(grads[k].tobytes() == full[k].tobytes() for k in full)
+
+
+@pytest.mark.parametrize("spec, match", [
+    ({"kind": "affine", "d_in": 4}, r"layer 1 \('affine'\)"),
+    ({"kind": "affine", "d_in": "four", "d_out": 2}, r"layer 1 \('affine'\)"),
+    ({"kind": "time_delay", "offset": [0]}, r"layer 1 \('time_delay'\)"),
+    ({"kind": "relu", "slope": 0.1}, r"layer 1 \('relu'\)"),
+    ({"kind": "conv2d"}, "layer 1: unknown layer kind 'conv2d'"),
+    ("affine", "layer 1: unknown layer kind None"),
+], ids=["missing-arg", "bad-value", "wrong-arg", "extra-arg", "unknown-kind", "not-a-mapping"])
+def test_malformed_layer_spec_is_format_error(spec, match):
+    with pytest.raises(FormatError, match=match):
+        Network.from_specs([{"kind": "relu"}, spec])
 
 
 def test_network_spec_round_trip():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,58 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
         write_container(path, kind, header, arrays)
         with pytest.raises(FormatError, match=name):
             load(path)
+
+
+def _saved_artifacts(tmp_path):
+    """{name: (path, loader)} for a saved vector set, LDA, PLDA and e2e model."""
+    rng = np.random.default_rng(9)
+    paths = {name: str(tmp_path / f"{name}.svbf") for name in ("vectors", "lda", "plda", "e2e")}
+    store.save_vectors(paths["vectors"], "dvector", ["u1", "u2"], ["s1", "s2"],
+                       rng.standard_normal((2, 3)))
+    store.save_lda(paths["lda"], LdaTransform(mean=rng.standard_normal(3),
+                                              projection=rng.standard_normal((3, 2))))
+    store.save_plda(paths["plda"], PldaModel(np.zeros(3), np.eye(3), np.eye(3)), np.zeros(3))
+    net, scorer = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
+                                          pre_pool_dim=10, embedding_dim=16))
+    store.save_e2e_model(paths["e2e"], net, scorer)
+    loaders = {"vectors": store.load_vectors, "lda": store.load_lda,
+               "plda": store.load_plda, "e2e": store.load_e2e_model}
+    return {name: (paths[name], loaders[name]) for name in paths}
+
+
+@pytest.mark.parametrize("artifact, part, key", [
+    ("vectors", "header", "ids"), ("vectors", "header", "speakers"),
+    ("vectors", "arrays", "vectors"),
+    ("lda", "arrays", "mean"), ("lda", "arrays", "projection"),
+    ("plda", "arrays", "between"), ("plda", "arrays", "center_mean"),
+    ("e2e", "arrays", "scorer.S"), ("e2e", "arrays", "scorer.b"),
+])
+def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
+    path, load = _saved_artifacts(tmp_path)[artifact]
+    kind, header, arrays = read_container(path)
+    del (header if part == "header" else arrays)[key]
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: missing {key!r}")):
+        load(path)
+
+
+def test_e2e_loader_rejects_misshaped_scorer(tmp_path):
+    path, load = _saved_artifacts(tmp_path)["e2e"]
+    kind, header, arrays = read_container(path)
+    arrays["scorer.S"] = arrays["scorer.S"][0]     # one row: would broadcast silently
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match="scorer arrays have shapes"):
+        load(path)
+
+
+def test_network_loader_names_malformed_layer_spec(tmp_path):
+    path = str(tmp_path / "net.svbf")
+    store.save_network(path, build_dvector_net(DVectorConfig(
+        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
+        num_speakers=5)), kind="dvector_net")
+    kind, header, arrays = read_container(path)
+    index = next(i for i, spec in enumerate(header["layers"]) if spec["kind"] == "affine")
+    del header["layers"][index]["d_out"]
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match=rf"layer {index} \('affine'\)"):
+        store.load_network(path, kind="dvector_net")
