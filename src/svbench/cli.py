@@ -124,9 +124,9 @@ def cmd_train_dvector(ws, manifest, feats_dir):
     tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", seed=ws.seed)
     log_path = ws.path("dvector_train.log")
     with open(log_path, "w") as log:
-        log.write("epoch\tloss\taccuracy\n")
-        net = train_dvector(utts, cfg, tcfg,
-                            log=lambda h: log.write(f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\n"))
+        log.write("epoch\tloss\taccuracy\tgrad_norm\tclipped_frac\n")
+        net = train_dvector(utts, cfg, tcfg, log=lambda h: log.write(
+            f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\t{h['grad_norm']!r}\t{h['clipped_frac']!r}\n"))
     net.meta["speakers"] = speakers
     store.save_network(ws.path("dvector.svbf"), net, kind="dvector_net")
     click.echo(f"trained d-vector model on {len(speakers)} speakers -> {ws.path('dvector.svbf')}")
@@ -149,12 +149,13 @@ def cmd_train_e2e(ws, manifest, feats_dir):
     tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", "e2e", max_epochs=1, seed=ws.seed)
     log_path = ws.path("e2e_train.log")
     with open(log_path, "w") as log:
-        log.write("iteration\tloss\tpair_accuracy\n")
+        log.write("iteration\tloss\tpair_accuracy\tgrad_norm\tclip_scale\n")
         net, scorer = train_e2e(
             corpus, cfg, E2ELossConfig(k=k), tcfg,
             n_pairs=n, iterations=e["iterations"],
             chunk_bounds=(e["chunk_min"], e["chunk_max"]),
-            log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}\n"))
+            log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
+                                    f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
     store.save_e2e_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
 

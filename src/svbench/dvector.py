@@ -81,7 +81,8 @@ def train_dvector(utterances, cfg, tcfg, log=None):
     `utterances` is a list of (frames T x input_dim, speaker_index) pairs;
     every frame of an utterance carries its speaker's label. Returns the
     trained Network; the per-epoch (loss, frame accuracy) history lands in
-    net.meta["history"].
+    net.meta["history"]. `log` receives each history record together with
+    the epoch's mean gradient norm and its share of clipped steps.
     """
     if len({label for _, label in utterances}) < 2:
         raise UsageError("training corpus must contain at least 2 speakers")
@@ -96,6 +97,7 @@ def train_dvector(utterances, cfg, tcfg, log=None):
         total_loss = 0.0
         correct = 0
         frames = 0
+        grad_norms, clipped = [], 0
         for i in order:
             x, label = utterances[i]
             logits, caches = net.forward(x)
@@ -104,13 +106,17 @@ def train_dvector(utterances, cfg, tcfg, log=None):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", where=epoch)
             grads = net.backward(grad, caches)
-            opt.step(params, grads, lr=lr)
+            grad_norm, clip_scale = opt.step(params, grads, lr=lr)
+            grad_norms.append(grad_norm)
+            clipped += clip_scale < 1.0
             total_loss += loss * logits.shape[0]
             correct += int(np.sum(logits.argmax(axis=1) == label))
             frames += logits.shape[0]
-        history.append({"epoch": epoch, "loss": total_loss / frames, "accuracy": correct / frames})
+        history.append({"epoch": epoch, "loss": float(total_loss / frames),
+                        "accuracy": correct / frames})
         if log:
-            log(history[-1])
+            log({**history[-1], "grad_norm": float(np.mean(grad_norms)),
+                 "clipped_frac": clipped / len(order)})
     net.meta["history"] = history
     return net
 

@@ -6,6 +6,12 @@ time, and maps the pooled statistic through one more NIN block to the
 speaker embedding. A bilinear scorer turns two embeddings into a
 same-speaker logit; training minimizes weighted pairwise cross-entropy
 over batches of N same-speaker and N(N-1) different-speaker chunk pairs.
+
+A training step embeds all 2N chunks of a batch in one forward pass over
+their packed frames (see `svbench.nn`), scores every chunk pair at once as
+a 2N x 2N logit matrix, takes the scorer and embedding gradients in closed
+form from the matrix of per-pair logit gradients, and runs one backward
+pass.
 """
 
 from dataclasses import dataclass
@@ -13,10 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplingError, TrainingDivergedError, UsageError
-from .nn import Affine, Network, SgdOptimizer, effective_context
+from .nn import Affine, Network, SgdOptimizer, effective_context, run_layer
 
 CHUNK_LEN_MIN = 50
 CHUNK_LEN_MAX = 300
+# The calibration batch covers at least this many speakers (every speaker of a
+# smaller corpus): the post-pool layers are calibrated on its pooled chunks,
+# and a small batch misjudges their spread over the rest of the corpus.
+CALIBRATION_SPEAKERS = 64
 
 
 @dataclass
@@ -87,10 +97,24 @@ class BilinearScorer:
         # quadratic terms grouped so score(x, y) == score(y, x) bit-exactly
         return float(x @ y - (x @ self.S @ x + y @ self.S @ y) + self.b[0])
 
-    def grads(self, x, y):
-        """(dL/dx, dL/dy, dL/dS, dL/db) treating S as a free matrix."""
-        s2 = self.S + self.S.T
-        return y - s2 @ x, x - s2 @ y, -(np.outer(x, x) + np.outer(y, y)), np.ones(1)
+    def score_matrix(self, emb):
+        """Logits of every row pair of `emb` (M x d): L[i, j] = score(emb[i], emb[j]).
+
+        L = E E' - q 1' - 1 q' + b with q_i = e_i' S e_i.
+        """
+        q = np.sum((emb @ self.S) * emb, axis=1)
+        return emb @ emb.T - (q[:, None] + q[None, :]) + self.b[0]
+
+    def grads(self, emb, w):
+        """(dE, dS, db) of sum_ij w[i, j] L[i, j] over the logit matrix of `emb`.
+
+        With r, c the row and column sums of w and S treated as a free matrix:
+        dE = (w + w')E - diag(r + c) E (S + S'), dS = -E' diag(r + c) E,
+        db = sum(w).
+        """
+        rc = w.sum(axis=1) + w.sum(axis=0)
+        d_emb = (w + w.T) @ emb - rc[:, None] * (emb @ (self.S + self.S.T))
+        return d_emb, -(emb.T * rc) @ emb, np.array([w.sum()])
 
 
 def build_e2e_net(cfg, seed=0):
@@ -125,18 +149,19 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
     the sigmoids responsive.
     """
     last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, Affine))
-    # each chunk's activations are carried up one layer at a time, through
-    # layers already calibrated
-    hs = [np.asarray(chunk, dtype=np.float64) for chunk in sample_chunks]
+    # the sample chunks' packed activations are carried up one layer at a
+    # time, through layers already calibrated
+    h = np.concatenate([np.asarray(chunk, dtype=np.float64) for chunk in sample_chunks])
+    lengths = [len(chunk) for chunk in sample_chunks]
     for i, layer in enumerate(net.layers[:last + 1]):
         if isinstance(layer, Affine):
-            z = np.concatenate(hs, axis=0) @ layer.W + layer.b
+            z = h @ layer.W + layer.b
             std = z.std(axis=0)
             std[std < 1e-8] = 1.0
             layer.W /= std
             layer.b[...] = (layer.b - z.mean(axis=0)) / std
         if i < last:
-            hs = [layer.forward(h)[0] for h in hs]
+            h, _, lengths = run_layer(layer, h, lengths)
     net.layers[last].W *= embedding_scale
     net.layers[last].b *= embedding_scale
     return net
@@ -249,43 +274,31 @@ def embed(net, chunk):
     return out[0]
 
 
+def _pair_index(pairs):
+    """(rows, columns) index arrays of a list of (i, j) pairs."""
+    return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
 def _batch_step(net, scorer, batch, loss_cfg):
-    """Loss and full gradient map (network + scorer) for one pair batch."""
-    embeddings, caches = [], []
-    for chunk in batch.chunks:
-        out, cache = net.forward(chunk)
-        embeddings.append(out[0])
-        caches.append(cache)
-    same_logits = np.array([scorer.score(embeddings[i], embeddings[j])
-                            for i, j in batch.same_pairs])
-    diff_logits = np.array([scorer.score(embeddings[i], embeddings[j])
-                            for i, j in batch.diff_pairs])
+    """Loss and full gradient map (network + scorer) for one pair batch.
+
+    One forward pass embeds all 2N chunks; the logits of the batch's pairs
+    are read off the scorer's logit matrix, and their loss gradients, placed
+    in a 2N x 2N matrix, give the scorer and embedding gradients in closed
+    form for one backward pass.
+    """
+    frames = np.concatenate(batch.chunks)
+    emb, caches = net.forward(frames, lengths=[len(chunk) for chunk in batch.chunks])
+    logits = scorer.score_matrix(emb)
+    same, diff = _pair_index(batch.same_pairs), _pair_index(batch.diff_pairs)
+    same_logits, diff_logits = logits[same], logits[diff]
     loss, g_same, g_diff = pair_loss(same_logits, diff_logits, loss_cfg)
 
-    demb = [np.zeros_like(e) for e in embeddings]
-    grad_s = np.zeros_like(scorer.S)
-    grad_b = np.zeros(1)
-    for (i, j), g in zip(batch.same_pairs, g_same):
-        gx, gy, gs, gb = scorer.grads(embeddings[i], embeddings[j])
-        demb[i] += g * gx
-        demb[j] += g * gy
-        grad_s += g * gs
-        grad_b += g * gb
-    for (i, j), g in zip(batch.diff_pairs, g_diff):
-        gx, gy, gs, gb = scorer.grads(embeddings[i], embeddings[j])
-        demb[i] += g * gx
-        demb[j] += g * gy
-        grad_s += g * gs
-        grad_b += g * gb
-
-    grads = None
-    for cache, g in zip(caches, demb):
-        chunk_grads = net.backward(g[None, :], cache)
-        if grads is None:
-            grads = chunk_grads
-        else:
-            for name in grads:
-                grads[name] += chunk_grads[name]
+    w = np.zeros_like(logits)
+    np.add.at(w, same, g_same)
+    np.add.at(w, diff, g_diff)
+    d_emb, grad_s, grad_b = scorer.grads(emb, w)
+    grads = net.backward(d_emb, caches)
     grads["scorer.S"] = grad_s
     grads["scorer.b"] = grad_b
     return loss, grads, same_logits, diff_logits
@@ -297,11 +310,13 @@ def train_e2e(corpus, cfg, loss_cfg, tcfg, n_pairs=64, iterations=200, log=None,
 
     Chunk lengths are drawn log-uniformly from `chunk_bounds` (frames).
     Returns (net, scorer); the per-iteration loss history lands in
-    net.meta["history"].
+    net.meta["history"]. `log` receives each history record together with
+    the step's gradient norm and clip scale.
     """
     net, scorer = build_e2e_net(cfg, seed=tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 2)
-    warmup = sample_pair_batch(corpus, min(n_pairs, len(corpus)), rng, chunk_bounds)
+    warmup = sample_pair_batch(corpus, min(max(n_pairs, CALIBRATION_SPEAKERS), len(corpus)),
+                               rng, chunk_bounds)
     calibrate_network(net, warmup.chunks)
     opt = SgdOptimizer(tcfg)
     params = dict(net.param_map())
@@ -312,11 +327,11 @@ def train_e2e(corpus, cfg, loss_cfg, tcfg, n_pairs=64, iterations=200, log=None,
         loss, grads, same_logits, diff_logits = _batch_step(net, scorer, batch, loss_cfg)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at iteration {it}", where=it)
-        opt.step(params, grads, lr=tcfg.lr_at(it))
+        grad_norm, clip_scale = opt.step(params, grads, lr=tcfg.lr_at(it))
         scorer.symmetrize()
         acc = 0.5 * (np.mean(same_logits > 0) + np.mean(diff_logits <= 0))
         history.append({"iteration": it, "loss": loss, "pair_accuracy": float(acc)})
         if log:
-            log(history[-1])
+            log({**history[-1], "grad_norm": grad_norm, "clip_scale": clip_scale})
     net.meta["history"] = history
     return net, scorer

@@ -6,12 +6,20 @@ concatenation, and temporal mean pooling. Everything runs in float64 and
 is deterministic given the seed, which keeps finite-difference gradient
 checks meaningful.
 
+A forward pass may carry several sequences at once: the input is their
+frames stacked into one packed (sum T x D) matrix, and `lengths` gives
+each segment's frame count. Affine and relu act row by row; time-delay
+layers replicate edge frames per segment and mean pooling reduces each
+segment to one row, so every segment's result has the same bytes as a pass
+over that segment alone. Without `lengths` the input is one segment.
+
 Backward computes parameter gradients only: it stops at the lowest layer
 that has parameters and never forms the gradient with respect to the
 network input, which no caller uses.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,35 +91,44 @@ class TimeDelay:
             raise ConfigError("time_delay offsets must be strictly increasing")
         self.offsets = offsets
 
-    def forward(self, x):
-        t, d = x.shape
-        left, right = max(0, -self.offsets[0]), max(0, self.offsets[-1])
-        padded = np.concatenate([np.repeat(x[:1], left, axis=0), x,
-                                 np.repeat(x[-1:], right, axis=0)])
-        out = np.empty((t, d * len(self.offsets)), dtype=x.dtype)
-        for j, o in enumerate(self.offsets):
-            out[:, j * d:(j + 1) * d] = padded[left + o:left + o + t]
-        return out, (t, d)
+    def forward(self, x, lengths=None):
+        lengths = segment_lengths(x, lengths)
+        d = x.shape[1]
+        out = np.empty((x.shape[0], d * len(self.offsets)), dtype=x.dtype)
+        for start, t in zip(segment_starts(lengths), lengths):
+            seg, dst = x[start:start + t], out[start:start + t]
+            for j, o in enumerate(self.offsets):
+                col = dst[:, j * d:(j + 1) * d]
+                lo = min(max(-o, 0), t)                  # rows [0, lo) read frame 0,
+                hi = min(max(t - o, lo), t)              # rows [hi, T) read frame T-1
+                if lo:
+                    col[:lo] = seg[0]
+                col[lo:hi] = seg[lo + o:hi + o]
+                if hi < t:
+                    col[hi:] = seg[t - 1]
+        return out, (lengths, d)
 
     def backward(self, g, cache):
-        """Adjoint of the edge-replicating gather.
+        """Adjoint of the edge-replicating gather, one segment at a time.
 
         Each input row sums its gradient contributions offset by offset and,
         within an offset, in time order; interior rows get one contribution
         per offset (one slice add), edge rows take the clipped ones a row at
         a time. Summing the clipped rows first would round differently.
         """
-        t, d = cache
-        gx = np.zeros((t, d))
-        for j, o in enumerate(self.offsets):
-            gj = g[:, j * d:(j + 1) * d]
-            lo, hi = max(1, o), min(t - 1, t + o)        # interior target rows [lo, hi)
-            if lo < hi:
-                gx[lo:hi] += gj[lo - o:hi - o]
-            for i in range(min(t, 1 - o)):               # rows mapped to frame 0
-                gx[0] += gj[i]
-            for i in range(max(0, 1 - o, t - 1 - o), t):  # rows mapped to frame T-1, and
-                gx[t - 1] += gj[i]                       # not counted above when T = 1
+        lengths, d = cache
+        gx = np.zeros((g.shape[0], d))
+        for start, t in zip(segment_starts(lengths), lengths):
+            gs, gxs = g[start:start + t], gx[start:start + t]
+            for j, o in enumerate(self.offsets):
+                gj = gs[:, j * d:(j + 1) * d]
+                lo, hi = max(1, o), min(t - 1, t + o)        # interior target rows [lo, hi)
+                if lo < hi:
+                    gxs[lo:hi] += gj[lo - o:hi - o]
+                for i in range(min(t, 1 - o)):               # rows mapped to frame 0
+                    gxs[0] += gj[i]
+                for i in range(max(0, 1 - o, t - 1 - o), t):  # rows mapped to frame T-1, and
+                    gxs[t - 1] += gj[i]                      # not counted above when T = 1
         return gx, {}
 
     def spec(self):
@@ -119,23 +136,53 @@ class TimeDelay:
 
 
 class MeanPool:
-    """Temporal mean pooling: T x D -> 1 x D."""
+    """Temporal mean pooling: each T x D segment -> 1 x D."""
 
     kind = "temporal_mean_pool"
     params = {}
 
-    def forward(self, x):
-        return x.mean(axis=0, keepdims=True), x.shape[0]
+    def forward(self, x, lengths=None):
+        lengths = segment_lengths(x, lengths)
+        out = np.empty((len(lengths), x.shape[1]))
+        for row, start, t in zip(out, segment_starts(lengths), lengths):
+            x[start:start + t].mean(axis=0, out=row)
+        return out, lengths
 
     def backward(self, g, cache):
-        t = cache
-        return np.repeat(g / t, t, axis=0), {}
+        t = np.asarray(cache)
+        return np.repeat(g / t[:, None], t, axis=0), {}
 
     def spec(self):
         return {"kind": self.kind}
 
 
 _LAYER_KINDS = {cls.kind: cls for cls in (Affine, ReLU, TimeDelay, MeanPool)}
+
+
+def segment_lengths(x, lengths=None):
+    """Segment frame counts of a packed matrix as a tuple; one segment by default."""
+    if lengths is None:
+        return (x.shape[0],)
+    lengths = tuple(int(t) for t in lengths)
+    if min(lengths, default=0) < 1 or sum(lengths) != x.shape[0]:
+        raise UsageError(f"segment lengths must be positive and sum to {x.shape[0]} rows")
+    return lengths
+
+
+def segment_starts(lengths):
+    """First row of each segment of a packed matrix."""
+    return list(accumulate(lengths[:-1], initial=0))
+
+
+def run_layer(layer, x, lengths):
+    """One layer over packed segments: (output, cache, output segment lengths)."""
+    if isinstance(layer, (TimeDelay, MeanPool)):
+        out, cache = layer.forward(x, lengths)
+    else:
+        out, cache = layer.forward(x)
+    if isinstance(layer, MeanPool):
+        lengths = (1,) * len(lengths)
+    return out, cache, lengths
 
 
 def layer_from_spec(spec, rng=None, index=0):
@@ -183,15 +230,18 @@ class Network:
                                   f"{np.shape(values[name])}, expected {arr.shape}")
             arr[...] = values[name]
 
-    def forward(self, x, up_to=None):
-        """Run layers [0, up_to); returns (output, caches)."""
+    def forward(self, x, up_to=None, lengths=None):
+        """Run layers [0, up_to) over packed segments; returns (output, caches).
+
+        `lengths` are the segment frame counts (one segment by default).
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
+        lengths = segment_lengths(x, lengths)
         caches = []
-        stop = len(self.layers) if up_to is None else up_to
-        for layer in self.layers[:stop]:
-            x, cache = layer.forward(x)
+        for layer in self.layers[:up_to]:
+            x, cache, lengths = run_layer(layer, x, lengths)
             caches.append(cache)
         return x, caches
 
@@ -199,16 +249,18 @@ class Network:
         """Gradient map over all parameters of the layers that ran forward.
 
         Layers below the lowest parameterized one are not visited, and that
-        layer computes no input gradient.
+        layer computes no input gradient. Each layer's entry in `caches` is
+        released (set to None) as soon as its backward has run.
         """
         lowest = next((i for i, layer in enumerate(self.layers) if layer.params), len(caches))
         grads = {}
         g = grad_out
         for i in reversed(range(lowest, len(caches))):
+            cache, caches[i] = caches[i], None
             if i == lowest:
-                g, pg = self.layers[i].backward(g, caches[i], input_grad=False)
+                g, pg = self.layers[i].backward(g, cache, input_grad=False)
             else:
-                g, pg = self.layers[i].backward(g, caches[i])
+                g, pg = self.layers[i].backward(g, cache)
             for name, arr in pg.items():
                 grads[f"l{i}.{name}"] = arr
         return grads
@@ -218,7 +270,20 @@ class Network:
 
     @classmethod
     def from_specs(cls, specs, meta=None, rng=None):
-        return cls([layer_from_spec(s, rng, i) for i, s in enumerate(specs)], meta=meta)
+        """Network built from layer specs; FormatError if a layer is malformed or
+        an affine's d_in differs from the width of the layers below it (starting
+        from meta["input_dim"] when given)."""
+        net = cls([layer_from_spec(s, rng, i) for i, s in enumerate(specs)], meta=meta)
+        width = net.meta.get("input_dim")
+        for i, layer in enumerate(net.layers):
+            if isinstance(layer, Affine):
+                if width is not None and layer.d_in != width:
+                    raise FormatError(f"layer {i} ('affine'): d_in {layer.d_in} differs from "
+                                      f"the width {width} of the layers below")
+                width = layer.d_out
+            elif isinstance(layer, TimeDelay) and width is not None:
+                width *= len(layer.offsets)
+        return net
 
 
 def context_window(net_or_specs):
@@ -296,11 +361,12 @@ class SgdOptimizer:
         self.velocity = {}
 
     def step(self, params, grads, lr=None):
+        """Apply one update; returns (global gradient norm, clip scale applied)."""
         lr = self.cfg.learning_rate if lr is None else lr
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise TrainingDivergedError(f"non-finite gradient for {name}", where=name)
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         scale = 1.0
         if self.cfg.clip_norm > 0 and total > self.cfg.clip_norm:
             scale = self.cfg.clip_norm / total
@@ -313,6 +379,7 @@ class SgdOptimizer:
             v *= self.cfg.momentum
             v -= lr * g
             p += v
+        return total, scale
 
 
 def grad_check(params, compute_loss, analytic, step=1e-4):

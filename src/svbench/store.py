@@ -48,9 +48,17 @@ def save_network(path, net, kind="network"):
 
 
 def build_network(path, header, arrays):
-    """Network from the header and arrays of a container read from `path`."""
-    net = Network.from_specs(_entry(path, header, "layers"), meta=_entry(path, header, "meta"))
-    net.set_params(arrays)
+    """Network from the header and arrays of a container read from `path`.
+
+    A malformed layer, a break in the layer width chain or a missing, extra
+    or misshaped parameter array is a FormatError naming `path`.
+    """
+    specs, meta = _entry(path, header, "layers"), _entry(path, header, "meta")
+    try:
+        net = Network.from_specs(specs, meta=meta)
+        net.set_params(arrays)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
     return net
 
 

@@ -32,23 +32,32 @@ def brute_force_eer(scores, labels):
 
 
 # -- reference layer engine ---------------------------------------------
-# Straightforward forms of the svbench.nn engine. The engine must match them
-# byte for byte: its slice-based TimeDelay, its early-stopping backward and
-# its layer-by-layer calibration reorder no floating-point operation.
+# Straightforward forms of the svbench.nn engine. Where the engine only moves
+# data or adds in the same order (TimeDelay, the early-stopping backward) it
+# must match them byte for byte; where it regroups sums into larger matrix
+# products (packed calibration, the closed-form pair-scorer gradient) it
+# must match them to rounding.
 
-def time_delay_forward(layer, x):
-    """TimeDelay.forward as one clipped-index gather per offset."""
-    t = x.shape[0]
-    cols = [x[np.clip(np.arange(t) + o, 0, t - 1)] for o in layer.offsets]
-    return np.concatenate(cols, axis=1), (t, x.shape[1])
+def _gather_index(lengths, offset):
+    """Row read by each row of a packed matrix at `offset`, clipped per segment."""
+    starts = np.cumsum((0,) + tuple(lengths[:-1]))
+    return np.concatenate([start + np.clip(np.arange(t) + offset, 0, t - 1)
+                           for start, t in zip(starts, lengths)])
+
+
+def time_delay_forward(layer, x, lengths=None):
+    """TimeDelay.forward as one clipped-index gather per offset over all segments."""
+    lengths = (x.shape[0],) if lengths is None else tuple(int(t) for t in lengths)
+    cols = [x[_gather_index(lengths, o)] for o in layer.offsets]
+    return np.concatenate(cols, axis=1), (lengths, x.shape[1])
 
 
 def time_delay_backward(layer, g, cache):
     """TimeDelay.backward as one unbuffered scatter-add (np.add.at) per offset."""
-    t, d = cache
-    gx = np.zeros((t, d))
+    lengths, d = cache
+    gx = np.zeros((sum(lengths), d))
     for j, o in enumerate(layer.offsets):
-        np.add.at(gx, np.clip(np.arange(t) + o, 0, t - 1), g[:, j * d:(j + 1) * d])
+        np.add.at(gx, _gather_index(lengths, o), g[:, j * d:(j + 1) * d])
     return gx, {}
 
 
@@ -78,3 +87,48 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
     last.W *= embedding_scale
     last.b *= embedding_scale
     return net
+
+
+def _pair_grads(scorer, x, y):
+    """(dL/dx, dL/dy, dL/dS, dL/db) of one bilinear-scorer logit, S a free matrix."""
+    s2 = scorer.S + scorer.S.T
+    return y - s2 @ x, x - s2 @ y, -(np.outer(x, x) + np.outer(y, y)), np.ones(1)
+
+
+def batch_step(net, scorer, batch, loss_cfg):
+    """e2e._batch_step with one forward/backward per chunk and one scorer call per pair."""
+    from svbench.e2e import pair_loss       # here, so that importing this module loads only NumPy
+
+    embeddings, caches = [], []
+    for chunk in batch.chunks:
+        out, cache = net.forward(chunk)
+        embeddings.append(out[0])
+        caches.append(cache)
+    same_logits = np.array([scorer.score(embeddings[i], embeddings[j])
+                            for i, j in batch.same_pairs])
+    diff_logits = np.array([scorer.score(embeddings[i], embeddings[j])
+                            for i, j in batch.diff_pairs])
+    loss, g_same, g_diff = pair_loss(same_logits, diff_logits, loss_cfg)
+
+    demb = [np.zeros_like(e) for e in embeddings]
+    grad_s = np.zeros_like(scorer.S)
+    grad_b = np.zeros(1)
+    for pairs, pair_g in ((batch.same_pairs, g_same), (batch.diff_pairs, g_diff)):
+        for (i, j), g in zip(pairs, pair_g):
+            gx, gy, gs, gb = _pair_grads(scorer, embeddings[i], embeddings[j])
+            demb[i] += g * gx
+            demb[j] += g * gy
+            grad_s += g * gs
+            grad_b += g * gb
+
+    grads = None
+    for cache, g in zip(caches, demb):
+        chunk_grads = net.backward(g[None, :], cache)
+        if grads is None:
+            grads = chunk_grads
+        else:
+            for name in grads:
+                grads[name] += chunk_grads[name]
+    grads["scorer.S"] = grad_s
+    grads["scorer.b"] = grad_b
+    return loss, grads, same_logits, diff_logits

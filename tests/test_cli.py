@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from svbench import cli, e2e, store
 from svbench.audio import read_wav
 from svbench.cli import main
+from svbench.container import read_container, write_container
 from svbench.corpus import read_manifest
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.frontend import add_deltas, cmvn, compute_mfcc_e
@@ -247,8 +248,8 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     _invoke(runner, str(config), str(tmp_path / "out"), "train-e2e", "--manifest",
             os.path.join(out, "corpus", "manifest.tsv"),
             "--features", os.path.join(out, "feats_raw"))
-    # warm-up batch plus two training batches of 2N chunks each
-    assert len(lengths) == 3 * 6
+    # warm-up batch over all 4 speakers plus two training batches of 2N = 6 chunks
+    assert len(lengths) == 2 * 4 + 2 * 6
     assert set(lengths) == {60}
 
 
@@ -274,6 +275,41 @@ def test_extract_reads_model_once(tiny_run, tmp_path, monkeypatch):
                 "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
         assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
+
+
+def test_extract_names_model_missing_an_array(tiny_run, tmp_path):
+    runner, config, out = tiny_run
+    model = str(tmp_path / "dvector.svbf")
+    store.save_network(model, build_dvector_net(DVectorConfig(
+        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)),
+        kind="dvector_net")
+    kind, header, arrays = read_container(model)
+    del arrays["l2.W"]
+    write_container(model, kind, header, arrays)
+    result = runner.invoke(main, ["--config", config, "--out-dir", out, "extract",
+                                  "--model", model,
+                                  "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                                  "--features", os.path.join(out, "feats_raw"),
+                                  "--out", str(tmp_path / "vectors.svbf")])
+    assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"{model}: parameter arrays missing ['l2.W']" in result.output
+
+
+def test_training_logs_hold_plain_numbers_and_telemetry(pipeline_runs):
+    out = pipeline_runs[0]
+    for log, header, epochs in (
+            ("dvector_train.log", ["epoch", "loss", "accuracy", "grad_norm", "clipped_frac"], 2),
+            ("e2e_train.log", ["iteration", "loss", "pair_accuracy", "grad_norm", "clip_scale"], 10)):
+        with open(os.path.join(out, log)) as f:
+            lines = f.read().splitlines()
+        assert lines[0].split("\t") == header
+        rows = [[float(field) for field in line.split("\t")] for line in lines[1:]]
+        assert [row[0] for row in rows] == list(range(epochs)), log
+        for row in rows:
+            assert row[3] > 0 and 0 <= row[4] <= 1, (log, row)
+    with open(os.path.join(out, "dvector_train.log")) as f:
+        assert "np.float64" not in f.read()
 
 
 def _write(path, text):

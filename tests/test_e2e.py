@@ -3,11 +3,11 @@ import pytest
 
 import oracles
 from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig, PairBatch,
-                         build_e2e_net, calibrate_network, e2e_specs, embed,
-                         pair_loss, pair_probability, sample_chunk_length,
+                         _batch_step, build_e2e_net, calibrate_network, e2e_specs,
+                         embed, pair_loss, pair_probability, sample_chunk_length,
                          sample_pair_batch, train_e2e)
 from svbench.errors import ConfigError, SamplingError, UsageError
-from svbench.nn import TrainerConfig, effective_context
+from svbench.nn import TrainerConfig, effective_context, grad_check
 
 SMALL = dict(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
              pre_pool_dim=10, embedding_dim=16)
@@ -216,7 +216,17 @@ def test_calibration_centers_embeddings():
     assert embs.std(axis=0).max() > 0.05
 
 
-def test_calibration_matches_reference_bytes():
+def _assert_close(actual, expected, name, rtol=1e-10):
+    """Within `rtol` of the reference array's largest magnitude."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, name
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    assert float(np.abs(actual - expected).max(initial=0.0)) <= rtol * scale, name
+
+
+def test_calibration_matches_reference():
+    # packed calibration runs each hidden affine once over all chunks, so its
+    # GEMMs may round differently from the per-chunk reference
     corpus = _toy_corpus(seed=3)
     rng = np.random.default_rng(4)
     chunks = [u[:int(rng.integers(20, 120))] for s in sorted(corpus) for u in corpus[s]]
@@ -225,16 +235,74 @@ def test_calibration_matches_reference_bytes():
     calibrate_network(net, chunks)
     oracles.calibrate_network(ref, chunks)
     for name, arr in ref.param_map().items():
-        assert net.param_map()[name].tobytes() == arr.tobytes(), name
+        _assert_close(net.param_map()[name], arr, name)
 
 
 def test_training_matches_reference_engine(reference_engine):
+    # the reference embeds and back-propagates chunk by chunk and sums the
+    # scorer gradient pair by pair; the packed step regroups those sums
     corpus = _toy_corpus(seed=4)
     net, scorer = _short_train(5, corpus, iterations=4)
     with reference_engine():
         ref_net, ref_scorer = _short_train(5, corpus, iterations=4)
-    assert net.meta["history"] == ref_net.meta["history"]
+    hist, ref_hist = net.meta["history"], ref_net.meta["history"]
+    assert [h["pair_accuracy"] for h in hist] == [h["pair_accuracy"] for h in ref_hist]
+    _assert_close([h["loss"] for h in hist], [h["loss"] for h in ref_hist], "loss")
     for name, arr in ref_net.param_map().items():
-        assert net.param_map()[name].tobytes() == arr.tobytes(), name
-    assert scorer.S.tobytes() == ref_scorer.S.tobytes()
-    assert scorer.b.tobytes() == ref_scorer.b.tobytes()
+        _assert_close(net.param_map()[name], arr, name)
+    _assert_close(scorer.S, ref_scorer.S, "scorer.S")
+    _assert_close(scorer.b, ref_scorer.b, "scorer.b")
+
+
+def _ragged_batch(n, seed):
+    """Pair batch of N speakers whose 2N chunks have ragged lengths, short ones included."""
+    rng = np.random.default_rng(seed)
+    lengths = [1, 2, 3, 5] + [int(t) for t in rng.integers(1, 60, size=2 * n)]
+    chunks = [rng.standard_normal((lengths[i], 8)) + (i // 2) for i in range(2 * n)]
+    speakers = [f"s{i // 2}" for i in range(2 * n)]
+    same = [(2 * i, 2 * i + 1) for i in range(n)]
+    diff = [(2 * i, 2 * j) for i in range(n) for j in range(n) if j != i]
+    return PairBatch(chunks, speakers, same, diff)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_batch_step_matches_per_pair_reference(n):
+    net, scorer = build_e2e_net(E2EConfig(**SMALL), seed=n)
+    rng = np.random.default_rng(10 + n)
+    scorer.S[...] = 0.05 * rng.standard_normal(scorer.S.shape)
+    scorer.symmetrize()
+    scorer.b[...] = 0.3
+    batch = _ragged_batch(n, seed=n)
+    calibrate_network(net, batch.chunks)
+    loss_cfg = E2ELossConfig(k=1.0 / (n - 1))
+    loss, grads, same, diff = _batch_step(net, scorer, batch, loss_cfg)
+    ref_loss, ref_grads, ref_same, ref_diff = oracles.batch_step(net, scorer, batch, loss_cfg)
+    _assert_close(loss, ref_loss, "loss")
+    _assert_close(np.concatenate([same, diff]), np.concatenate([ref_same, ref_diff]), "logits")
+    assert sorted(grads) == sorted(ref_grads)
+    for name in ref_grads:
+        _assert_close(grads[name], ref_grads[name], name)
+
+
+def test_score_matrix_matches_pairwise_scores():
+    scorer = BilinearScorer(6)
+    rng = np.random.default_rng(13)
+    scorer.S[...] = rng.standard_normal((6, 6))
+    scorer.b[...] = -0.4
+    emb = rng.standard_normal((5, 6))
+    expected = [[scorer.score(x, y) for y in emb] for x in emb]
+    np.testing.assert_allclose(scorer.score_matrix(emb), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_scorer_grads_match_finite_differences():
+    scorer = BilinearScorer(4)
+    rng = np.random.default_rng(14)
+    scorer.S[...] = rng.standard_normal((4, 4))       # free matrix, not yet symmetric
+    scorer.b[...] = 0.2
+    emb = rng.standard_normal((3, 4))
+    w = rng.standard_normal((3, 3))
+    d_emb, d_s, d_b = scorer.grads(emb, w)
+    objective = lambda: float(np.sum(w * scorer.score_matrix(emb)))
+    report = grad_check({"emb": emb, "S": scorer.S, "b": scorer.b}, objective,
+                        {"emb": d_emb, "S": d_s, "b": d_b}, step=1e-5)
+    assert max(report.values()) < 1e-8

@@ -75,6 +75,81 @@ def test_time_delay_matches_reference_bytes(t, offsets):
     assert td.backward(g, cache)[0].tobytes() == oracles.time_delay_backward(td, g, cache)[0].tobytes()
 
 
+RAGGED = [(1,), (2,), (1, 2, 1), (5, 1, 50, 2, 3), (2, 7, 1, 1, 4, 30)]
+
+
+def _segments(lengths, seed):
+    """(packed matrix, its segments as separate matrices) for segment `lengths`."""
+    x = np.random.default_rng(seed).standard_normal((sum(lengths), 3))
+    starts = np.cumsum((0,) + lengths[:-1])
+    return x, [x[s:s + t].copy() for s, t in zip(starts, lengths)]
+
+
+@pytest.mark.parametrize("offsets", [range(-4, 5), (0, 1), (-3, 0, 3), (2, 5), (-6, -5)])
+@pytest.mark.parametrize("lengths", RAGGED, ids=str)
+def test_packed_time_delay_matches_segments_alone(lengths, offsets):
+    # ragged segments, many shorter than |offset|: each packed segment's rows
+    # must have the bytes of that segment run alone, forward and backward
+    td = TimeDelay(offsets)
+    x, segments = _segments(lengths, seed=len(lengths))
+    out, cache = td.forward(x, lengths)
+    assert cache == (lengths, 3)
+    g = np.random.default_rng(sum(lengths)).standard_normal(out.shape)
+    gx, _ = td.backward(g, cache)
+    start = 0
+    for seg in segments:
+        t = seg.shape[0]
+        seg_out, seg_cache = td.forward(seg)
+        assert out[start:start + t].tobytes() == seg_out.tobytes()
+        assert gx[start:start + t].tobytes() == td.backward(g[start:start + t], seg_cache)[0].tobytes()
+        start += t
+    ref_out, ref_cache = oracles.time_delay_forward(td, x, lengths)
+    assert out.tobytes() == ref_out.tobytes() and cache == ref_cache
+    assert gx.tobytes() == oracles.time_delay_backward(td, g, cache)[0].tobytes()
+
+
+@pytest.mark.parametrize("lengths", RAGGED, ids=str)
+def test_packed_mean_pool_matches_segments_alone(lengths):
+    pool = MeanPool()
+    x, segments = _segments(lengths, seed=len(lengths))
+    out, cache = pool.forward(x, lengths)
+    assert out.shape == (len(lengths), 3)
+    g = np.random.default_rng(sum(lengths)).standard_normal(out.shape)
+    gx, _ = pool.backward(g, cache)
+    start = 0
+    for i, seg in enumerate(segments):
+        t = seg.shape[0]
+        seg_out, seg_cache = pool.forward(seg)
+        assert out[i:i + 1].tobytes() == seg_out.tobytes()
+        assert gx[start:start + t].tobytes() == pool.backward(g[i:i + 1], seg_cache)[0].tobytes()
+        start += t
+
+
+@pytest.mark.parametrize("lengths", [(0, 3), (2, 2), (4, 1)])
+def test_segment_lengths_must_cover_the_rows(lengths):
+    with pytest.raises(UsageError):
+        Network([MeanPool()]).forward(np.zeros((3, 2)), lengths=lengths)
+
+
+def test_packed_network_pools_each_segment():
+    net, x = _small_nets()[1]
+    lengths = (7, 1, 22)
+    out, _ = net.forward(x, lengths=lengths)
+    assert out.shape == (3, 16)
+    start = 0
+    for row, t in zip(out, lengths):
+        np.testing.assert_allclose(row, net.forward(x[start:start + t])[0][0], rtol=1e-12, atol=1e-12)
+        start += t
+
+
+def test_backward_releases_caches():
+    net, x = _small_nets()[0]
+    out, caches = net.forward(x)
+    net.backward(np.ones_like(out), caches)
+    lowest = min(i for i, layer in enumerate(net.layers) if layer.params)
+    assert all(c is None for c in caches[lowest:])
+
+
 def test_time_delay_dependency_structure():
     td = TimeDelay([-2, 0, 2])
     rng = np.random.default_rng(2)
@@ -187,6 +262,15 @@ def test_clipping_bounds_update_norm():
     opt = SgdOptimizer(TrainerConfig(learning_rate=1.0, momentum=0.0, clip_norm=1.0))
     opt.step({"p": p}, {"p": np.full(4, 100.0)})
     assert np.linalg.norm(p) == pytest.approx(1.0)
+
+
+def test_optimizer_step_reports_norm_and_clip_scale():
+    opt = SgdOptimizer(TrainerConfig(learning_rate=0.1, clip_norm=5.0))
+    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
+    assert opt.step({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads) == (5.0, 1.0)
+    grads = {"a": np.array([6.0, 0.0]), "b": np.array([[8.0]])}
+    norm, scale = opt.step({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads)
+    assert (norm, scale) == (10.0, 0.5) and type(norm) is float and type(scale) is float
 
 
 def test_splice_widths():

@@ -239,3 +239,33 @@ def test_network_loader_names_malformed_layer_spec(tmp_path):
     write_container(path, kind, header, arrays)
     with pytest.raises(FormatError, match=rf"layer {index} \('affine'\)"):
         store.load_network(path, kind="dvector_net")
+
+
+@pytest.mark.parametrize("which", [0, 2], ids=["first-affine", "third-affine"])
+def test_network_loader_checks_layer_widths(tmp_path, which):
+    # d_in and W agree with each other but not with the width the layers below
+    # produce (for the first affine: meta input_dim times the splice widths)
+    path = str(tmp_path / "net.svbf")
+    store.save_network(path, build_dvector_net(DVectorConfig(
+        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
+        num_speakers=5)), kind="dvector_net")
+    kind, header, arrays = read_container(path)
+    index = [i for i, spec in enumerate(header["layers"]) if spec["kind"] == "affine"][which]
+    spec = header["layers"][index]
+    spec["d_in"] -= 4
+    arrays[f"l{index}.W"] = arrays[f"l{index}.W"][:spec["d_in"]]
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: layer {index} \('affine'\): d_in"):
+        store.load_network(path, kind="dvector_net")
+
+
+def test_network_loader_errors_name_the_file(tmp_path):
+    path = str(tmp_path / "net.svbf")
+    store.save_network(path, build_dvector_net(DVectorConfig(
+        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
+        num_speakers=5)), kind="dvector_net")
+    kind, header, arrays = read_container(path)
+    del arrays["l2.W"]
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*missing \['l2.W'\]"):
+        store.load_network(path, kind="dvector_net")
