@@ -8,9 +8,21 @@ import scipy.linalg
 from .errors import UsageError
 
 
+def _unit_rows(x):
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise UsageError("cosine score undefined for zero vector")
+    return x / norms[:, None]
+
+
 def cosine_score(a, b):
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    """Cosine similarity of two vectors; of two matrices (n x d, m x d), the
+    n x m grid over their rows, from row-normalized matrices."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 2 and b.ndim == 2:
+        return _unit_rows(a) @ _unit_rows(b).T
+    a, b = a.reshape(-1), b.reshape(-1)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise UsageError("cosine score undefined for zero vector")
@@ -91,27 +103,43 @@ class PldaModel:
     def dim(self):
         return self.mean.shape[0]
 
-    def _pair_distributions(self):
+    def _score_terms(self):
+        """(Q_enroll, Q_test, P, c): the LLR of a pair (x, y) centered on the mean is
+        -0.5 (x'Q_enroll x + y'Q_test y + x'P y + c).
+
+        The blocks come from the inverses of the stacked 2d x 2d same-speaker
+        and different-speaker pair covariances, c from their log-determinants.
+        """
         if self._score_cache is None:
             d = self.dim
             total = self.between + self.within
             same = np.block([[total, self.between], [self.between, total]])
             diff = np.block([[total, np.zeros((d, d))], [np.zeros((d, d)), total]])
-            self._score_cache = tuple(
-                (np.linalg.inv(m), np.linalg.slogdet(m)[1]) for m in (same, diff))
+            same_inv, diff_inv = np.linalg.inv(same), np.linalg.inv(diff)
+            q = same_inv - diff_inv
+            self._score_cache = (q[:d, :d], q[d:, d:], q[:d, d:] + q[d:, :d].T,
+                                 np.linalg.slogdet(same)[1] - np.linalg.slogdet(diff)[1])
         return self._score_cache
 
     def score(self, enroll, test):
-        """Log-likelihood ratio ln p(pair | same) - ln p(pair | different)."""
-        enroll = np.asarray(enroll, dtype=np.float64).reshape(-1)
-        test = np.asarray(test, dtype=np.float64).reshape(-1)
-        if enroll.shape[0] != self.dim or test.shape[0] != self.dim:
+        """Log-likelihood ratio ln p(pair | same) - ln p(pair | different).
+
+        Two vectors give a float; two matrices (n x d, m x d) give the n x m
+        grid over their rows.
+        """
+        x = np.asarray(enroll, dtype=np.float64)
+        y = np.asarray(test, dtype=np.float64)
+        grid = x.ndim == 2 and y.ndim == 2
+        if not grid:
+            x, y = x.reshape(1, -1), y.reshape(1, -1)
+        if x.shape[1] != self.dim or y.shape[1] != self.dim:
             raise UsageError(f"vector dim mismatch: model dim {self.dim}")
-        z = np.concatenate([enroll - self.mean, test - self.mean])
-        (same_inv, same_logdet), (diff_inv, diff_logdet) = self._pair_distributions()
-        ll_same = -0.5 * (z @ same_inv @ z + same_logdet)
-        ll_diff = -0.5 * (z @ diff_inv @ z + diff_logdet)
-        return float(ll_same - ll_diff)
+        x, y = x - self.mean, y - self.mean
+        q_enroll, q_test, cross, logdet = self._score_terms()
+        quad = (np.sum((x @ q_enroll) * x, axis=1)[:, None]
+                + np.sum((y @ q_test) * y, axis=1)[None, :] + x @ cross @ y.T)
+        llr = -0.5 * (quad + logdet)
+        return llr if grid else float(llr[0, 0])
 
 
 def _group_stats(x, labels):

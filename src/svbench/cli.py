@@ -15,7 +15,7 @@ from .datagen import SyntheticSpec, generate_corpus
 from .dvector import (DVectorConfig, extract_frame_features, pool_dvector,
                       train_dvector)
 from .e2e import E2EConfig, E2ELossConfig, embed, train_e2e
-from .errors import SvbenchError
+from .errors import FormatError, SvbenchError
 from .evaluation import (build_conditions, compute_eer, emit_report,
                          read_score_file, read_segments_file, read_trial_file,
                          write_score_file, write_segments_file,
@@ -226,6 +226,24 @@ def trials(ws, manifest):
                f"({targets} target / {len(tl.trials) - targets} nontarget)")
 
 
+def _check_sides(trial_items, enroll_segments, test_segments, entries,
+                 trials_path, segments_path, manifest):
+    """FormatError for a trial side the segments file lacks, or a segment
+    utterance the manifest lacks."""
+    for t in trial_items:
+        for side, sid, known in (("enroll", t.enroll_id, enroll_segments),
+                                 ("test", t.test_id, test_segments)):
+            if sid not in known:
+                raise FormatError(f"{segments_path}: no {side} side {sid!r} "
+                                  f"(named by a trial in {trials_path})")
+    utts = {e.utt_id for e in entries}
+    segments = [s for segs in enroll_segments.values() for s in segs]
+    for seg in segments + list(test_segments.values()):
+        if seg.utt_id not in utts:
+            raise FormatError(f"{manifest}: no utterance {seg.utt_id!r} "
+                              f"(named by segment {seg.seg_id!r} in {segments_path})")
+
+
 @main.command()
 @click.option("--system", required=True,
               type=click.Choice(["dvector-cosine", "dvector-lda", "dvector-plda",
@@ -243,6 +261,8 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     trial_items = read_trial_file(trials_path)
     _, enroll_segments, test_segments = read_segments_file(segments_path)
     entries = read_manifest(manifest)
+    _check_sides(trial_items, enroll_segments, test_segments, entries,
+                 trials_path, segments_path, manifest)
     fcfg = pipeline.make_frontend_config(ws.cfg)
     if system == "e2e":
         # the e2e model is trained on un-normalized fbank (see featurize --no-cmvn)

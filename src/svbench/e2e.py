@@ -90,20 +90,31 @@ class BilinearScorer:
         self.S[...] = 0.5 * (self.S + self.S.T)
 
     def score(self, x, y):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        """Logit of two embeddings; of two matrices, the grid of score_matrix(x, y)."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        grid = x.ndim == 2 and y.ndim == 2
+        if not grid:
+            x, y = x.reshape(-1), y.reshape(-1)
+        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
             raise UsageError(f"embedding dim mismatch: scorer expects {self.dim}")
+        if grid:
+            return self.score_matrix(x, y)
         # quadratic terms grouped so score(x, y) == score(y, x) bit-exactly
         return float(x @ y - (x @ self.S @ x + y @ self.S @ y) + self.b[0])
 
-    def score_matrix(self, emb):
-        """Logits of every row pair of `emb` (M x d): L[i, j] = score(emb[i], emb[j]).
+    def score_matrix(self, emb, other=None):
+        """Logits of every row pair: L[i, j] = score(emb[i], other[j]), `other`
+        defaulting to `emb`.
 
-        L = E E' - q 1' - 1 q' + b with q_i = e_i' S e_i.
+        L = E F' - q 1' - 1 r' + b with q_i = e_i' S e_i and r_j = f_j' S f_j.
         """
         q = np.sum((emb @ self.S) * emb, axis=1)
-        return emb @ emb.T - (q[:, None] + q[None, :]) + self.b[0]
+        if other is None:
+            other, r = emb, q
+        else:
+            r = np.sum((other @ self.S) * other, axis=1)
+        return emb @ other.T - (q[:, None] + r[None, :]) + self.b[0]
 
     def grads(self, emb, w):
         """(dE, dS, db) of sum_ij w[i, j] L[i, j] over the logit matrix of `emb`.

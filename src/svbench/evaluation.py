@@ -14,6 +14,7 @@ from .corpus import read_rows
 from .errors import UsageError
 
 MIN_SEGMENT_SECS = 0.1             # shortest cut worth featurizing
+LABELS = ("target", "nontarget")
 
 
 @dataclass
@@ -106,33 +107,41 @@ class EvalReport:
     num_nontarget: int
 
 
-def _rates(target, nontarget, threshold):
-    fa = np.mean(nontarget >= threshold)
-    miss = np.mean(target < threshold)
-    return fa, miss
+def trial_label(text):
+    """A trial label field; anything but target/nontarget is malformed."""
+    if text not in LABELS:
+        raise ValueError(f"unknown trial label {text!r}; expected 'target' or 'nontarget'")
+    return text
 
 
 def compute_eer(scores, labels):
     """EER with linear interpolation at the false-accept / miss crossing.
 
     `labels` holds "target"/"nontarget" strings (or booleans, True =
-    target). Scores >= threshold count as accepts.
+    target); any other string raises UsageError. Scores >= threshold count
+    as accepts. The candidate thresholds are every distinct score plus one
+    past the top, so miss can reach 1. Targets and nontargets are sorted
+    once, and `searchsorted` gives the FA and miss counts at every candidate;
+    the report holds the EER in percent, the (interpolated) threshold and the
+    trial counts.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise UsageError("scores must be finite")
-    is_target = np.array([l == "target" if isinstance(l, str) else bool(l) for l in labels],
-                         dtype=bool)
-    target = scores[is_target]
-    nontarget = scores[~is_target]
+    try:
+        is_target = np.array([trial_label(l) == "target" if isinstance(l, str) else bool(l)
+                              for l in labels], dtype=bool)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    target = np.sort(scores[is_target])
+    nontarget = np.sort(scores[~is_target])
     if len(target) == 0 or len(nontarget) == 0:
         raise UsageError("need at least one target and one nontarget trial")
 
-    # candidate thresholds: every score, plus one past the top so miss can hit 1
     cands = np.unique(scores)
     cands = np.append(cands, cands[-1] + 1.0)
-    fa = np.array([np.mean(nontarget >= t) for t in cands])
-    miss = np.array([np.mean(target < t) for t in cands])
+    fa = (len(nontarget) - np.searchsorted(nontarget, cands, side="left")) / len(nontarget)
+    miss = np.searchsorted(target, cands, side="left") / len(target)
     diff = fa - miss               # monotone non-increasing in the threshold
     idx = int(np.searchsorted(-diff, 0.0, side="left"))
     if idx == 0:
@@ -159,7 +168,7 @@ def write_score_file(path, records):
 
 
 def read_score_file(path):
-    return read_rows(path, (str, str, float, str))
+    return read_rows(path, (str, str, float, trial_label))
 
 
 def write_trial_file(path, trials):
@@ -169,7 +178,7 @@ def write_trial_file(path, trials):
 
 
 def read_trial_file(path):
-    return [Trial(*row) for row in read_rows(path, (str, str, str))]
+    return [Trial(*row) for row in read_rows(path, (str, str, trial_label))]
 
 
 def write_segments_file(path, trial_list):
@@ -207,15 +216,23 @@ def read_segments_file(path):
 def emit_report(results):
     """Render per-system, per-condition EERs.
 
-    `results` maps (system, scoring) -> {condition: EvalReport}. Returns
-    (formatted table string, tab-delimited summary lines).
+    `results` maps (system, scoring) -> {condition: EvalReport}. Each
+    condition has four columns: the EER, then its threshold and the target
+    and nontarget trial counts. Returns (formatted table string,
+    tab-delimited summary lines).
     """
     conditions = sorted({c for per in results.values() for c in per})
-    header = ["System", "Scoring"] + conditions
+    header = ["System", "Scoring"]
+    for c in conditions:
+        header += [c, f"{c}:threshold", f"{c}:targets", f"{c}:nontargets"]
     rows = []
     for (system, scoring) in results:
         per = results[(system, scoring)]
-        cells = [f"{per[c].eer:.2f}" if c in per else "-" for c in conditions]
+        cells = []
+        for c in conditions:
+            r = per.get(c)
+            cells += ([f"{r.eer:.2f}", f"{r.threshold:.6g}", str(r.num_target), str(r.num_nontarget)]
+                      if r else ["-"] * 4)
         rows.append([system, scoring] + cells)
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]

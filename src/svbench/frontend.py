@@ -6,6 +6,7 @@ MFCCs plus log energy extended with first and second derivatives to 60
 dimensions.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +63,15 @@ def num_frames_for(num_samples, frame_len, frame_shift):
     return 1 + (num_samples - frame_len) // frame_shift
 
 
-def _frame_signal(samples, cfg, sample_rate):
-    flen = int(round(cfg.frame_length_ms * sample_rate / 1000.0))
-    fshift = int(round(cfg.frame_shift_ms * sample_rate / 1000.0))
-    t = num_frames_for(len(samples), flen, fshift)
-    if t < 1:
-        raise UsageError(f"clip too short: {len(samples)} samples < one {flen}-sample frame")
-    idx = np.arange(flen)[None, :] + fshift * np.arange(t)[:, None]
-    return samples[idx], flen, fshift
+def _frozen(table):
+    """Mark a cached table read-only, since every caller shares it."""
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _hamming(flen):
+    return _frozen(np.hamming(flen))
 
 
 def mel_scale(hz):
@@ -80,8 +82,12 @@ def inverse_mel_scale(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(num_bins, fft_size, sample_rate, low_hz=20.0, high_hz=None):
-    """Triangular mel filters over the positive FFT bins; (num_bins, fft_size//2+1)."""
+    """Triangular mel filters over the positive FFT bins; (num_bins, fft_size//2+1).
+
+    Built once per argument tuple and shared read-only.
+    """
     if high_hz is None:
         high_hz = sample_rate / 2.0
     edges = inverse_mel_scale(np.linspace(mel_scale(low_hz), mel_scale(high_hz), num_bins + 2))
@@ -92,47 +98,53 @@ def mel_filterbank(num_bins, fft_size, sample_rate, low_hz=20.0, high_hz=None):
         up = (bin_hz - lo) / (center - lo)
         down = (hi - bin_hz) / (hi - center)
         fb[i] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb
+    return _frozen(fb)
 
 
-def _spectra(clip, cfg):
-    """Framed power spectra plus raw per-frame energies."""
+def _frames(clip, cfg):
+    """(T x frame length) strided view of the clip's (dithered) samples, plus
+    frame length and shift."""
     samples = clip.samples
     if cfg.dither > 0:
         # each clip gets its own noise, and the same noise on every rerun
         rng = np.random.default_rng([cfg.dither_seed, clip.start, *clip.id.encode("utf-8")])
         samples = samples + cfg.dither * rng.standard_normal(len(samples))
-    frames, flen, fshift = _frame_signal(samples, cfg, clip.sample_rate)
-    energy = np.sum(frames ** 2, axis=1)
+    flen = int(round(cfg.frame_length_ms * clip.sample_rate / 1000.0))
+    fshift = int(round(cfg.frame_shift_ms * clip.sample_rate / 1000.0))
+    if num_frames_for(len(samples), flen, fshift) < 1:
+        raise UsageError(f"clip too short: {len(samples)} samples < one {flen}-sample frame")
+    return np.lib.stride_tricks.sliding_window_view(samples, flen)[::fshift], flen, fshift
+
+
+def _log_mel(frames, flen, cfg, sample_rate):
+    """Log mel filterbank energies of pre-emphasized, Hamming-windowed frames."""
     if cfg.pre_emphasis > 0:
         first = frames[:, :1]
         frames = np.concatenate([first - cfg.pre_emphasis * first,
                                  frames[:, 1:] - cfg.pre_emphasis * frames[:, :-1]], axis=1)
-    window = np.hamming(flen)
     fft_size = 1
     while fft_size < flen:
         fft_size *= 2
-    spec = np.abs(np.fft.rfft(frames * window, fft_size)) ** 2
-    return spec, energy, fft_size, fshift
+    spec = np.abs(np.fft.rfft(frames * _hamming(flen), fft_size)) ** 2
+    fb = mel_filterbank(cfg.num_mel_bins, fft_size, sample_rate)
+    return np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
 
 
 def compute_fbank(clip, cfg=None):
     """40-d (num_mel_bins) log mel filterbank features."""
     cfg = cfg or FrontendConfig()
-    spec, _, fft_size, fshift = _spectra(clip, cfg)
-    fb = mel_filterbank(cfg.num_mel_bins, fft_size, clip.sample_rate)
-    feats = np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
+    frames, flen, fshift = _frames(clip, cfg)
+    feats = _log_mel(frames, flen, cfg, clip.sample_rate)
     return FeatureMatrix(feats, fshift / clip.sample_rate, f"fbank{cfg.num_mel_bins}")
 
 
 def compute_mfcc_e(clip, cfg=None):
     """num_cepstra MFCCs (c0..c[n-1] of the log-mel DCT) plus log energy."""
     cfg = cfg or FrontendConfig()
-    spec, energy, fft_size, fshift = _spectra(clip, cfg)
-    fb = mel_filterbank(cfg.num_mel_bins, fft_size, clip.sample_rate)
-    logmel = np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
+    frames, flen, fshift = _frames(clip, cfg)
+    logmel = _log_mel(frames, flen, cfg, clip.sample_rate)
     ceps = dct(logmel, type=2, axis=1, norm="ortho")[:, :cfg.num_cepstra]
-    log_e = np.log(np.maximum(energy, LOG_FLOOR))[:, None]
+    log_e = np.log(np.maximum(np.sum(frames ** 2, axis=1), LOG_FLOOR))[:, None]
     feats = np.concatenate([ceps, log_e], axis=1)
     return FeatureMatrix(feats, fshift / clip.sample_rate, f"mfcc_e{cfg.num_cepstra + 1}")
 

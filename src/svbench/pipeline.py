@@ -103,43 +103,46 @@ def score_trials(system, trials, enroll_frames, test_frames, *,
                  lda=None, plda=None, plda_center=None, seed=0):
     """Score every trial with one system; returns (enroll, test, score, label) records.
 
-    Systems: dvector-cosine, dvector-lda, dvector-plda, e2e, random.
+    Systems: dvector-cosine, dvector-lda, dvector-plda, e2e, random. Every
+    side in `enroll_frames` and `test_frames` is embedded once, into an enroll
+    matrix E and a test matrix T. Each per-side transform (LDA projection,
+    PLDA centering and length normalization, cosine row normalization) runs
+    once on E and once on T, the system's scorer takes the whole
+    (enroll x test) grid with matrix products, and each trial reads its entry
+    from the grid. `random` draws one uniform score per trial, in trial order.
     """
-    records = []
     if system == "random":
-        rng = np.random.default_rng(seed)
-        for t in trials:
-            records.append((t.enroll_id, t.test_id, float(rng.uniform(-1, 1)), t.label))
-        return records
+        scores = np.random.default_rng(seed).uniform(-1, 1, len(trials))
+        return [(t.enroll_id, t.test_id, float(s), t.label) for t, s in zip(trials, scores)]
 
     if system == "e2e":
         if e2e_net is None or e2e_scorer is None:
             raise UsageError("e2e scoring needs the trained e2e model")
-        enroll_emb = {eid: embed(e2e_net, f) for eid, f in enroll_frames.items()}
-        test_emb = {tid: embed(e2e_net, f) for tid, f in test_frames.items()}
-        for t in trials:
-            score = e2e_scorer.score(enroll_emb[t.enroll_id], test_emb[t.test_id])
-            records.append((t.enroll_id, t.test_id, score, t.label))
-        return records
-
-    if dvector_net is None:
-        raise UsageError(f"system {system!r} needs the trained d-vector model")
-    enroll_vec = {eid: dvector_of(dvector_net, f) for eid, f in enroll_frames.items()}
-    test_vec = {tid: dvector_of(dvector_net, f) for tid, f in test_frames.items()}
-    if system == "dvector-cosine":
-        scorer = lambda a, b: cosine_score(a, b)
-    elif system == "dvector-lda":
-        if lda is None:
-            raise UsageError("dvector-lda needs a fitted LDA transform")
-        scorer = lambda a, b: cosine_score(lda.transform(a), lda.transform(b))
-    elif system == "dvector-plda":
-        if plda is None or plda_center is None:
-            raise UsageError("dvector-plda needs a fitted PLDA model")
-        scorer = lambda a, b: plda.score(
-            center_and_length_normalize(a, plda_center),
-            center_and_length_normalize(b, plda_center))
+        side_vector = lambda f: embed(e2e_net, f)
+        grid_of = e2e_scorer.score
     else:
-        raise UsageError(f"unknown system {system!r}")
-    for t in trials:
-        records.append((t.enroll_id, t.test_id, scorer(enroll_vec[t.enroll_id], test_vec[t.test_id]), t.label))
-    return records
+        if dvector_net is None:
+            raise UsageError(f"system {system!r} needs the trained d-vector model")
+        side_vector = lambda f: dvector_of(dvector_net, f)
+        if system == "dvector-cosine":
+            grid_of = cosine_score
+        elif system == "dvector-lda":
+            if lda is None:
+                raise UsageError("dvector-lda needs a fitted LDA transform")
+            grid_of = lambda e, t: cosine_score(lda.transform(e), lda.transform(t))
+        elif system == "dvector-plda":
+            if plda is None or plda_center is None:
+                raise UsageError("dvector-plda needs a fitted PLDA model")
+            grid_of = lambda e, t: plda.score(center_and_length_normalize(e, plda_center),
+                                              center_and_length_normalize(t, plda_center))
+        else:
+            raise UsageError(f"unknown system {system!r}")
+    if not trials:
+        return []
+    enroll = np.array([side_vector(f) for f in enroll_frames.values()])
+    test = np.array([side_vector(f) for f in test_frames.values()])
+    grid = grid_of(enroll, test)
+    row = {side: i for i, side in enumerate(enroll_frames)}
+    col = {side: j for j, side in enumerate(test_frames)}
+    scores = grid[[row[t.enroll_id] for t in trials], [col[t.test_id] for t in trials]]
+    return [(t.enroll_id, t.test_id, float(s), t.label) for t, s in zip(trials, scores)]

@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
 import numpy as np
+from scipy.fftpack import dct
 
 
 def brute_force_eer(scores, labels):
@@ -29,6 +30,124 @@ def brute_force_eer(scores, labels):
             s = (fa0 - miss0) / denom
             return 100.0 * (fa0 + s * (fa - fa0))
     return 100.0 * 0.5 * (np.mean(nontarget >= cands[-1]) + np.mean(target < cands[-1]))
+
+
+def sweep_eer(scores, labels):
+    """compute_eer as one FA/miss mean per candidate threshold: O(n * unique scores).
+
+    Same candidates, crossing search and interpolation rule as
+    svbench.evaluation.compute_eer, which must return an equal EvalReport.
+    """
+    from svbench.evaluation import EvalReport
+
+    scores = np.asarray(scores, dtype=np.float64)
+    is_target = np.array([l == "target" if isinstance(l, str) else bool(l) for l in labels],
+                         dtype=bool)
+    target = scores[is_target]
+    nontarget = scores[~is_target]
+    cands = np.unique(scores)
+    cands = np.append(cands, cands[-1] + 1.0)
+    fa = np.array([np.mean(nontarget >= t) for t in cands])
+    miss = np.array([np.mean(target < t) for t in cands])
+    diff = fa - miss
+    idx = int(np.searchsorted(-diff, 0.0, side="left"))
+    if idx == 0:
+        eer, thr = 0.5 * (fa[0] + miss[0]), cands[0]
+    elif idx >= len(cands):
+        eer, thr = 0.5 * (fa[-1] + miss[-1]), cands[-1]
+    elif diff[idx] == 0.0:
+        eer, thr = fa[idx], cands[idx]
+    else:
+        lo, hi = idx - 1, idx
+        denom = (fa[lo] - miss[lo]) - (fa[hi] - miss[hi])
+        s = (fa[lo] - miss[lo]) / denom
+        eer = fa[lo] + s * (fa[hi] - fa[lo])
+        thr = cands[lo] + s * (cands[hi] - cands[lo])
+    return EvalReport(eer=float(eer * 100.0), threshold=float(thr),
+                      num_target=len(target), num_nontarget=len(nontarget))
+
+
+# -- reference front-end ------------------------------------------------
+# Framing by an index gather, a fresh window and filterbank per call, and
+# the frame energy taken on every path: the front-end must match these
+# byte for byte.
+
+def _spectra(clip, cfg):
+    from svbench.frontend import mel_filterbank, num_frames_for
+
+    samples = clip.samples
+    if cfg.dither > 0:
+        rng = np.random.default_rng([cfg.dither_seed, clip.start, *clip.id.encode("utf-8")])
+        samples = samples + cfg.dither * rng.standard_normal(len(samples))
+    flen = int(round(cfg.frame_length_ms * clip.sample_rate / 1000.0))
+    fshift = int(round(cfg.frame_shift_ms * clip.sample_rate / 1000.0))
+    t = num_frames_for(len(samples), flen, fshift)
+    frames = samples[np.arange(flen)[None, :] + fshift * np.arange(t)[:, None]]
+    energy = np.sum(frames ** 2, axis=1)
+    if cfg.pre_emphasis > 0:
+        first = frames[:, :1]
+        frames = np.concatenate([first - cfg.pre_emphasis * first,
+                                 frames[:, 1:] - cfg.pre_emphasis * frames[:, :-1]], axis=1)
+    fft_size = 1
+    while fft_size < flen:
+        fft_size *= 2
+    spec = np.abs(np.fft.rfft(frames * np.hamming(flen), fft_size)) ** 2
+    fb = mel_filterbank.__wrapped__(cfg.num_mel_bins, fft_size, clip.sample_rate)
+    return np.log(np.maximum(spec @ fb.T, 1e-10)), energy
+
+
+def fbank(clip, cfg):
+    return _spectra(clip, cfg)[0]
+
+
+def mfcc_e(clip, cfg):
+    logmel, energy = _spectra(clip, cfg)
+    ceps = dct(logmel, type=2, axis=1, norm="ortho")[:, :cfg.num_cepstra]
+    return np.concatenate([ceps, np.log(np.maximum(energy, 1e-10))[:, None]], axis=1)
+
+
+# -- reference trial scoring --------------------------------------------
+# One scorer call per trial on that trial's two vectors, re-applying every
+# per-side transform each time; grid scoring must match it to rounding.
+
+def plda_llr(model, a, b, solve=False):
+    """PLDA log-likelihood ratio of one pair from the stacked pair covariances,
+    through their inverses or, with solve=True, through linear solves."""
+    d = model.dim
+    total = model.between + model.within
+    same = np.block([[total, model.between], [model.between, total]])
+    diff = np.block([[total, np.zeros((d, d))], [np.zeros((d, d)), total]])
+    z = np.concatenate([a - model.mean, b - model.mean])
+    if solve:
+        quad = z @ np.linalg.solve(same, z) - z @ np.linalg.solve(diff, z)
+    else:
+        quad = z @ np.linalg.inv(same) @ z - z @ np.linalg.inv(diff) @ z
+    return float(-0.5 * (quad + np.linalg.slogdet(same)[1] - np.linalg.slogdet(diff)[1]))
+
+
+def score_trials(system, trials, enroll_frames, test_frames, *, dvector_net=None,
+                 e2e_net=None, e2e_scorer=None, lda=None, plda=None, plda_center=None):
+    """pipeline.score_trials for the trained systems, one pair at a time."""
+    from svbench.backends import center_and_length_normalize, cosine_score
+    from svbench.e2e import embed
+    from svbench.pipeline import dvector_of
+
+    if system == "e2e":
+        vec = lambda f: embed(e2e_net, f)
+        score = e2e_scorer.score
+    else:
+        vec = lambda f: dvector_of(dvector_net, f)
+        if system == "dvector-cosine":
+            score = cosine_score
+        elif system == "dvector-lda":
+            score = lambda a, b: cosine_score(lda.transform(a), lda.transform(b))
+        else:
+            score = lambda a, b: plda_llr(plda, center_and_length_normalize(a, plda_center),
+                                          center_and_length_normalize(b, plda_center))
+    enroll = {k: vec(f) for k, f in enroll_frames.items()}
+    test = {k: vec(f) for k, f in test_frames.items()}
+    return [(t.enroll_id, t.test_id, score(enroll[t.enroll_id], test[t.test_id]), t.label)
+            for t in trials]
 
 
 # -- reference layer engine ---------------------------------------------

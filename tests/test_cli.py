@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from svbench import cli, e2e, store
 from svbench.audio import read_wav
+from svbench.backends import LdaTransform, PldaModel
 from svbench.cli import main
 from svbench.container import read_container, write_container
 from svbench.corpus import read_manifest
@@ -139,9 +140,17 @@ def test_run_twice_byte_identical(pipeline_runs):
 def test_report_has_all_rows(pipeline_runs):
     with open(os.path.join(pipeline_runs[0], "report.tsv")) as f:
         lines = f.read().strip().split("\n")
-    assert lines[0].split("\t") == ["System", "Scoring", "C(4-2)"]
+    assert lines[0].split("\t") == ["System", "Scoring", "C(4-2)", "C(4-2):threshold",
+                                    "C(4-2):targets", "C(4-2):nontargets"]
     systems = {line.split("\t")[0] for line in lines[1:]}
     assert systems == {"dvector-cosine", "dvector-lda", "e2e", "random"}
+    with open(os.path.join(pipeline_runs[0], "trials_C4_2.tsv")) as f:
+        labels = [line.split("\t")[2] for line in f.read().splitlines()]
+    for line in lines[1:]:
+        _, _, eer, threshold, targets, nontargets = line.split("\t")
+        assert 0.0 <= float(eer) <= 100.0 and np.isfinite(float(threshold))
+        assert (int(targets), int(nontargets)) == (labels.count("target"),
+                                                   labels.count("nontarget"))
 
 
 def test_extracted_vectors_are_labelled(pipeline_runs):
@@ -352,3 +361,54 @@ def test_malformed_tsv_fails_with_location(tmp_path, make_args):
     assert isinstance(result.exception, SystemExit)      # a reported error, not a crash
     assert "Traceback" not in result.output
     assert f"{tmp_path / 'bad.tsv'}:1:" in result.output
+
+
+@pytest.fixture(scope="module")
+def score_models(tmp_path_factory):
+    """Untrained models of every system that fit tiny_run's 40-d fbank; system -> CLI args."""
+    base = tmp_path_factory.mktemp("models")
+    dvector, e2e_model = str(base / "dvector.svbf"), str(base / "e2e.svbf")
+    lda, plda = str(base / "lda.svbf"), str(base / "plda.svbf")
+    store.save_network(dvector, build_dvector_net(DVectorConfig(
+        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)),
+        kind="dvector_net")
+    store.save_e2e_model(e2e_model, *e2e.build_e2e_net(e2e.E2EConfig(
+        lift_dim=8, nin_hidden=8, nin_out=8, pre_pool_dim=8, embedding_dim=8)))
+    store.save_lda(lda, LdaTransform(mean=np.zeros(8), projection=np.eye(8)[:, :3]))
+    store.save_plda(plda, PldaModel(np.zeros(8), np.eye(8), np.eye(8)), np.zeros(8))
+    return {"dvector-cosine": ["--model", dvector],
+            "dvector-lda": ["--model", dvector, "--backend", lda],
+            "dvector-plda": ["--model", dvector, "--backend", plda],
+            "e2e": ["--model", e2e_model],
+            "random": []}
+
+
+@pytest.mark.parametrize("system", ["dvector-cosine", "dvector-lda", "dvector-plda",
+                                    "e2e", "random"])
+@pytest.mark.parametrize("missing", ["enroll side", "test side", "manifest utterance"])
+def test_score_names_side_missing_from_segments_or_manifest(tiny_run, score_models, tmp_path,
+                                                            system, missing):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    a, b = read_manifest(manifest)[:2]
+    enroll_utt = "ghost-utt" if missing == "manifest utterance" else a.utt_id
+    segments = _write(tmp_path / "segments.tsv", "".join([
+        "#condition\tC(1-1)\t1\t1\n",
+        f"enroll\tspk-enroll\t{a.speaker_id}\t{a.gender}\t{enroll_utt}\t0.000000\t1.000000\n",
+        f"test\t{b.utt_id}\t{b.speaker_id}\t{b.gender}\t{b.utt_id}\t0.000000\t1.000000\n"]))
+    enroll_id = "ghost-enroll" if missing == "enroll side" else "spk-enroll"
+    test_id = "ghost-test" if missing == "test side" else b.utt_id
+    trials = _write(tmp_path / "trials.tsv", f"spk-enroll\t{b.utt_id}\tnontarget\n"
+                                             f"{enroll_id}\t{test_id}\tnontarget\n")
+    result = runner.invoke(main, ["--config", config, "--out-dir", out, "score",
+                                  "--system", system, "--trials", trials,
+                                  "--segments", segments, "--manifest", manifest,
+                                  *score_models[system], "--out", str(tmp_path / "scores.tsv")])
+    assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if missing == "manifest utterance":
+        assert f"{manifest}: no utterance 'ghost-utt'" in result.output
+    else:
+        ghost = enroll_id if missing == "enroll side" else test_id
+        assert f"{segments}: no {missing} {ghost!r}" in result.output
+    assert not os.path.exists(tmp_path / "scores.tsv")

@@ -1,14 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from svbench.errors import UsageError
+from svbench.errors import FormatError, UsageError
 from svbench.evaluation import (EvalReport, Trial, build_conditions,
                                 compute_eer, emit_report, read_score_file,
                                 read_segments_file, read_trial_file,
                                 write_score_file, write_segments_file,
                                 write_trial_file)
 
-from oracles import brute_force_eer
+from oracles import brute_force_eer, sweep_eer
 
 
 def test_eer_perfect_separation():
@@ -64,6 +66,44 @@ def test_eer_requires_both_label_kinds():
 def test_eer_rejects_nonfinite():
     with pytest.raises(UsageError):
         compute_eer([np.nan, 1.0], ["target", "nontarget"])
+
+
+def _eer_cases():
+    rng = np.random.default_rng(8)
+    for _ in range(40):            # heavy ties: a handful of distinct score levels
+        n = int(rng.integers(2, 300))
+        levels = int(rng.integers(1, 12))
+        scores = rng.integers(0, levels, n) * 0.25
+        labels = ["target" if rng.random() < rng.uniform(0.1, 0.9) else "nontarget"
+                  for _ in range(n)]
+        labels[0], labels[1] = "target", "nontarget"
+        yield scores, labels
+    yield [0.3, 0.1, 0.7, 0.2], ["target", "nontarget", "nontarget", "nontarget"]
+    yield [0.5] * 6, ["target", "nontarget"] * 3
+    scores = rng.normal(size=20000)
+    labels = np.where(rng.random(20000) < 0.1, "target", "nontarget").tolist()
+    yield scores + 0.8 * (np.array(labels) == "target"), labels
+    yield scores, [l == "target" for l in labels]
+
+
+def test_eer_report_equals_threshold_sweep():
+    for scores, labels in _eer_cases():
+        assert compute_eer(scores, labels) == sweep_eer(scores, labels)
+
+
+def test_eer_rejects_unknown_label():
+    with pytest.raises(UsageError, match="'Target'"):
+        compute_eer([0.9, 0.8, 0.1, 0.2], ["target", "Target", "nontarget", "nontarget"])
+
+
+@pytest.mark.parametrize("read, row", [(read_trial_file, "e1\tt2\tTarget\n"),
+                                       (read_score_file, "e1\tt2\t0.5\tnon-target\n")])
+def test_trial_and_score_files_reject_unknown_labels(tmp_path, read, row):
+    path = tmp_path / "list.tsv"
+    good = "e1\tt1\ttarget\n" if read is read_trial_file else "e1\tt1\t0.1\tnontarget\n"
+    path.write_text(good + "\n" + row)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: unknown trial label"):
+        read(str(path))
 
 
 def _eval_entries(small_corpus):
@@ -166,13 +206,25 @@ def test_segments_file_round_trip(tmp_path, small_corpus):
 
 def test_emit_report_shape_and_determinism():
     rep = EvalReport(eer=7.86, threshold=0.1, num_target=10, num_nontarget=20)
-    results = {("dvector", "cosine"): {"C(4-4)": rep, "C(40-4)": rep},
+    other = EvalReport(eer=3.14159, threshold=-12.3456789, num_target=5, num_nontarget=95)
+    results = {("dvector", "cosine"): {"C(4-4)": rep, "C(40-4)": other},
                ("e2e", "bilinear"): {"C(4-4)": rep}}
     text_a, tsv_a = emit_report(results)
     text_b, tsv_b = emit_report(results)
     assert text_a == text_b and tsv_a == tsv_b
     lines = tsv_a.strip().split("\n")
-    assert lines[0].split("\t") == ["System", "Scoring", "C(4-4)", "C(40-4)"]
+    assert lines[0].split("\t") == ["System", "Scoring",
+                                    "C(4-4)", "C(4-4):threshold", "C(4-4):targets",
+                                    "C(4-4):nontargets",
+                                    "C(40-4)", "C(40-4):threshold", "C(40-4):targets",
+                                    "C(40-4):nontargets"]
     assert len(lines) == 3
-    assert "7.86" in lines[1]
-    assert lines[2].split("\t")[2:] == ["7.86", "-"]
+    assert lines[1].split("\t") == ["dvector", "cosine", "7.86", "0.1", "10", "20",
+                                    "3.14", "-12.3457", "5", "95"]
+    # the first condition's EER stays the third field
+    assert lines[2].split("\t") == ["e2e", "bilinear", "7.86", "0.1", "10", "20",
+                                    "-", "-", "-", "-"]
+    text_lines = text_a.rstrip("\n").split("\n")
+    assert len(text_lines) == 4
+    assert text_lines[2].split() == lines[1].split("\t")
+    assert text_lines[3].split() == lines[2].split("\t")

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from svbench import pipeline
+import oracles
+from svbench import frontend, pipeline
 from svbench.audio import AudioClip, write_wav
 from svbench.config import load_config
 from svbench.corpus import ManifestEntry
 from svbench.errors import UsageError
 from svbench.evaluation import Segment
-from svbench.frontend import (FeatureMatrix, add_deltas, cmvn,
+from svbench.frontend import (FeatureMatrix, FrontendConfig, add_deltas, cmvn,
                               compute_fbank, compute_mfcc_e, mel_filterbank,
                               num_frames_for)
 
@@ -139,3 +142,26 @@ def test_dither_noise_differs_per_clip_and_repeats_per_run(tmp_path):
     for other in (side("u2", 0.0), side("u1", 0.25), side("u1", 0.0, seed=4)):
         assert other.shape == base.shape and not np.array_equal(other, base)
     assert side("u1", 0.0, dither=0.0).tobytes() == side("u2", 0.25, dither=0.0).tobytes()
+
+
+@pytest.mark.parametrize("num_samples", [400, 559, 16000])     # one frame; one frame + shift - 1
+@pytest.mark.parametrize("settings", [{}, {"pre_emphasis": 0.0},
+                                      {"dither": 0.01, "dither_seed": 3}])
+def test_features_match_reference_front_end_byte_for_byte(num_samples, settings):
+    cfg = dataclasses.replace(FrontendConfig(), **settings)
+    rng = np.random.default_rng(num_samples)
+    clip = AudioClip(rng.uniform(-0.5, 0.5, num_samples), 16000, id="u1", start=160)
+    fbank, mfcc = compute_fbank(clip, cfg).frames, compute_mfcc_e(clip, cfg).frames
+    assert fbank.tobytes() == oracles.fbank(clip, cfg).tobytes()
+    assert mfcc.tobytes() == oracles.mfcc_e(clip, cfg).tobytes()
+    assert fbank.shape[0] == num_frames_for(num_samples, 400, 160)
+
+
+def test_front_end_tables_built_once_and_read_only(tone_clip):
+    compute_fbank(tone_clip)
+    window, bank = frontend._hamming(400), mel_filterbank(40, 512, 16000)
+    assert window is frontend._hamming(400) and bank is mel_filterbank(40, 512, 16000)
+    for table in (window, bank):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0

@@ -1,0 +1,27 @@
+"""The benchmark's span tracer patches svbench names; a rename must fail here."""
+
+import os
+
+from svbench import backends, cli, e2e, pipeline
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def test_tracer_patch_table_resolves_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracing import Tracer
+
+    # the scoring entry points a traced score-eval run counts calls of
+    names = [(pipeline, "cosine_score"), (backends.LdaTransform, "transform"),
+             (backends.PldaModel, "score"), (e2e.BilinearScorer, "score"),
+             (cli, "compute_eer"), (pipeline, "score_trials")]
+    originals = [getattr(owner, attr) for owner, attr in names]
+    tracer = Tracer()
+    tracer.install()                # AttributeError if any patched name no longer resolves
+    try:
+        for (owner, attr), original in zip(names, originals):
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr in names] == originals
