@@ -90,22 +90,21 @@ def gen_data(ws):
 
 @main.command()
 @click.option("--manifest", required=True, type=click.Path(exists=True))
-@click.option("--feature-type", type=click.Choice(["fbank", "mfcc"]), default="fbank")
 @click.option("--cmvn/--no-cmvn", "apply_cmvn", default=True,
               help="--no-cmvn skips utterance normalization (the e2e model "
                    "pools over time, so the utterance mean is its main cue).")
 @click.option("--name", "dir_name", default="feats",
               help="Subdirectory of the output dir to write features into.")
 @click.pass_obj
-def featurize(ws, manifest, feature_type, apply_cmvn, dir_name):
-    """Extract features for every utterance in a manifest."""
+def featurize(ws, manifest, apply_cmvn, dir_name):
+    """Extract fbank features for every utterance in a manifest."""
     ws.prepare()
     entries = read_manifest(manifest)
     fcfg = pipeline.make_frontend_config(ws.cfg)
     if not apply_cmvn:
         fcfg = dataclasses.replace(fcfg, cmvn_mode="none")
     feats_dir = ws.path(dir_name)
-    pipeline.featurize_entries(entries, fcfg, feats_dir, feature_type)
+    pipeline.featurize_entries(entries, fcfg, feats_dir)
     click.echo(f"featurized {len(entries)} utterances into {feats_dir}")
 
 

@@ -38,7 +38,6 @@ SCHEMA = {
         "frame_length_ms": (float, 25.0),
         "frame_shift_ms": (float, 10.0),
         "num_mel_bins": (int, 40),
-        "num_cepstra": (int, 19),
         "pre_emphasis": (float, 0.97),
         "dither": (float, 0.0),
         "cmvn": (str, "per-utterance"),
@@ -90,24 +89,40 @@ def default_config():
             for section, keys in SCHEMA.items()}
 
 
+def _read_ini(path):
+    """section -> key -> raw value; a malformed file is a ConfigError naming path:line."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path) as f:
+            parser.read_file(f)
+        return {section: dict(parser.items(section)) for section in parser.sections()}
+    except configparser.MissingSectionHeaderError as e:
+        raise ConfigError(f"{path}:{e.lineno}: {e.line.strip()!r} comes before any [section]") from e
+    except configparser.ParsingError as e:
+        raise ConfigError(f"{path}:{e.errors[0][0]}: expected 'key = value'") from e
+    except configparser.DuplicateOptionError as e:
+        raise ConfigError(f"{path}:{e.lineno}: duplicate key {e.option!r} in [{e.section}]") from e
+    except configparser.DuplicateSectionError as e:
+        raise ConfigError(f"{path}:{e.lineno}: duplicate section [{e.section}]") from e
+    except configparser.Error as e:
+        raise ConfigError(f"{path}: {e.message}") from e
+
+
 def load_config(path=None, overrides=None):
     """Parse the run configuration; `overrides` maps (section, key) -> value."""
     cfg = default_config()
     if path is not None:
-        parser = configparser.ConfigParser()
-        with open(path) as f:
-            parser.read_file(f)
-        for section in parser.sections():
+        for section, items in _read_ini(path).items():
             if section not in SCHEMA:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
+                raise ConfigError(f"{path}: unknown config section [{section}]")
+            for key, raw in items.items():
                 if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
+                    raise ConfigError(f"{path}: unknown config key {key!r} in [{section}]")
                 parse, _ = SCHEMA[section][key]
                 try:
                     cfg[section][key] = parse(raw)
                 except ValueError as e:
-                    raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from e
+                    raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r}") from e
     for (section, key), value in (overrides or {}).items():
         cfg[section][key] = value
     return cfg

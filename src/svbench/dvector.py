@@ -121,11 +121,11 @@ def train_dvector(utterances, cfg, tcfg, log=None):
     return net
 
 
-def extract_frame_features(net, feat):
-    """Feature-layer activations for every frame; softmax head bypassed."""
+def extract_frame_features(net, frames):
+    """Feature-layer activations for every frame of a T x D matrix; softmax head bypassed."""
     if net.meta.get("model") != "dvector":
         raise UsageError("network is not a d-vector model")
-    frames = feat.frames if hasattr(feat, "frames") else np.asarray(feat, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[1] != net.meta["input_dim"]:
         raise UsageError(f"feature dim {frames.shape[1]} != model input dim {net.meta['input_dim']}")
     out, _ = net.forward(frames, up_to=len(net.layers) - 1)

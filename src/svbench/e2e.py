@@ -277,8 +277,8 @@ def sample_pair_batch(corpus, n, rng, chunk_bounds=(CHUNK_LEN_MIN, CHUNK_LEN_MAX
 
 
 def embed(net, chunk):
-    """Embedding vector for one feature chunk."""
-    frames = chunk.frames if hasattr(chunk, "frames") else np.asarray(chunk, dtype=np.float64)
+    """Embedding vector for one T x D feature chunk."""
+    frames = np.asarray(chunk, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise UsageError("chunk must be a non-empty T x D matrix")
     out, _ = net.forward(frames)

@@ -1,20 +1,18 @@
-"""Acoustic front-end: Fbank / MFCC extraction, deltas, CMVN.
+"""Acoustic front-end: log mel filterbank (fbank) features and CMVN.
 
-Produces the two feature layouts the models consume: 40-d log mel
-filterbanks (spliced by each network's first time-delay layer) and 19
-MFCCs plus log energy extended with first and second derivatives to 60
-dimensions.
+Produces the one feature layout both models consume: 40-d log mel
+filterbanks, spliced by each network's first time-delay layer.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fftpack import dct
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 LOG_FLOOR = 1e-10
+CMVN_MODES = ("per-utterance", "none")
 
 
 @dataclass
@@ -22,24 +20,24 @@ class FrontendConfig:
     frame_length_ms: float = 25.0
     frame_shift_ms: float = 10.0
     num_mel_bins: int = 40
-    num_cepstra: int = 19
     pre_emphasis: float = 0.97
     dither: float = 0.0            # amplitude of added Gaussian noise
     dither_seed: int = 0           # run seed; noise is drawn per (seed, clip id, clip start)
-    cmvn_mode: str = "per-utterance"   # or "none"
+    cmvn_mode: str = "per-utterance"   # one of CMVN_MODES
 
     def __post_init__(self):
         if not self.frame_length_ms >= self.frame_shift_ms > 0:
             raise UsageError("require frame_length_ms >= frame_shift_ms > 0")
-        if self.num_mel_bins < self.num_cepstra:
-            raise UsageError("num_mel_bins must be >= num_cepstra")
+        if self.cmvn_mode not in CMVN_MODES:
+            raise ConfigError(f"[frontend] cmvn must be one of {', '.join(CMVN_MODES)}; "
+                              f"got {self.cmvn_mode!r}")
 
 
 @dataclass
 class FeatureMatrix:
     frames: np.ndarray             # T x D
     frame_period: float            # seconds per frame
-    kind: str                      # "fbank40", "mfcc_e20", "mfcc_e_dd60"
+    kind: str                      # "fbank<num_mel_bins>", e.g. "fbank40"
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -101,9 +99,10 @@ def mel_filterbank(num_bins, fft_size, sample_rate, low_hz=20.0, high_hz=None):
     return _frozen(fb)
 
 
-def _frames(clip, cfg):
-    """(T x frame length) strided view of the clip's (dithered) samples, plus
-    frame length and shift."""
+def compute_fbank(clip, cfg=None):
+    """40-d (num_mel_bins) log mel filterbank energies of the clip's (dithered),
+    pre-emphasized, Hamming-windowed frames."""
+    cfg = cfg or FrontendConfig()
     samples = clip.samples
     if cfg.dither > 0:
         # each clip gets its own noise, and the same noise on every rerun
@@ -113,11 +112,7 @@ def _frames(clip, cfg):
     fshift = int(round(cfg.frame_shift_ms * clip.sample_rate / 1000.0))
     if num_frames_for(len(samples), flen, fshift) < 1:
         raise UsageError(f"clip too short: {len(samples)} samples < one {flen}-sample frame")
-    return np.lib.stride_tricks.sliding_window_view(samples, flen)[::fshift], flen, fshift
-
-
-def _log_mel(frames, flen, cfg, sample_rate):
-    """Log mel filterbank energies of pre-emphasized, Hamming-windowed frames."""
+    frames = np.lib.stride_tricks.sliding_window_view(samples, flen)[::fshift]
     if cfg.pre_emphasis > 0:
         first = frames[:, :1]
         frames = np.concatenate([first - cfg.pre_emphasis * first,
@@ -126,54 +121,9 @@ def _log_mel(frames, flen, cfg, sample_rate):
     while fft_size < flen:
         fft_size *= 2
     spec = np.abs(np.fft.rfft(frames * _hamming(flen), fft_size)) ** 2
-    fb = mel_filterbank(cfg.num_mel_bins, fft_size, sample_rate)
-    return np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
-
-
-def compute_fbank(clip, cfg=None):
-    """40-d (num_mel_bins) log mel filterbank features."""
-    cfg = cfg or FrontendConfig()
-    frames, flen, fshift = _frames(clip, cfg)
-    feats = _log_mel(frames, flen, cfg, clip.sample_rate)
+    fb = mel_filterbank(cfg.num_mel_bins, fft_size, clip.sample_rate)
+    feats = np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
     return FeatureMatrix(feats, fshift / clip.sample_rate, f"fbank{cfg.num_mel_bins}")
-
-
-def compute_mfcc_e(clip, cfg=None):
-    """num_cepstra MFCCs (c0..c[n-1] of the log-mel DCT) plus log energy."""
-    cfg = cfg or FrontendConfig()
-    frames, flen, fshift = _frames(clip, cfg)
-    logmel = _log_mel(frames, flen, cfg, clip.sample_rate)
-    ceps = dct(logmel, type=2, axis=1, norm="ortho")[:, :cfg.num_cepstra]
-    log_e = np.log(np.maximum(np.sum(frames ** 2, axis=1), LOG_FLOOR))[:, None]
-    feats = np.concatenate([ceps, log_e], axis=1)
-    return FeatureMatrix(feats, fshift / clip.sample_rate, f"mfcc_e{cfg.num_cepstra + 1}")
-
-
-_DELTA_WINDOW = 2
-_DELTA_DENOM = 2.0 * sum(n * n for n in range(1, _DELTA_WINDOW + 1))
-
-
-def _delta(frames):
-    padded = np.pad(frames, ((_DELTA_WINDOW, _DELTA_WINDOW), (0, 0)), mode="edge")
-    out = np.zeros_like(frames)
-    t = frames.shape[0]
-    for n in range(1, _DELTA_WINDOW + 1):
-        out += n * (padded[_DELTA_WINDOW + n:_DELTA_WINDOW + n + t]
-                    - padded[_DELTA_WINDOW - n:_DELTA_WINDOW - n + t])
-    return out / _DELTA_DENOM
-
-
-def add_deltas(feat, order=2):
-    """Append first/second order regression deltas; D -> 3D for order 2."""
-    if order != 2:
-        raise UsageError("only order=2 is supported")
-    d1 = _delta(feat.frames)
-    d2 = _delta(d1)
-    out = np.concatenate([feat.frames, d1, d2], axis=1)
-    kind = feat.kind + "_dd" if not feat.kind.endswith("_dd") else feat.kind
-    if feat.kind.startswith("mfcc_e"):
-        kind = f"mfcc_e_dd{out.shape[1]}"
-    return FeatureMatrix(out, feat.frame_period, kind)
 
 
 def cmvn(feat, eps=1e-10):

@@ -11,7 +11,7 @@ from .config import from_sections
 from .dvector import extract_frame_features, pool_dvector
 from .e2e import embed
 from .errors import UsageError
-from .frontend import FrontendConfig, add_deltas, cmvn, compute_fbank, compute_mfcc_e
+from .frontend import FrontendConfig, cmvn, compute_fbank
 from . import store
 
 
@@ -20,25 +20,22 @@ def make_frontend_config(cfg):
                          dither_seed=cfg["run"]["seed"])
 
 
-def clip_features(clip, fcfg, feature_type="fbank"):
-    """Fbank (or MFCC + energy with deltas) features with per-utterance CMVN
-    (applied before any splicing)."""
-    if feature_type == "fbank":
-        feat = compute_fbank(clip, fcfg)
-    else:
-        feat = add_deltas(compute_mfcc_e(clip, fcfg))
+def clip_features(clip, fcfg):
+    """Fbank features with per-utterance CMVN (applied before any splicing)
+    unless `fcfg.cmvn_mode` is "none"."""
+    feat = compute_fbank(clip, fcfg)
     if fcfg.cmvn_mode == "per-utterance" and feat.num_frames >= 2:
         feat = cmvn(feat)
     return feat
 
 
-def featurize_entries(entries, fcfg, feats_dir, feature_type="fbank"):
+def featurize_entries(entries, fcfg, feats_dir):
     """Write one feature file per manifest entry into `feats_dir`."""
     os.makedirs(feats_dir, exist_ok=True)
     for e in entries:
         clip = read_wav(e.path, id=e.utt_id, speaker_id=e.speaker_id, gender=e.gender)
         store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"),
-                            clip_features(clip, fcfg, feature_type))
+                            clip_features(clip, fcfg))
 
 
 def load_feature_dir(entries, feats_dir):

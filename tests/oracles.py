@@ -1,7 +1,6 @@
 """Independent reference implementations used as test oracles."""
 
 import numpy as np
-from scipy.fftpack import dct
 
 
 def brute_force_eer(scores, labels):
@@ -68,11 +67,10 @@ def sweep_eer(scores, labels):
 
 
 # -- reference front-end ------------------------------------------------
-# Framing by an index gather, a fresh window and filterbank per call, and
-# the frame energy taken on every path: the front-end must match these
-# byte for byte.
+# Framing by an index gather and a fresh window and filterbank per call:
+# the front-end must match this byte for byte.
 
-def _spectra(clip, cfg):
+def fbank(clip, cfg):
     from svbench.frontend import mel_filterbank, num_frames_for
 
     samples = clip.samples
@@ -83,7 +81,6 @@ def _spectra(clip, cfg):
     fshift = int(round(cfg.frame_shift_ms * clip.sample_rate / 1000.0))
     t = num_frames_for(len(samples), flen, fshift)
     frames = samples[np.arange(flen)[None, :] + fshift * np.arange(t)[:, None]]
-    energy = np.sum(frames ** 2, axis=1)
     if cfg.pre_emphasis > 0:
         first = frames[:, :1]
         frames = np.concatenate([first - cfg.pre_emphasis * first,
@@ -93,17 +90,7 @@ def _spectra(clip, cfg):
         fft_size *= 2
     spec = np.abs(np.fft.rfft(frames * np.hamming(flen), fft_size)) ** 2
     fb = mel_filterbank.__wrapped__(cfg.num_mel_bins, fft_size, clip.sample_rate)
-    return np.log(np.maximum(spec @ fb.T, 1e-10)), energy
-
-
-def fbank(clip, cfg):
-    return _spectra(clip, cfg)[0]
-
-
-def mfcc_e(clip, cfg):
-    logmel, energy = _spectra(clip, cfg)
-    ceps = dct(logmel, type=2, axis=1, norm="ortho")[:, :cfg.num_cepstra]
-    return np.concatenate([ceps, np.log(np.maximum(energy, 1e-10))[:, None]], axis=1)
+    return np.log(np.maximum(spec @ fb.T, 1e-10))
 
 
 # -- reference trial scoring --------------------------------------------

@@ -11,7 +11,7 @@ from svbench.cli import main
 from svbench.container import read_container, write_container
 from svbench.corpus import read_manifest
 from svbench.dvector import DVectorConfig, build_dvector_net
-from svbench.frontend import add_deltas, cmvn, compute_mfcc_e
+from svbench.frontend import cmvn, compute_fbank
 
 CONFIG = """
 [run]
@@ -222,23 +222,31 @@ def tiny_run(tmp_path_factory):
     return runner, config, out
 
 
-def test_featurize_mfcc(tiny_run):
+def test_featurize_fbank(tiny_run):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
+    _invoke(runner, config, out, "featurize", "--manifest", manifest, "--name", "fbank")
     _invoke(runner, config, out, "featurize", "--manifest", manifest,
-            "--feature-type", "mfcc", "--name", "mfcc")
-    _invoke(runner, config, out, "featurize", "--manifest", manifest,
-            "--feature-type", "mfcc", "--no-cmvn", "--name", "mfcc_raw")
+            "--no-cmvn", "--name", "fbank_raw")
     for e in read_manifest(manifest):
-        raw = add_deltas(compute_mfcc_e(read_wav(e.path)))
-        normed = store.load_features(os.path.join(out, "mfcc", f"{e.utt_id}.svbf"))
-        unnormed = store.load_features(os.path.join(out, "mfcc_raw", f"{e.utt_id}.svbf"))
-        assert normed.kind == unnormed.kind == "mfcc_e_dd60"
-        assert normed.frames.shape == unnormed.frames.shape == (raw.num_frames, 60)
+        raw = compute_fbank(read_wav(e.path))
+        normed = store.load_features(os.path.join(out, "fbank", f"{e.utt_id}.svbf"))
+        unnormed = store.load_features(os.path.join(out, "fbank_raw", f"{e.utt_id}.svbf"))
+        assert normed.kind == unnormed.kind == "fbank40"
+        assert normed.frames.shape == unnormed.frames.shape == (raw.num_frames, 40)
         # feature files store float32
         np.testing.assert_array_equal(unnormed.frames, raw.frames.astype(np.float32))
         np.testing.assert_array_equal(normed.frames, cmvn(raw).frames.astype(np.float32))
         assert np.all(np.abs(normed.frames.mean(axis=0)) < 1e-4)
+
+
+def test_featurize_rejects_removed_option(tiny_run):
+    runner, config, out = tiny_run
+    result = runner.invoke(main, ["--config", config, "--out-dir", out, "featurize",
+                                  "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                                  "--feature-type", "fbank"])
+    assert result.exit_code == 2
+    assert "--feature-type" in result.output
 
 
 def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch):

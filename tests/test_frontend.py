@@ -8,11 +8,10 @@ from svbench import frontend, pipeline
 from svbench.audio import AudioClip, write_wav
 from svbench.config import load_config
 from svbench.corpus import ManifestEntry
-from svbench.errors import UsageError
+from svbench.errors import ConfigError, UsageError
 from svbench.evaluation import Segment
-from svbench.frontend import (FeatureMatrix, FrontendConfig, add_deltas, cmvn,
-                              compute_fbank, compute_mfcc_e, mel_filterbank,
-                              num_frames_for)
+from svbench.frontend import (FeatureMatrix, FrontendConfig, cmvn, compute_fbank,
+                              mel_filterbank, num_frames_for)
 
 
 def test_frame_count_one_second(tone_clip):
@@ -39,55 +38,6 @@ def test_tone_peaks_in_matching_mel_bin(tone_clip):
 def test_silence_rows_identical(silence_clip):
     feat = compute_fbank(silence_clip)
     assert np.all(feat.frames == feat.frames[0])
-
-
-def test_mfcc_shape(tone_clip):
-    feat = compute_mfcc_e(tone_clip)
-    assert feat.frames.shape == (98, 20)
-
-
-def test_mfcc_energy_scaling():
-    # broadband noise keeps every mel bin above the log floor
-    noise = 0.4 * np.random.default_rng(5).uniform(-1, 1, 16000)
-    full = compute_mfcc_e(AudioClip(noise, 16000))
-    half = compute_mfcc_e(AudioClip(0.5 * noise, 16000))
-    # scaling the waveform by 0.5 scales energy by 0.25
-    np.testing.assert_allclose(half.frames[:, -1] - full.frames[:, -1],
-                               np.log(0.25), atol=1e-9)
-    # cepstra shift only through c0 (constant offset of the log spectrum)
-    np.testing.assert_allclose(half.frames[:, 1:-1], full.frames[:, 1:-1], atol=1e-9)
-
-
-def test_mfcc_silence_constant_rows(silence_clip):
-    feat = compute_mfcc_e(silence_clip)
-    assert np.all(feat.frames == feat.frames[0])
-
-
-def test_deltas_of_constant_are_zero():
-    feat = FeatureMatrix(np.ones((10, 5)), 0.01, "fbank5")
-    out = add_deltas(feat)
-    assert out.frames.shape == (10, 15)
-    np.testing.assert_array_equal(out.frames[:, 5:], 0.0)
-
-
-def test_deltas_of_ramp():
-    ramp = np.outer(np.arange(20, dtype=np.float64), np.ones(3))
-    out = add_deltas(FeatureMatrix(ramp, 0.01, "fbank3"))
-    # slope 1 per frame away from the replicated edges
-    np.testing.assert_allclose(out.frames[2:-2, 3:6], 1.0)
-    np.testing.assert_allclose(out.frames[4:-4, 6:9], 0.0, atol=1e-12)
-
-
-def test_deltas_match_direct_formula():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((10, 20))
-    out = add_deltas(FeatureMatrix(x, 0.01, "fbank20")).frames
-    padded = np.pad(x, ((2, 2), (0, 0)), mode="edge")
-    expect = np.zeros_like(x)
-    for t in range(10):
-        expect[t] = sum(n * (padded[t + 2 + n] - padded[t + 2 - n])
-                        for n in (1, 2)) / (2.0 * (1 + 4))
-    np.testing.assert_allclose(out[:, 20:40], expect, atol=1e-12)
 
 
 def test_cmvn_zero_mean_unit_variance():
@@ -124,6 +74,15 @@ def test_feature_matrix_validation():
         FeatureMatrix(np.full((2, 2), np.nan), 0.01, "f")
 
 
+def test_unknown_cmvn_mode_rejected(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[frontend]\ncmvn = global\n")
+    with pytest.raises(ConfigError, match="global"):
+        pipeline.make_frontend_config(load_config(str(path)))
+    for mode in ("per-utterance", "none"):
+        assert FrontendConfig(cmvn_mode=mode).cmvn_mode == mode
+
+
 def test_dither_noise_differs_per_clip_and_repeats_per_run(tmp_path):
     entries = {}
     for utt in ("u1", "u2"):
@@ -151,9 +110,8 @@ def test_features_match_reference_front_end_byte_for_byte(num_samples, settings)
     cfg = dataclasses.replace(FrontendConfig(), **settings)
     rng = np.random.default_rng(num_samples)
     clip = AudioClip(rng.uniform(-0.5, 0.5, num_samples), 16000, id="u1", start=160)
-    fbank, mfcc = compute_fbank(clip, cfg).frames, compute_mfcc_e(clip, cfg).frames
+    fbank = compute_fbank(clip, cfg).frames
     assert fbank.tobytes() == oracles.fbank(clip, cfg).tobytes()
-    assert mfcc.tobytes() == oracles.mfcc_e(clip, cfg).tobytes()
     assert fbank.shape[0] == num_frames_for(num_samples, 400, 160)
 
 

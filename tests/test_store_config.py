@@ -135,6 +135,27 @@ def test_config_bad_value(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("seed = 3\n[run]\n", 1),
+    ("[run]\nseed = 3\nout_dir\n", 3),
+    ("[run]\nseed = 3\n\nseed = 4\n", 4),
+], ids=["no-section-header", "no-equals-sign", "duplicate-key"])
+def test_malformed_config_names_path_and_line(tmp_path, text, line):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}:{line}:")
+
+
+def test_config_rejects_removed_frontend_key(tmp_path):
+    # the MFCC front-end is gone, so its key is unknown like any other
+    path = tmp_path / "run.ini"
+    path.write_text("[frontend]\nnum_cepstra = 19\n")
+    with pytest.raises(ConfigError, match="num_cepstra"):
+        load_config(str(path))
+
+
 def test_dump_config_round_trip(tmp_path):
     cfg = load_config(None, overrides={("datagen", "num_speakers"): 33})
     text = dump_config(cfg)
