@@ -85,7 +85,10 @@ def fit_lda(vectors, labels, target_dim):
     eigvals, eigvecs = scipy.linalg.eigh(sb, sw_reg)
     w = eigvecs[:, ::-1][:, :target_dim]
     # renormalize against the unregularized scatter so W' Sw W has unit diagonal
-    scale = np.sqrt(np.einsum("ij,ik,kj->j", w, sw, w))
+    norm2 = np.einsum("ij,ik,kj->j", w, sw, w)
+    if not np.all(norm2 >= 0.0):   # negative by rounding: the column would be NaN
+        raise UsageError("LDA projection is not finite: near-singular within-class scatter")
+    scale = np.sqrt(norm2)
     scale[scale == 0.0] = 1.0
     return LdaTransform(mean=mean, projection=w / scale)
 

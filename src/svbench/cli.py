@@ -1,6 +1,5 @@
 """Command-line entry point: one binary, one subcommand per pipeline stage."""
 
-import dataclasses
 import os
 
 import click
@@ -20,6 +19,7 @@ from .evaluation import (build_conditions, compute_eer, emit_report,
                          read_score_file, read_segments_file, read_trial_file,
                          write_score_file, write_segments_file,
                          write_trial_file)
+from .frontend import FrontendConfig
 from .gradcheck import TOLERANCE, gradcheck_dvector, gradcheck_e2e, passed
 from .nn import TrainerConfig
 
@@ -90,19 +90,19 @@ def gen_data(ws):
 
 @main.command()
 @click.option("--manifest", required=True, type=click.Path(exists=True))
-@click.option("--cmvn/--no-cmvn", "apply_cmvn", default=True,
-              help="--no-cmvn skips utterance normalization (the e2e model "
-                   "pools over time, so the utterance mean is its main cue).")
+@click.option("--no-cmvn", is_flag=True,
+              help="Skip per-utterance CMVN (as [frontend] cmvn = none). Chosen here once, "
+                   "the choice travels with the features into the model and to scoring.")
 @click.option("--name", "dir_name", default="feats",
               help="Subdirectory of the output dir to write features into.")
 @click.pass_obj
-def featurize(ws, manifest, apply_cmvn, dir_name):
+def featurize(ws, manifest, no_cmvn, dir_name):
     """Extract fbank features for every utterance in a manifest."""
+    if no_cmvn:
+        ws.cfg["frontend"]["cmvn"] = "none"
     ws.prepare()
     entries = read_manifest(manifest)
-    fcfg = pipeline.make_frontend_config(ws.cfg)
-    if not apply_cmvn:
-        fcfg = dataclasses.replace(fcfg, cmvn_mode="none")
+    fcfg = from_sections(FrontendConfig, ws.cfg, "frontend", dither_seed=ws.seed)
     feats_dir = ws.path(dir_name)
     pipeline.featurize_entries(entries, fcfg, feats_dir)
     click.echo(f"featurized {len(entries)} utterances into {feats_dir}")
@@ -116,17 +116,17 @@ def cmd_train_dvector(ws, manifest, feats_dir):
     """Train the speaker-classifier network on per-frame labels."""
     ws.prepare()
     entries = read_manifest(manifest)
-    feats = pipeline.load_feature_dir(entries, feats_dir)
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
     utts, speakers = pipeline.labelled_utterances(entries, feats)
     cfg = from_sections(DVectorConfig, ws.cfg, "dvector",
-                        input_dim=ws.cfg["frontend"]["num_mel_bins"], num_speakers=len(speakers))
+                        input_dim=frontend["num_mel_bins"], num_speakers=len(speakers))
     tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", seed=ws.seed)
     log_path = ws.path("dvector_train.log")
     with open(log_path, "w") as log:
         log.write("epoch\tloss\taccuracy\tgrad_norm\tclipped_frac\n")
         net = train_dvector(utts, cfg, tcfg, log=lambda h: log.write(
             f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\t{h['grad_norm']!r}\t{h['clipped_frac']!r}\n"))
-    net.meta["speakers"] = speakers
+    net.meta.update(speakers=speakers, frontend=frontend)
     store.save_network(ws.path("dvector.svbf"), net, kind="dvector_net")
     click.echo(f"trained d-vector model on {len(speakers)} speakers -> {ws.path('dvector.svbf')}")
 
@@ -139,10 +139,10 @@ def cmd_train_e2e(ws, manifest, feats_dir):
     """Train the end-to-end embedding network and bilinear scorer."""
     ws.prepare()
     entries = read_manifest(manifest)
-    feats = pipeline.load_feature_dir(entries, feats_dir)
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
     corpus = pipeline.corpus_by_speaker(entries, feats)
     e = ws.cfg["e2e"]
-    cfg = from_sections(E2EConfig, ws.cfg, "e2e", input_dim=ws.cfg["frontend"]["num_mel_bins"])
+    cfg = from_sections(E2EConfig, ws.cfg, "e2e", input_dim=frontend["num_mel_bins"])
     n = e["pair_batch_n"]
     k = e["loss_k"] if e["loss_k"] > 0 else 1.0 / (n - 1)
     tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", "e2e", max_epochs=1, seed=ws.seed)
@@ -155,6 +155,7 @@ def cmd_train_e2e(ws, manifest, feats_dir):
             chunk_bounds=(e["chunk_min"], e["chunk_max"]),
             log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
                                     f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
+    net.meta["frontend"] = frontend
     store.save_e2e_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
 
@@ -169,20 +170,21 @@ def extract(ws, model, manifest, feats_dir, out_path):
     """Extract per-utterance d-vectors or embeddings."""
     ws.prepare()
     entries = sorted(read_manifest(manifest), key=lambda e: e.utt_id)
-    feats = pipeline.load_feature_dir(entries, feats_dir)
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
     kind, header, arrays = read_container(model)
     ids = [e.utt_id for e in entries]
     speakers = [e.speaker_id for e in entries]
     if kind == "dvector_net":
         net = store.build_network(model, header, arrays)
-        vecs = [pool_dvector(extract_frame_features(net, feats[u])) for u in ids]
-        store.save_vectors(out_path, "dvector", ids, speakers, np.array(vecs))
+        vector, vector_kind = lambda f: pool_dvector(extract_frame_features(net, f)), "dvector"
     elif kind == "e2e_model":
         net, _ = store.build_e2e_model(model, header, arrays)
-        vecs = [embed(net, feats[u]) for u in ids]
-        store.save_vectors(out_path, "embedding", ids, speakers, np.array(vecs))
+        vector, vector_kind = lambda f: embed(net, f), "embedding"
     else:
         _fail(f"{model}: unsupported model kind {kind!r}")
+    store.same_frontend(feats_dir, frontend, model, store._entry(model, net.meta, "frontend"))
+    vecs = [vector(feats[u]) for u in ids]
+    store.save_vectors(out_path, vector_kind, ids, speakers, np.array(vecs))
     click.echo(f"extracted {len(ids)} vectors -> {out_path}")
 
 
@@ -262,19 +264,11 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     entries = read_manifest(manifest)
     _check_sides(trial_items, enroll_segments, test_segments, entries,
                  trials_path, segments_path, manifest)
-    fcfg = pipeline.make_frontend_config(ws.cfg)
-    if system == "e2e":
-        # the e2e model is trained on un-normalized fbank (see featurize --no-cmvn)
-        fcfg = dataclasses.replace(fcfg, cmvn_mode="none")
     kwargs = {"seed": ws.seed}
-    enroll_frames = test_frames = {}
-    if system != "random":
-        enroll_frames, test_frames = pipeline.side_features(
-            (enroll_segments, test_segments), entries, fcfg)
     if system.startswith("dvector"):
         if model is None:
             _fail("--model (dvector_net file) is required for d-vector systems")
-        kwargs["dvector_net"] = store.load_network(model, kind="dvector_net")
+        net = kwargs["dvector_net"] = store.load_network(model, kind="dvector_net")
         if system == "dvector-lda":
             if backend is None:
                 _fail("--backend (lda file) is required")
@@ -286,7 +280,13 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     elif system == "e2e":
         if model is None:
             _fail("--model (e2e_model file) is required for the e2e system")
-        kwargs["e2e_net"], kwargs["e2e_scorer"] = store.load_e2e_model(model)
+        net, kwargs["e2e_scorer"] = store.load_e2e_model(model)
+        kwargs["e2e_net"] = net
+    enroll_frames = test_frames = {}
+    if system != "random":
+        fcfg = FrontendConfig(**store._entry(model, net.meta, "frontend"), dither_seed=ws.seed)
+        enroll_frames, test_frames = pipeline.side_features(
+            (enroll_segments, test_segments), entries, fcfg)
     records = pipeline.score_trials(system, trial_items, enroll_frames, test_frames, **kwargs)
     write_score_file(out_path, records)
     click.echo(f"scored {len(records)} trials -> {out_path}")

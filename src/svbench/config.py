@@ -91,7 +91,7 @@ def default_config():
 
 def _read_ini(path):
     """section -> key -> raw value; a malformed file is a ConfigError naming path:line."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # values are literal, as dumped
     try:
         with open(path) as f:
             parser.read_file(f)

@@ -5,7 +5,7 @@ filterbanks, spliced by each network's first time-delay layer.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,21 +23,23 @@ class FrontendConfig:
     pre_emphasis: float = 0.97
     dither: float = 0.0            # amplitude of added Gaussian noise
     dither_seed: int = 0           # run seed; noise is drawn per (seed, clip id, clip start)
-    cmvn_mode: str = "per-utterance"   # one of CMVN_MODES
+    cmvn: str = "per-utterance"    # one of CMVN_MODES
 
     def __post_init__(self):
         if not self.frame_length_ms >= self.frame_shift_ms > 0:
             raise UsageError("require frame_length_ms >= frame_shift_ms > 0")
-        if self.cmvn_mode not in CMVN_MODES:
+        if self.cmvn not in CMVN_MODES:
             raise ConfigError(f"[frontend] cmvn must be one of {', '.join(CMVN_MODES)}; "
-                              f"got {self.cmvn_mode!r}")
+                              f"got {self.cmvn!r}")
+
+    def record(self):
+        """Every field but dither_seed, keys sorted: the [frontend] that artifacts store."""
+        return {k: v for k, v in sorted(asdict(self).items()) if k != "dither_seed"}
 
 
 @dataclass
 class FeatureMatrix:
     frames: np.ndarray             # T x D
-    frame_period: float            # seconds per frame
-    kind: str                      # "fbank<num_mel_bins>", e.g. "fbank40"
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -45,14 +47,6 @@ class FeatureMatrix:
             raise UsageError("feature matrix must be T x D with T >= 1")
         if not np.all(np.isfinite(self.frames)):
             raise UsageError("feature matrix contains non-finite entries")
-
-    @property
-    def num_frames(self):
-        return self.frames.shape[0]
-
-    @property
-    def dim(self):
-        return self.frames.shape[1]
 
 
 def num_frames_for(num_samples, frame_len, frame_shift):
@@ -123,7 +117,7 @@ def compute_fbank(clip, cfg=None):
     spec = np.abs(np.fft.rfft(frames * _hamming(flen), fft_size)) ** 2
     fb = mel_filterbank(cfg.num_mel_bins, fft_size, clip.sample_rate)
     feats = np.log(np.maximum(spec @ fb.T, LOG_FLOOR))
-    return FeatureMatrix(feats, fshift / clip.sample_rate, f"fbank{cfg.num_mel_bins}")
+    return FeatureMatrix(feats)
 
 
 def cmvn(feat, eps=1e-10):
@@ -132,4 +126,4 @@ def cmvn(feat, eps=1e-10):
     mean = x.mean(axis=0)
     var = x.var(axis=0)
     scale = np.where(var > eps, 1.0 / np.sqrt(np.maximum(var, eps)), 1.0)
-    return FeatureMatrix((x - mean) * scale, feat.frame_period, feat.kind)
+    return FeatureMatrix((x - mean) * scale)

@@ -5,7 +5,7 @@ import numpy as np
 from .dvector import DVectorConfig, build_dvector_net
 from .e2e import (E2EConfig, E2ELossConfig, PairBatch, _batch_step,
                   build_e2e_net, pair_loss)
-from .nn import grad_check, softmax_xent
+from .nn import ReLU, grad_check, softmax_xent
 
 TOLERANCE = 1e-4
 
@@ -20,7 +20,6 @@ KINK_MARGIN = 5e-3             # min |pre-relu| required; FD is invalid at the k
 
 def _relu_margin(net, inputs):
     """Smallest |pre-activation| entering any rectifier over the inputs."""
-    from .nn import ReLU
     margin = np.inf
     for x in inputs:
         h = np.asarray(x, dtype=np.float64)
@@ -85,11 +84,6 @@ def gradcheck_e2e(seed=0, num_frames=20):
         return val
 
     return grad_check(params, loss, analytic, step=1e-5)
-
-
-def run_all(seed=0):
-    """{architecture: {param: max rel error}} for both models."""
-    return {"dvector": gradcheck_dvector(seed), "e2e": gradcheck_e2e(seed)}
 
 
 def passed(report, tolerance=TOLERANCE):

@@ -7,43 +7,44 @@ import numpy as np
 
 from .audio import AudioClip, read_wav
 from .backends import center_and_length_normalize, cosine_score
-from .config import from_sections
 from .dvector import extract_frame_features, pool_dvector
 from .e2e import embed
-from .errors import UsageError
-from .frontend import FrontendConfig, cmvn, compute_fbank
+from .errors import FormatError, UsageError
+from .frontend import cmvn, compute_fbank
 from . import store
-
-
-def make_frontend_config(cfg):
-    return from_sections(FrontendConfig, cfg, "frontend", cmvn_mode=cfg["frontend"]["cmvn"],
-                         dither_seed=cfg["run"]["seed"])
 
 
 def clip_features(clip, fcfg):
     """Fbank features with per-utterance CMVN (applied before any splicing)
-    unless `fcfg.cmvn_mode` is "none"."""
+    unless `fcfg.cmvn` is "none"."""
     feat = compute_fbank(clip, fcfg)
-    if fcfg.cmvn_mode == "per-utterance" and feat.num_frames >= 2:
+    if fcfg.cmvn == "per-utterance" and len(feat.frames) >= 2:
         feat = cmvn(feat)
     return feat
 
 
 def featurize_entries(entries, fcfg, feats_dir):
-    """Write one feature file per manifest entry into `feats_dir`."""
+    """Write one feature file per manifest entry, with its frontend record, into `feats_dir`."""
     os.makedirs(feats_dir, exist_ok=True)
     for e in entries:
         clip = read_wav(e.path, id=e.utt_id, speaker_id=e.speaker_id, gender=e.gender)
         store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"),
-                            clip_features(clip, fcfg))
+                            clip_features(clip, fcfg), fcfg.record())
 
 
 def load_feature_dir(entries, feats_dir):
-    """utt_id -> frame matrix, for the given manifest entries."""
-    feats = {}
+    """(utt_id -> frame matrix, frontend record) for the given manifest entries;
+    FormatError if there are none or they were not all made with one frontend."""
+    feats, first = {}, None
     for e in entries:
-        feats[e.utt_id] = store.load_features(os.path.join(feats_dir, f"{e.utt_id}.svbf")).frames
-    return feats
+        path = os.path.join(feats_dir, f"{e.utt_id}.svbf")
+        feat, record = store.load_features(path)
+        first = first or (path, record)
+        store.same_frontend(path, record, *first)
+        feats[e.utt_id] = feat.frames
+    if first is None:
+        raise FormatError(f"{feats_dir}: no features to load, the manifest is empty")
+    return feats, first[1]
 
 
 def labelled_utterances(entries, feats):

@@ -18,16 +18,24 @@ def _entry(path, table, key):
         raise FormatError(f"{path}: missing {key!r}") from None
 
 
-def save_features(path, feat):
-    write_container(path, "features",
-                    {"feature_kind": feat.kind, "frame_period": feat.frame_period},
+def same_frontend(path, record, other_path, other):
+    """FormatError naming both artifacts unless their frontend records agree."""
+    if record != other:
+        raise FormatError(f"{path} and {other_path} were made with different frontends: "
+                          f"{record} vs {other}")
+
+
+def save_features(path, feat, frontend):
+    """Features with the record of the frontend that made them."""
+    write_container(path, "features", {"frontend": frontend},
                     {"frames": feat.frames.astype(np.float32)})
 
 
 def load_features(path):
+    """(FeatureMatrix, frontend record) of a feature file."""
     _, header, arrays = read_container(path, expect_kind="features")
-    return FeatureMatrix(_entry(path, arrays, "frames").astype(np.float64),
-                         _entry(path, header, "frame_period"), _entry(path, header, "feature_kind"))
+    return (FeatureMatrix(_entry(path, arrays, "frames").astype(np.float64)),
+            _entry(path, header, "frontend"))
 
 
 def save_vectors(path, kind, ids, speakers, matrix):

@@ -120,6 +120,12 @@ def test_lda_target_dim_validation():
         fit_lda(x, np.zeros(len(x)), target_dim=1)
 
 
+def test_lda_rejects_non_finite_projection(rank_deficient_vectors):
+    x, labels = rank_deficient_vectors
+    with pytest.raises(UsageError, match="not finite"):
+        fit_lda(x, labels, target_dim=12)
+
+
 def _plda_data(rng, num_classes=200, per_class=10, dim=3):
     b_chol = np.array([[1.0, 0.0, 0.0], [0.3, 0.8, 0.0], [-0.2, 0.1, 0.6]])
     w_chol = 0.5 * np.eye(dim)

@@ -8,10 +8,11 @@ from svbench import cli, e2e, store
 from svbench.audio import read_wav
 from svbench.backends import LdaTransform, PldaModel
 from svbench.cli import main
+from svbench.config import dump_config, load_config
 from svbench.container import read_container, write_container
 from svbench.corpus import read_manifest
 from svbench.dvector import DVectorConfig, build_dvector_net
-from svbench.frontend import cmvn, compute_fbank
+from svbench.frontend import FrontendConfig, cmvn, compute_fbank
 
 CONFIG = """
 [run]
@@ -230,10 +231,13 @@ def test_featurize_fbank(tiny_run):
             "--no-cmvn", "--name", "fbank_raw")
     for e in read_manifest(manifest):
         raw = compute_fbank(read_wav(e.path))
-        normed = store.load_features(os.path.join(out, "fbank", f"{e.utt_id}.svbf"))
-        unnormed = store.load_features(os.path.join(out, "fbank_raw", f"{e.utt_id}.svbf"))
-        assert normed.kind == unnormed.kind == "fbank40"
-        assert normed.frames.shape == unnormed.frames.shape == (raw.num_frames, 40)
+        normed, normed_frontend = store.load_features(
+            os.path.join(out, "fbank", f"{e.utt_id}.svbf"))
+        unnormed, unnormed_frontend = store.load_features(
+            os.path.join(out, "fbank_raw", f"{e.utt_id}.svbf"))
+        assert normed_frontend == FrontendConfig().record()
+        assert unnormed_frontend == FrontendConfig(cmvn="none").record()
+        assert normed.frames.shape == unnormed.frames.shape == (len(raw.frames), 40)
         # feature files store float32
         np.testing.assert_array_equal(unnormed.frames, raw.frames.astype(np.float32))
         np.testing.assert_array_equal(normed.frames, cmvn(raw).frames.astype(np.float32))
@@ -242,11 +246,12 @@ def test_featurize_fbank(tiny_run):
 
 def test_featurize_rejects_removed_option(tiny_run):
     runner, config, out = tiny_run
-    result = runner.invoke(main, ["--config", config, "--out-dir", out, "featurize",
-                                  "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                                  "--feature-type", "fbank"])
-    assert result.exit_code == 2
-    assert "--feature-type" in result.output
+    for option in (["--feature-type", "fbank"], ["--cmvn"]):
+        result = runner.invoke(main, ["--config", config, "--out-dir", out, "featurize",
+                                      "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                                      *option])
+        assert result.exit_code == 2
+        assert option[0] in result.output
 
 
 def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch):
@@ -270,14 +275,28 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     assert set(lengths) == {60}
 
 
+def _with_frontend(net, cmvn="none"):
+    """A hand-built model carrying the frontend record of tiny_run's raw fbank
+    (or, with cmvn="per-utterance", of CMVN fbank)."""
+    net.meta["frontend"] = FrontendConfig(cmvn=cmvn).record()
+    return net
+
+
+def _tiny_dvector(cmvn="none"):
+    return _with_frontend(build_dvector_net(DVectorConfig(
+        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)), cmvn)
+
+
+def _tiny_e2e(cmvn="none"):
+    net, scorer = e2e.build_e2e_net(e2e.E2EConfig(lift_dim=8, nin_hidden=8, nin_out=8,
+                                                  pre_pool_dim=8, embedding_dim=8))
+    return _with_frontend(net, cmvn), scorer
+
+
 def test_extract_reads_model_once(tiny_run, tmp_path, monkeypatch):
     runner, config, out = tiny_run
-    store.save_network(str(tmp_path / "dvector.svbf"), build_dvector_net(DVectorConfig(
-        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)),
-        kind="dvector_net")
-    enet, scorer = e2e.build_e2e_net(e2e.E2EConfig(lift_dim=8, nin_hidden=8, nin_out=8,
-                                                   pre_pool_dim=8, embedding_dim=8))
-    store.save_e2e_model(str(tmp_path / "e2e.svbf"), enet, scorer)
+    store.save_network(str(tmp_path / "dvector.svbf"), _tiny_dvector(), kind="dvector_net")
+    store.save_e2e_model(str(tmp_path / "e2e.svbf"), *_tiny_e2e())
     reads = []
     for module in (cli, store):
         def counting(path, *args, _read=module.read_container, **kwargs):
@@ -297,9 +316,7 @@ def test_extract_reads_model_once(tiny_run, tmp_path, monkeypatch):
 def test_extract_names_model_missing_an_array(tiny_run, tmp_path):
     runner, config, out = tiny_run
     model = str(tmp_path / "dvector.svbf")
-    store.save_network(model, build_dvector_net(DVectorConfig(
-        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)),
-        kind="dvector_net")
+    store.save_network(model, _tiny_dvector(), kind="dvector_net")
     kind, header, arrays = read_container(model)
     del arrays["l2.W"]
     write_container(model, kind, header, arrays)
@@ -377,11 +394,8 @@ def score_models(tmp_path_factory):
     base = tmp_path_factory.mktemp("models")
     dvector, e2e_model = str(base / "dvector.svbf"), str(base / "e2e.svbf")
     lda, plda = str(base / "lda.svbf"), str(base / "plda.svbf")
-    store.save_network(dvector, build_dvector_net(DVectorConfig(
-        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)),
-        kind="dvector_net")
-    store.save_e2e_model(e2e_model, *e2e.build_e2e_net(e2e.E2EConfig(
-        lift_dim=8, nin_hidden=8, nin_out=8, pre_pool_dim=8, embedding_dim=8)))
+    store.save_network(dvector, _tiny_dvector(), kind="dvector_net")
+    store.save_e2e_model(e2e_model, *_tiny_e2e())
     store.save_lda(lda, LdaTransform(mean=np.zeros(8), projection=np.eye(8)[:, :3]))
     store.save_plda(plda, PldaModel(np.zeros(8), np.eye(8), np.eye(8)), np.zeros(8))
     return {"dvector-cosine": ["--model", dvector],
@@ -420,3 +434,124 @@ def test_score_names_side_missing_from_segments_or_manifest(tiny_run, score_mode
         ghost = enroll_id if missing == "enroll side" else test_id
         assert f"{segments}: no {missing} {ghost!r}" in result.output
     assert not os.path.exists(tmp_path / "scores.tsv")
+
+
+TINY_DVECTOR = """
+[dvector]
+conv_dim = 8
+bottleneck_dim = 8
+td_dim = 8
+feature_dim = 8
+
+[trainer]
+max_epochs = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def raw_models(tiny_run, tmp_path_factory):
+    """d-vector and e2e models trained on tiny_run's --no-cmvn fbank; {system: model path}."""
+    runner, _, out = tiny_run
+    base = tmp_path_factory.mktemp("raw_models")
+    config = _write(base / "run.ini", TINY_CONFIG + TINY_DVECTOR)
+    for command in ("train-dvector", "train-e2e"):
+        _invoke(runner, config, str(base), command,
+                "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                "--features", os.path.join(out, "feats_raw"))
+    return {"dvector": str(base / "dvector.svbf"), "e2e": str(base / "e2e.svbf")}
+
+
+def _one_trial(tmp_path, manifest):
+    """(trials, segments) for one C(1-1) trial between the manifest's first two utterances."""
+    a, b = read_manifest(manifest)[:2]
+    segments = _write(tmp_path / "segments.tsv", "".join([
+        "#condition\tC(1-1)\t1\t1\n",
+        f"enroll\tspk-enroll\t{a.speaker_id}\t{a.gender}\t{a.utt_id}\t0.000000\t1.000000\n",
+        f"test\t{b.utt_id}\t{b.speaker_id}\t{b.gender}\t{b.utt_id}\t0.000000\t1.000000\n"]))
+    return _write(tmp_path / "trials.tsv", f"spk-enroll\t{b.utt_id}\tnontarget\n"), segments
+
+
+@pytest.mark.parametrize("frontend, settings", [("", {}), ("num_mel_bins = 24\ncmvn = none\n",
+                                                          {"num_mel_bins": 24, "cmvn": "none"})],
+                         ids=["cmvn", "width"])
+def test_extract_rejects_features_of_another_frontend(tiny_run, raw_models, tmp_path,
+                                                      frontend, settings):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    _invoke(runner, _write(tmp_path / "run.ini", TINY_CONFIG + "[frontend]\n" + frontend),
+            str(tmp_path), "featurize", "--manifest", manifest)
+    feats, vectors = str(tmp_path / "feats"), str(tmp_path / "vectors.svbf")
+    for model in raw_models.values():
+        _invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
+                manifest, "--features", os.path.join(out, "feats_raw"), "--out", vectors)
+        os.remove(vectors)
+        result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "extract",
+                                      "--model", model, "--manifest", manifest,
+                                      "--features", feats, "--out", vectors])
+        assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert (f"{feats} and {model} were made with different frontends: "
+                f"{FrontendConfig(**settings).record()} vs {FrontendConfig(cmvn='none').record()}"
+                in result.output)
+        assert not os.path.exists(vectors)
+
+
+def test_scoring_applies_the_models_cmvn(tiny_run, raw_models, tmp_path, monkeypatch):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    trials, segments = _one_trial(tmp_path, manifest)
+    cmvn_model = str(tmp_path / "cmvn_dvector.svbf")
+    store.save_network(cmvn_model, _tiny_dvector("per-utterance"), kind="dvector_net")
+    normalized = []
+    monkeypatch.setattr(cli.pipeline, "cmvn", lambda feat: normalized.append(feat) or cmvn(feat))
+    for system, model, cmvn_calls in (("dvector-cosine", raw_models["dvector"], 0),
+                                      ("e2e", raw_models["e2e"], 0),
+                                      ("dvector-cosine", cmvn_model, 2)):
+        normalized.clear()
+        _invoke(runner, config, str(tmp_path), "score", "--system", system, "--model", model,
+                "--trials", trials, "--segments", segments, "--manifest", manifest,
+                "--out", str(tmp_path / "scores.tsv"))
+        assert len(normalized) == cmvn_calls, (system, model)
+
+
+def test_model_without_frontend_record_is_rejected(tiny_run, tmp_path):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    trials, segments = _one_trial(tmp_path, manifest)
+    model = str(tmp_path / "dvector.svbf")
+    net = _tiny_dvector()
+    del net.meta["frontend"]
+    store.save_network(model, net, kind="dvector_net")
+    for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats_raw")],
+                 ["score", "--system", "dvector-cosine", "--trials", trials,
+                  "--segments", segments, "--manifest", manifest]):
+        result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), *args,
+                                      "--model", model, "--out", str(tmp_path / "out.svbf")])
+        assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
+        assert f"{model}: missing 'frontend'" in result.output
+        assert not os.path.exists(tmp_path / "out.svbf")
+
+
+def test_fit_backend_rejects_non_finite_lda(rank_deficient_vectors, tmp_path):
+    x, labels = rank_deficient_vectors
+    vectors, lda = str(tmp_path / "vectors.svbf"), str(tmp_path / "lda.svbf")
+    store.save_vectors(vectors, "dvector", [f"u{i}" for i in range(len(x))],
+                       [f"s{label}" for label in labels], x)
+    result = CliRunner().invoke(main, [
+        "--config", _write(tmp_path / "run.ini", "[backends]\nlda_dim = 12\n"),
+        "--out-dir", str(tmp_path / "out"),
+        "fit-backend", "--vectors", vectors, "--kind", "lda", "--out", lda])
+    assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
+    assert "LDA projection is not finite" in result.output
+    assert not os.path.exists(lda)
+
+
+def test_resolved_config_with_percent_in_out_dir_loads_back(tmp_path):
+    out = str(tmp_path / "runs" / "50%")
+    scores = _write(tmp_path / "scores.tsv", "e1\tt1\t0.9\ttarget\ne1\tt2\t0.1\tnontarget\n")
+    _invoke(CliRunner(), _write(tmp_path / "run.ini", "[run]\nseed = 3\n"), out, "eval", scores)
+    resolved = os.path.join(out, "config.resolved.ini")
+    cfg = load_config(resolved)
+    assert cfg["run"]["out_dir"] == out
+    with open(resolved) as f:
+        assert dump_config(cfg) == f.read()

@@ -3,26 +3,43 @@ import re
 import numpy as np
 import pytest
 
-from svbench import store
+from svbench import pipeline, store
 from svbench.backends import LdaTransform, PldaModel
 from svbench.container import read_container, write_container
 from svbench.config import default_config, dump_config, load_config
+from svbench.corpus import ManifestEntry
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.e2e import E2EConfig, build_e2e_net
 from svbench.errors import ConfigError, FormatError
-from svbench.frontend import FeatureMatrix
+from svbench.frontend import FeatureMatrix, FrontendConfig
 
 
 def test_features_round_trip(tmp_path):
-    feat = FeatureMatrix(np.random.default_rng(0).standard_normal((12, 5)),
-                         0.01, "fbank5")
+    feat = FeatureMatrix(np.random.default_rng(0).standard_normal((12, 5)))
+    frontend = FrontendConfig(num_mel_bins=5, cmvn="none", dither=0.5).record()
     path = tmp_path / "f.svbf"
-    store.save_features(str(path), feat)
-    again = store.load_features(str(path))
+    store.save_features(str(path), feat, frontend)
+    again, again_frontend = store.load_features(str(path))
     # feature files store float32
     np.testing.assert_array_equal(again.frames, feat.frames.astype(np.float32))
-    assert again.kind == feat.kind
-    assert again.frame_period == feat.frame_period
+    assert again_frontend == frontend
+
+
+def test_load_feature_dir_needs_one_frontend(tmp_path):
+    feat = FeatureMatrix(np.random.default_rng(0).standard_normal((12, 5)))
+    entries = [ManifestEntry(utt, "s1", "female", f"{utt}.wav", 1.0) for utt in ("u1", "u2")]
+    for e, cmvn in zip(entries, ("per-utterance", "none")):
+        store.save_features(str(tmp_path / f"{e.utt_id}.svbf"), feat,
+                            FrontendConfig(cmvn=cmvn).record())
+    feats, frontend = pipeline.load_feature_dir(entries[:1], str(tmp_path))
+    assert list(feats) == ["u1"] and frontend == FrontendConfig().record()
+    with pytest.raises(FormatError, match="the manifest is empty"):
+        pipeline.load_feature_dir([], str(tmp_path))
+    with pytest.raises(FormatError) as err:
+        pipeline.load_feature_dir(entries, str(tmp_path))
+    assert str(err.value) == (f"{tmp_path / 'u2.svbf'} and {tmp_path / 'u1.svbf'} were made "
+                              f"with different frontends: {FrontendConfig(cmvn='none').record()} "
+                              f"vs {FrontendConfig().record()}")
 
 
 def test_vectors_round_trip(tmp_path):
@@ -156,6 +173,17 @@ def test_config_rejects_removed_frontend_key(tmp_path):
         load_config(str(path))
 
 
+def test_config_values_with_percent_round_trip(tmp_path):
+    # values are literal: no %-interpolation on load, none needed on dump
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nout_dir = runs/50%\n\n[datagen]\nnum_speakers = 12\n")
+    cfg = load_config(str(path))
+    assert cfg["run"]["out_dir"] == "runs/50%"
+    dump = tmp_path / "dump.ini"
+    dump.write_text(dump_config(cfg))
+    assert load_config(str(dump)) == cfg
+
+
 def test_dump_config_round_trip(tmp_path):
     cfg = load_config(None, overrides={("datagen", "num_speakers"): 33})
     text = dump_config(cfg)
@@ -208,9 +236,12 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
 
 
 def _saved_artifacts(tmp_path):
-    """{name: (path, loader)} for a saved vector set, LDA, PLDA and e2e model."""
+    """{name: (path, loader)} for saved features, a vector set, LDA, PLDA and e2e model."""
     rng = np.random.default_rng(9)
-    paths = {name: str(tmp_path / f"{name}.svbf") for name in ("vectors", "lda", "plda", "e2e")}
+    paths = {name: str(tmp_path / f"{name}.svbf")
+             for name in ("features", "vectors", "lda", "plda", "e2e")}
+    store.save_features(paths["features"], FeatureMatrix(rng.standard_normal((4, 3))),
+                        FrontendConfig().record())
     store.save_vectors(paths["vectors"], "dvector", ["u1", "u2"], ["s1", "s2"],
                        rng.standard_normal((2, 3)))
     store.save_lda(paths["lda"], LdaTransform(mean=rng.standard_normal(3),
@@ -219,12 +250,13 @@ def _saved_artifacts(tmp_path):
     net, scorer = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
                                           pre_pool_dim=10, embedding_dim=16))
     store.save_e2e_model(paths["e2e"], net, scorer)
-    loaders = {"vectors": store.load_vectors, "lda": store.load_lda,
-               "plda": store.load_plda, "e2e": store.load_e2e_model}
+    loaders = {"features": store.load_features, "vectors": store.load_vectors,
+               "lda": store.load_lda, "plda": store.load_plda, "e2e": store.load_e2e_model}
     return {name: (paths[name], loaders[name]) for name in paths}
 
 
 @pytest.mark.parametrize("artifact, part, key", [
+    ("features", "header", "frontend"), ("features", "arrays", "frames"),
     ("vectors", "header", "ids"), ("vectors", "header", "speakers"),
     ("vectors", "arrays", "vectors"),
     ("lda", "arrays", "mean"), ("lda", "arrays", "projection"),
