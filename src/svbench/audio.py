@@ -27,10 +27,10 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-def read_wav(path, id="", speaker_id="", gender=""):
+def read_wav(path, id=""):
     """Read a mono 16-bit PCM WAV file into an AudioClip.
 
-    Samples are scaled by 2^15 into [-1, 1].
+    Samples are scaled by 2^15 into [-1, 1]; `id` names the clip (it seeds its dither).
     """
     try:
         with wave.open(str(path), "rb") as w:
@@ -43,7 +43,7 @@ def read_wav(path, id="", speaker_id="", gender=""):
     except wave.Error as e:
         raise FormatError(f"{path}: malformed WAV ({e})") from e
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioClip(samples=samples, sample_rate=rate, id=id, speaker_id=speaker_id, gender=gender)
+    return AudioClip(samples=samples, sample_rate=rate, id=id)
 
 
 def write_wav(path, clip):

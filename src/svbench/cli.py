@@ -7,12 +7,12 @@ import numpy as np
 
 from . import pipeline, store
 from .backends import center_and_length_normalize, fit_lda, fit_plda
-from .container import read_container
+from .container import read_container   # unused here; perfbench/tracing.py patches it
 from .config import dump_config, from_sections, load_config
 from .corpus import read_manifest, split_train_eval, write_manifest
 from .datagen import SyntheticSpec, generate_corpus
-from .dvector import (DVectorConfig, extract_frame_features, pool_dvector,
-                      train_dvector)
+# extract_frame_features and embed are unused here; perfbench/tracing.py patches them
+from .dvector import DVectorConfig, extract_frame_features, train_dvector
 from .e2e import E2EConfig, E2ELossConfig, embed, train_e2e
 from .errors import FormatError, SvbenchError
 from .evaluation import (build_conditions, compute_eer, emit_report,
@@ -64,10 +64,6 @@ def main(ctx, config_path, seed, out_dir):
     if out_dir is not None:
         overrides[("run", "out_dir")] = out_dir
     ctx.obj = Workspace(load_config(config_path, overrides))
-
-
-def _fail(message):
-    raise click.ClickException(message)
 
 
 @main.command("gen-data")
@@ -170,21 +166,13 @@ def extract(ws, model, manifest, feats_dir, out_path):
     """Extract per-utterance d-vectors or embeddings."""
     ws.prepare()
     entries = sorted(read_manifest(manifest), key=lambda e: e.utt_id)
+    net, _ = store.load_model(model)
     feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
-    kind, header, arrays = read_container(model)
+    store.same_frontend(feats_dir, frontend, model, net.meta["frontend"])
     ids = [e.utt_id for e in entries]
-    speakers = [e.speaker_id for e in entries]
-    if kind == "dvector_net":
-        net = store.build_network(model, header, arrays)
-        vector, vector_kind = lambda f: pool_dvector(extract_frame_features(net, f)), "dvector"
-    elif kind == "e2e_model":
-        net, _ = store.build_e2e_model(model, header, arrays)
-        vector, vector_kind = lambda f: embed(net, f), "embedding"
-    else:
-        _fail(f"{model}: unsupported model kind {kind!r}")
-    store.same_frontend(feats_dir, frontend, model, store._entry(model, net.meta, "frontend"))
-    vecs = [vector(feats[u]) for u in ids]
-    store.save_vectors(out_path, vector_kind, ids, speakers, np.array(vecs))
+    vecs = [pipeline.utterance_vector(net, feats[u]) for u in ids]
+    store.save_vectors(out_path, "embedding" if net.meta["model"] == "e2e" else "dvector",
+                       ids, [e.speaker_id for e in entries], np.array(vecs))
     click.echo(f"extracted {len(ids)} vectors -> {out_path}")
 
 
@@ -246,9 +234,7 @@ def _check_sides(trial_items, enroll_segments, test_segments, entries,
 
 
 @main.command()
-@click.option("--system", required=True,
-              type=click.Choice(["dvector-cosine", "dvector-lda", "dvector-plda",
-                                 "e2e", "random"]))
+@click.option("--system", required=True, type=click.Choice(pipeline.SYSTEMS))
 @click.option("--trials", "trials_path", required=True, type=click.Path(exists=True))
 @click.option("--segments", "segments_path", required=True, type=click.Path(exists=True))
 @click.option("--manifest", required=True, type=click.Path(exists=True))
@@ -264,30 +250,15 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     entries = read_manifest(manifest)
     _check_sides(trial_items, enroll_segments, test_segments, entries,
                  trials_path, segments_path, manifest)
-    kwargs = {"seed": ws.seed}
-    if system.startswith("dvector"):
-        if model is None:
-            _fail("--model (dvector_net file) is required for d-vector systems")
-        net = kwargs["dvector_net"] = store.load_network(model, kind="dvector_net")
-        if system == "dvector-lda":
-            if backend is None:
-                _fail("--backend (lda file) is required")
-            kwargs["lda"] = store.load_lda(backend)
-        elif system == "dvector-plda":
-            if backend is None:
-                _fail("--backend (plda file) is required")
-            kwargs["plda"], kwargs["plda_center"] = store.load_plda(backend)
-    elif system == "e2e":
-        if model is None:
-            _fail("--model (e2e_model file) is required for the e2e system")
-        net, kwargs["e2e_scorer"] = store.load_e2e_model(model)
-        kwargs["e2e_net"] = net
-    enroll_frames = test_frames = {}
-    if system != "random":
-        fcfg = FrontendConfig(**store._entry(model, net.meta, "frontend"), dither_seed=ws.seed)
-        enroll_frames, test_frames = pipeline.side_features(
-            (enroll_segments, test_segments), entries, fcfg)
-    records = pipeline.score_trials(system, trial_items, enroll_frames, test_frames, **kwargs)
+    net, scorer = store.load_model(model) if model else (None, None)
+    backend_args = store.load_backend(backend) if backend else {}
+
+    def side_frames():
+        fcfg = FrontendConfig(**net.meta["frontend"], dither_seed=ws.seed)
+        return pipeline.side_features((enroll_segments, test_segments), entries, fcfg)
+
+    records = pipeline.score_trials(system, trial_items, side_frames, net=net, scorer=scorer,
+                                    seed=ws.seed, **backend_args)
     write_score_file(out_path, records)
     click.echo(f"scored {len(records)} trials -> {out_path}")
 
@@ -314,11 +285,11 @@ def cmd_eval(ws, score_specs):
         system, scoring, condition = parts[:3]
         records = read_score_file(path)
         if not records:
-            _fail(f"{path}: no trials")
+            raise click.ClickException(f"{path}: no trials")
         try:
             report = compute_eer([r[2] for r in records], [r[3] for r in records])
         except SvbenchError as e:
-            _fail(f"{path}: {e}")
+            raise click.ClickException(f"{path}: {e}")
         results.setdefault((system, scoring), {})[condition] = report
     table, tsv = emit_report(results)
     with open(ws.path("report.txt"), "w") as f:
@@ -345,7 +316,7 @@ def cmd_gradcheck(ws, arch):
         for param in sorted(per):
             click.echo(f"  {param}: {per[param]:.3e}")
     if not passed(reports):
-        _fail(f"gradient check exceeded tolerance {TOLERANCE}")
+        raise click.ClickException(f"gradient check exceeded tolerance {TOLERANCE}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ CHUNK_LEN_MAX = 300
 # smaller corpus): the post-pool layers are calibrated on its pooled chunks,
 # and a small batch misjudges their spread over the rest of the corpus.
 CALIBRATION_SPEAKERS = 64
+EMBEDDING_SCALE = 0.3         # calibrate_network's extra shrink of the last affine
 
 
 @dataclass
@@ -143,7 +144,7 @@ def build_e2e_net(cfg, seed=0):
     return net, BilinearScorer(cfg.embedding_dim)
 
 
-def calibrate_network(net, sample_chunks, embedding_scale=0.3):
+def calibrate_network(net, sample_chunks):
     """Data-dependent init: center and unit-scale every affine's outputs.
 
     A deep rectifier stack under plain fan-based init collapses the
@@ -152,7 +153,7 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
     affine on sample data keeps per-unit activations zero-mean and
     unit-variance so pair training has signal from the start.
 
-    The last affine is additionally shrunk by `embedding_scale`: with
+    The last affine is additionally shrunk by EMBEDDING_SCALE: with
     unit-variance embeddings the bilinear logits start out saturated
     (spread ~ sqrt(dim)), and the only cheap descent direction from there
     is shrinking all embeddings to the zero-logit fixed point, where
@@ -173,8 +174,8 @@ def calibrate_network(net, sample_chunks, embedding_scale=0.3):
             layer.b[...] = (layer.b - z.mean(axis=0)) / std
         if i < last:
             h, _, lengths = run_layer(layer, h, lengths)
-    net.layers[last].W *= embedding_scale
-    net.layers[last].b *= embedding_scale
+    net.layers[last].W *= EMBEDDING_SCALE
+    net.layers[last].b *= EMBEDDING_SCALE
     return net
 
 

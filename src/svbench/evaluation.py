@@ -46,7 +46,7 @@ class TrialList:
     test_segments: dict = field(default_factory=dict)     # test_id -> Segment
 
 
-def build_conditions(entries, enroll_secs, test_secs, condition=None):
+def build_conditions(entries, enroll_secs, test_secs):
     """Build a gender-matched trial list from an evaluation manifest.
 
     Enrollment per speaker concatenates its first utterances up to
@@ -54,7 +54,7 @@ def build_conditions(entries, enroll_secs, test_secs, condition=None):
     test_secs. Speakers lacking material for enrollment plus one test are
     excluded with a warning.
     """
-    condition = condition or f"C({enroll_secs:g}-{test_secs:g})"
+    condition = f"C({enroll_secs:g}-{test_secs:g})"
     by_speaker = {}
     for e in entries:
         by_speaker.setdefault(e.speaker_id, []).append(e)

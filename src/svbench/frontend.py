@@ -12,6 +12,8 @@ import numpy as np
 from .errors import ConfigError, UsageError
 
 LOG_FLOOR = 1e-10
+VAR_FLOOR = 1e-10             # cmvn leaves dimensions of lower variance unscaled
+MEL_LOW_HZ = 20.0             # lowest mel filter edge; the highest is the Nyquist frequency
 CMVN_MODES = ("per-utterance", "none")
 
 
@@ -75,14 +77,12 @@ def inverse_mel_scale(mel):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(num_bins, fft_size, sample_rate, low_hz=20.0, high_hz=None):
-    """Triangular mel filters over the positive FFT bins; (num_bins, fft_size//2+1).
-
-    Built once per argument tuple and shared read-only.
+def mel_filterbank(num_bins, fft_size, sample_rate):
+    """Triangular mel filters from MEL_LOW_HZ to Nyquist over the positive FFT
+    bins; (num_bins, fft_size//2+1). Built once per argument tuple and shared read-only.
     """
-    if high_hz is None:
-        high_hz = sample_rate / 2.0
-    edges = inverse_mel_scale(np.linspace(mel_scale(low_hz), mel_scale(high_hz), num_bins + 2))
+    edges = inverse_mel_scale(np.linspace(mel_scale(MEL_LOW_HZ), mel_scale(sample_rate / 2.0),
+                                          num_bins + 2))
     bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     fb = np.zeros((num_bins, len(bin_hz)))
     for i in range(num_bins):
@@ -120,10 +120,10 @@ def compute_fbank(clip, cfg=None):
     return FeatureMatrix(feats)
 
 
-def cmvn(feat, eps=1e-10):
-    """Per-utterance mean subtraction; unit variance where variance > eps."""
+def cmvn(feat):
+    """Per-utterance mean subtraction; unit variance where variance > VAR_FLOOR."""
     x = feat.frames
     mean = x.mean(axis=0)
     var = x.var(axis=0)
-    scale = np.where(var > eps, 1.0 / np.sqrt(np.maximum(var, eps)), 1.0)
+    scale = np.where(var > VAR_FLOOR, 1.0 / np.sqrt(np.maximum(var, VAR_FLOOR)), 1.0)
     return FeatureMatrix((x - mean) * scale)

@@ -8,6 +8,8 @@ from .e2e import (E2EConfig, E2ELossConfig, PairBatch, _batch_step,
 from .nn import ReLU, grad_check, softmax_xent
 
 TOLERANCE = 1e-4
+DVECTOR_FRAMES = 25            # frames of the one utterance the d-vector check runs
+E2E_CHUNK_FRAMES = 20          # frames of each of the e2e check's four chunks
 
 REDUCED_DVECTOR = dict(input_dim=8, conv_dim=16, bottleneck_dim=12,
                        td_dim=16, feature_dim=16, num_speakers=5)
@@ -30,7 +32,7 @@ def _relu_margin(net, inputs):
     return margin
 
 
-def gradcheck_dvector(seed=0, num_frames=25):
+def gradcheck_dvector(seed=0):
     """Max relative FD error per parameter of the d-vector classifier."""
     cfg = DVectorConfig(**REDUCED_DVECTOR)
     # pick a random instance clear of relu kinks, where central differences
@@ -38,10 +40,10 @@ def gradcheck_dvector(seed=0, num_frames=25):
     for attempt in range(100):
         net = build_dvector_net(cfg, seed=seed + 1000 * attempt)
         rng = np.random.default_rng(seed + 1000 * attempt + 10)
-        x = rng.standard_normal((num_frames, cfg.input_dim))
+        x = rng.standard_normal((DVECTOR_FRAMES, cfg.input_dim))
         if _relu_margin(net, [x]) > KINK_MARGIN:
             break
-    labels = rng.integers(0, cfg.num_speakers, size=num_frames)
+    labels = rng.integers(0, cfg.num_speakers, size=DVECTOR_FRAMES)
 
     logits, caches = net.forward(x)
     _, grad = softmax_xent(logits, labels)
@@ -55,13 +57,13 @@ def gradcheck_dvector(seed=0, num_frames=25):
     return grad_check(net.param_map(), loss, analytic, step=1e-5)
 
 
-def gradcheck_e2e(seed=0, num_frames=20):
+def gradcheck_e2e(seed=0):
     """Max relative FD error per parameter of the e2e net plus bilinear scorer."""
     cfg = E2EConfig(**REDUCED_E2E)
     for attempt in range(100):
         net, scorer = build_e2e_net(cfg, seed=seed + 1000 * attempt)
         rng = np.random.default_rng(seed + 1000 * attempt + 20)
-        chunks = [rng.standard_normal((num_frames, cfg.input_dim)) for _ in range(4)]
+        chunks = [rng.standard_normal((E2E_CHUNK_FRAMES, cfg.input_dim)) for _ in range(4)]
         if _relu_margin(net, chunks) > KINK_MARGIN:
             break
     # seed the scorer away from zero so its gradients are exercised
@@ -86,5 +88,5 @@ def gradcheck_e2e(seed=0, num_frames=20):
     return grad_check(params, loss, analytic, step=1e-5)
 
 
-def passed(report, tolerance=TOLERANCE):
-    return all(err < tolerance for per in report.values() for err in per.values())
+def passed(report):
+    return all(err < TOLERANCE for per in report.values() for err in per.values())

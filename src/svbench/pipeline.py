@@ -27,7 +27,7 @@ def featurize_entries(entries, fcfg, feats_dir):
     """Write one feature file per manifest entry, with its frontend record, into `feats_dir`."""
     os.makedirs(feats_dir, exist_ok=True)
     for e in entries:
-        clip = read_wav(e.path, id=e.utt_id, speaker_id=e.speaker_id, gender=e.gender)
+        clip = read_wav(e.path, id=e.utt_id)
         store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"),
                             clip_features(clip, fcfg), fcfg.record())
 
@@ -96,49 +96,54 @@ def side_features(trial_list_sides, entries, fcfg):
     return enroll, test
 
 
-def score_trials(system, trials, enroll_frames, test_frames, *,
-                 dvector_net=None, e2e_net=None, e2e_scorer=None,
+SYSTEMS = ("dvector-cosine", "dvector-lda", "dvector-plda", "e2e", "random")
+
+
+def utterance_vector(net, frames):
+    """The vector of one T x D feature matrix under a trained net: its embedding
+    under an e2e net, its d-vector under a d-vector net."""
+    return embed(net, frames) if net.meta["model"] == "e2e" else dvector_of(net, frames)
+
+
+def score_trials(system, trials, side_frames, *, net=None, scorer=None,
                  lda=None, plda=None, plda_center=None, seed=0):
     """Score every trial with one system; returns (enroll, test, score, label) records.
 
-    Systems: dvector-cosine, dvector-lda, dvector-plda, e2e, random. Every
-    side in `enroll_frames` and `test_frames` is embedded once, into an enroll
-    matrix E and a test matrix T. Each per-side transform (LDA projection,
-    PLDA centering and length normalization, cosine row normalization) runs
-    once on E and once on T, the system's scorer takes the whole
-    (enroll x test) grid with matrix products, and each trial reads its entry
-    from the grid. `random` draws one uniform score per trial, in trial order.
+    A system of SYSTEMS needs a trained net of its family (e2e: with its
+    bilinear `scorer`), then dvector-lda or dvector-plda its back-end; a
+    UsageError names what is missing before `side_frames()` is called for the
+    (enroll, test) dicts of side id -> T x D frames. Every side is embedded
+    once, each per-side transform runs once on the enroll and once on the
+    test matrix, and one scorer call fills the (enroll x test) grid that each
+    trial reads its score from. `random` draws one uniform score per trial.
     """
+    if system not in SYSTEMS:
+        raise UsageError(f"unknown system {system!r}")
     if system == "random":
         scores = np.random.default_rng(seed).uniform(-1, 1, len(trials))
         return [(t.enroll_id, t.test_id, float(s), t.label) for t, s in zip(trials, scores)]
 
+    family = "e2e" if system == "e2e" else "dvector"
+    if net is None or net.meta["model"] != family or (family == "e2e" and scorer is None):
+        raise UsageError(f"system {system!r} needs a trained {family} model as --model")
     if system == "e2e":
-        if e2e_net is None or e2e_scorer is None:
-            raise UsageError("e2e scoring needs the trained e2e model")
-        side_vector = lambda f: embed(e2e_net, f)
-        grid_of = e2e_scorer.score
+        grid_of = scorer.score
+    elif system == "dvector-cosine":
+        grid_of = cosine_score
+    elif system == "dvector-lda":
+        if lda is None:
+            raise UsageError("system 'dvector-lda' needs a fitted LDA back-end as --backend")
+        grid_of = lambda e, t: cosine_score(lda.transform(e), lda.transform(t))
     else:
-        if dvector_net is None:
-            raise UsageError(f"system {system!r} needs the trained d-vector model")
-        side_vector = lambda f: dvector_of(dvector_net, f)
-        if system == "dvector-cosine":
-            grid_of = cosine_score
-        elif system == "dvector-lda":
-            if lda is None:
-                raise UsageError("dvector-lda needs a fitted LDA transform")
-            grid_of = lambda e, t: cosine_score(lda.transform(e), lda.transform(t))
-        elif system == "dvector-plda":
-            if plda is None or plda_center is None:
-                raise UsageError("dvector-plda needs a fitted PLDA model")
-            grid_of = lambda e, t: plda.score(center_and_length_normalize(e, plda_center),
-                                              center_and_length_normalize(t, plda_center))
-        else:
-            raise UsageError(f"unknown system {system!r}")
+        if plda is None or plda_center is None:
+            raise UsageError("system 'dvector-plda' needs a fitted PLDA back-end as --backend")
+        grid_of = lambda e, t: plda.score(center_and_length_normalize(e, plda_center),
+                                          center_and_length_normalize(t, plda_center))
     if not trials:
         return []
-    enroll = np.array([side_vector(f) for f in enroll_frames.values()])
-    test = np.array([side_vector(f) for f in test_frames.values()])
+    enroll_frames, test_frames = side_frames()
+    enroll = np.array([utterance_vector(net, f) for f in enroll_frames.values()])
+    test = np.array([utterance_vector(net, f) for f in test_frames.values()])
     grid = grid_of(enroll, test)
     row = {side: i for i, side in enumerate(enroll_frames)}
     col = {side: j for j, side in enumerate(test_frames)}

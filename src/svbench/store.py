@@ -5,9 +5,11 @@ import numpy as np
 from .backends import LdaTransform, PldaModel
 from .container import read_container, write_container
 from .e2e import BilinearScorer
-from .errors import FormatError
-from .frontend import FeatureMatrix
+from .errors import FormatError, SvbenchError
+from .frontend import FeatureMatrix, FrontendConfig
 from .nn import Network
+
+FRONTEND_KEYS = sorted(FrontendConfig().record())
 
 
 def _entry(path, table, key):
@@ -16,6 +18,19 @@ def _entry(path, table, key):
         return table[key]
     except KeyError:
         raise FormatError(f"{path}: missing {key!r}") from None
+
+
+def frontend_record(path, table):
+    """table["frontend"]: FormatError naming `path` unless it has exactly the keys
+    FRONTEND_KEYS of FrontendConfig().record() and FrontendConfig accepts its values."""
+    record = _entry(path, table, "frontend")
+    if not isinstance(record, dict) or sorted(record) != FRONTEND_KEYS:
+        raise FormatError(f"{path}: frontend record {record!r}, expected keys {FRONTEND_KEYS}")
+    try:
+        FrontendConfig(**record)
+    except (SvbenchError, TypeError) as e:
+        raise FormatError(f"{path}: frontend record {record}: {e}") from None
+    return record
 
 
 def same_frontend(path, record, other_path, other):
@@ -35,7 +50,7 @@ def load_features(path):
     """(FeatureMatrix, frontend record) of a feature file."""
     _, header, arrays = read_container(path, expect_kind="features")
     return (FeatureMatrix(_entry(path, arrays, "frames").astype(np.float64)),
-            _entry(path, header, "frontend"))
+            frontend_record(path, header))
 
 
 def save_vectors(path, kind, ids, speakers, matrix):
@@ -55,26 +70,6 @@ def save_network(path, net, kind="network"):
     write_container(path, kind, {"layers": net.specs(), "meta": net.meta}, arrays)
 
 
-def build_network(path, header, arrays):
-    """Network from the header and arrays of a container read from `path`.
-
-    A malformed layer, a break in the layer width chain or a missing, extra
-    or misshaped parameter array is a FormatError naming `path`.
-    """
-    specs, meta = _entry(path, header, "layers"), _entry(path, header, "meta")
-    try:
-        net = Network.from_specs(specs, meta=meta)
-        net.set_params(arrays)
-    except FormatError as e:
-        raise FormatError(f"{path}: {e}") from None
-    return net
-
-
-def load_network(path, kind="network"):
-    _, header, arrays = read_container(path, expect_kind=kind)
-    return build_network(path, header, arrays)
-
-
 def save_e2e_model(path, net, scorer):
     arrays = {name: arr for name, arr in net.param_map().items()}
     arrays["scorer.S"] = scorer.S
@@ -82,32 +77,38 @@ def save_e2e_model(path, net, scorer):
     write_container(path, "e2e_model", {"layers": net.specs(), "meta": net.meta}, arrays)
 
 
-def build_e2e_model(path, header, arrays):
-    """(network, scorer) from the header and arrays of an e2e_model container."""
-    S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or b.shape != (1,):
-        raise FormatError(f"{path}: scorer arrays have shapes {S.shape} and {b.shape}, "
-                          f"expected (d, d) and (1,)")
-    scorer = BilinearScorer(S.shape[0])
-    scorer.S[...] = S
-    scorer.b[...] = b
-    net_params = {k: v for k, v in arrays.items() if not k.startswith("scorer.")}
-    return build_network(path, header, net_params), scorer
+MODEL_KINDS = {"dvector_net": "dvector", "e2e_model": "e2e"}   # container kind -> meta["model"]
 
 
-def load_e2e_model(path):
-    _, header, arrays = read_container(path, expect_kind="e2e_model")
-    return build_e2e_model(path, header, arrays)
+def load_model(path):
+    """(network, scorer) of a dvector_net file (scorer None) or an e2e_model file,
+    read once. Any other kind or family, a bad frontend record, layer or width,
+    or a missing, extra or misshaped array is a FormatError naming `path`."""
+    kind, header, arrays = read_container(path)
+    if kind not in MODEL_KINDS:
+        raise FormatError(f"{path}: kind {kind!r}, expected a model ({' or '.join(MODEL_KINDS)})")
+    specs, meta = _entry(path, header, "layers"), _entry(path, header, "meta")
+    if _entry(path, meta, "model") != MODEL_KINDS[kind]:
+        raise FormatError(f"{path}: kind {kind!r} holding a {meta['model']!r} model")
+    frontend_record(path, meta)
+    scorer = None
+    if kind == "e2e_model":
+        S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")
+        if S.ndim != 2 or S.shape[0] != S.shape[1] or b.shape != (1,):
+            raise FormatError(f"{path}: scorer arrays have shapes {S.shape} and {b.shape}, "
+                              f"expected (d, d) and (1,)")
+        scorer = BilinearScorer(S.shape[0])
+        scorer.S[...], scorer.b[...] = arrays.pop("scorer.S"), arrays.pop("scorer.b")
+    try:
+        net = Network.from_specs(specs, meta=meta)
+        net.set_params(arrays)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
+    return net, scorer
 
 
 def save_lda(path, lda):
     write_container(path, "lda", {}, {"mean": lda.mean, "projection": lda.projection})
-
-
-def load_lda(path):
-    _, _, arrays = read_container(path, expect_kind="lda")
-    return LdaTransform(mean=_entry(path, arrays, "mean"),
-                        projection=_entry(path, arrays, "projection"))
 
 
 def save_plda(path, model, center_mean):
@@ -117,8 +118,27 @@ def save_plda(path, model, center_mean):
                      "within": model.within, "center_mean": center_mean})
 
 
+def _backend(path, expect_kind=None):
+    kind, _, arrays = read_container(path, expect_kind=expect_kind)
+    get = lambda key: _entry(path, arrays, key)
+    if kind == "lda":
+        return {"lda": LdaTransform(mean=get("mean"), projection=get("projection"))}
+    if kind == "plda":
+        return {"plda": PldaModel(get("mean"), get("between"), get("within")),
+                "plda_center": get("center_mean")}
+    raise FormatError(f"{path}: kind {kind!r}, expected a back-end ('lda' or 'plda')")
+
+
+def load_backend(path):
+    """The scoring keywords of an lda file, {"lda": LdaTransform}, or of a plda file,
+    {"plda": PldaModel, "plda_center": the pre-normalization centering mean}."""
+    return _backend(path)
+
+
+def load_lda(path):
+    return _backend(path, "lda")["lda"]
+
+
 def load_plda(path):
-    _, _, arrays = read_container(path, expect_kind="plda")
-    mean, between, within, center_mean = (
-        _entry(path, arrays, key) for key in ("mean", "between", "within", "center_mean"))
-    return PldaModel(mean, between, within), center_mean
+    backend = _backend(path, "plda")
+    return backend["plda"], backend["plda_center"]

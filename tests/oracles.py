@@ -112,18 +112,18 @@ def plda_llr(model, a, b, solve=False):
     return float(-0.5 * (quad + np.linalg.slogdet(same)[1] - np.linalg.slogdet(diff)[1]))
 
 
-def score_trials(system, trials, enroll_frames, test_frames, *, dvector_net=None,
-                 e2e_net=None, e2e_scorer=None, lda=None, plda=None, plda_center=None):
+def score_trials(system, trials, enroll_frames, test_frames, *, net=None, scorer=None,
+                 lda=None, plda=None, plda_center=None):
     """pipeline.score_trials for the trained systems, one pair at a time."""
     from svbench.backends import center_and_length_normalize, cosine_score
     from svbench.e2e import embed
     from svbench.pipeline import dvector_of
 
     if system == "e2e":
-        vec = lambda f: embed(e2e_net, f)
-        score = e2e_scorer.score
+        vec = lambda f: embed(net, f)
+        score = scorer.score
     else:
-        vec = lambda f: dvector_of(dvector_net, f)
+        vec = lambda f: dvector_of(net, f)
         if system == "dvector-cosine":
             score = cosine_score
         elif system == "dvector-lda":

@@ -376,20 +376,15 @@ def desk_pipeline(tmp_path_factory):
     enroll_r, test_r = side_features(sides, evals, fraw)
 
     def eer(system, **kwargs):
-        if system == "e2e":
-            records = score_trials(system, trial_list.trials, enroll_r, test_r, **kwargs)
-        elif system == "random":
-            records = score_trials(system, trial_list.trials, None, None, **kwargs)
-        else:
-            records = score_trials(system, trial_list.trials, enroll_c, test_c, **kwargs)
+        sides = (enroll_r, test_r) if system == "e2e" else (enroll_c, test_c)
+        records = score_trials(system, trial_list.trials, lambda: sides, **kwargs)
         return compute_eer([r[2] for r in records], [r[3] for r in records]).eer
 
     eers = {
-        "dvector-cosine": eer("dvector-cosine", dvector_net=dnet),
-        "dvector-lda": eer("dvector-lda", dvector_net=dnet, lda=lda),
-        "dvector-plda": eer("dvector-plda", dvector_net=dnet, plda=plda,
-                            plda_center=center),
-        "e2e": eer("e2e", e2e_net=enet, e2e_scorer=scorer),
+        "dvector-cosine": eer("dvector-cosine", net=dnet),
+        "dvector-lda": eer("dvector-lda", net=dnet, lda=lda),
+        "dvector-plda": eer("dvector-plda", net=dnet, plda=plda, plda_center=center),
+        "e2e": eer("e2e", net=enet, scorer=scorer),
         "random": eer("random", seed=11),
     }
     return {"eers": eers, "elapsed": time.monotonic() - start,

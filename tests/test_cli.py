@@ -293,8 +293,9 @@ def _tiny_e2e(cmvn="none"):
     return _with_frontend(net, cmvn), scorer
 
 
-def test_extract_reads_model_once(tiny_run, tmp_path, monkeypatch):
+def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch):
     runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
     store.save_network(str(tmp_path / "dvector.svbf"), _tiny_dvector(), kind="dvector_net")
     store.save_e2e_model(str(tmp_path / "e2e.svbf"), *_tiny_e2e())
     reads = []
@@ -306,11 +307,18 @@ def test_extract_reads_model_once(tiny_run, tmp_path, monkeypatch):
     for name in ("dvector", "e2e"):
         model = str(tmp_path / f"{name}.svbf")
         _invoke(runner, config, out, "extract", "--model", model,
-                "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                "--features", os.path.join(out, "feats_raw"),
+                "--manifest", manifest, "--features", os.path.join(out, "feats_raw"),
                 "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
         assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
+    # score reads its --model and --backend once each, and no other container
+    trials, segments = _one_trial(tmp_path, manifest)
+    for system, args in score_models.items():
+        reads.clear()
+        _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+                "--segments", segments, "--manifest", manifest, *args,
+                "--out", str(tmp_path / f"scores_{system}.tsv"))
+        assert sorted(reads) == sorted(args[1::2]), system
 
 
 def test_extract_names_model_missing_an_array(tiny_run, tmp_path):
@@ -529,6 +537,73 @@ def test_model_without_frontend_record_is_rejected(tiny_run, tmp_path):
                                       "--model", model, "--out", str(tmp_path / "out.svbf")])
         assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
         assert f"{model}: missing 'frontend'" in result.output
+        assert not os.path.exists(tmp_path / "out.svbf")
+
+
+def _rejected(result, *named):
+    """The invocation failed with a reported error that names one of `named`."""
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
+    assert any(name in result.output for name in named), (named, result.output)
+
+
+@pytest.mark.parametrize("system, given, named", [
+    ("dvector-cosine", [], ["--model"]),
+    ("dvector-lda", ["dvector"], ["--backend"]),
+    ("e2e", ["dvector"], ["--model", "dvector"]),
+    ("dvector-cosine", ["e2e"], ["--model", "e2e"]),
+    ("dvector-plda", ["dvector", "lda"], ["--backend", "lda"]),
+], ids=["cosine-without-model", "lda-without-backend", "e2e-with-dvector-model",
+        "cosine-with-e2e-model", "plda-with-lda-backend"])
+def test_score_rejects_system_model_mismatch_before_reading_audio(
+        tiny_run, score_models, tmp_path, monkeypatch, system, given, named):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    trials, segments = _one_trial(tmp_path, manifest)
+    files = {"dvector": score_models["dvector-cosine"][1], "e2e": score_models["e2e"][1],
+             "lda": score_models["dvector-lda"][3]}
+    args = []
+    for name in given:
+        args += ["--backend" if name == "lda" else "--model", files[name]]
+    wavs = []
+    monkeypatch.setattr(cli.pipeline, "read_wav", lambda *a, **k: wavs.append(a))
+    scores = str(tmp_path / "scores.tsv")
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "score",
+                                  "--system", system, "--trials", trials, "--segments", segments,
+                                  "--manifest", manifest, *args, "--out", scores])
+    _rejected(result, *[files.get(name, name) for name in named])
+    assert wavs == [] and not os.path.exists(scores)
+
+
+def test_extract_rejects_a_file_that_is_not_a_model(tiny_run, score_models, tmp_path):
+    runner, config, out = tiny_run
+    lda, vectors = score_models["dvector-lda"][3], str(tmp_path / "vectors.svbf")
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "extract",
+                                  "--model", lda,
+                                  "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                                  "--features", os.path.join(out, "feats_raw"), "--out", vectors])
+    _rejected(result, lda)
+    assert not os.path.exists(vectors)
+
+
+@pytest.mark.parametrize("edit", ["add-global_stats", "drop-pre_emphasis"])
+def test_model_with_malformed_frontend_record_is_rejected(tiny_run, tmp_path, edit):
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    trials, segments = _one_trial(tmp_path, manifest)
+    model = str(tmp_path / "dvector.svbf")
+    net = _tiny_dvector()
+    if edit == "add-global_stats":
+        net.meta["frontend"]["global_stats"] = "train"
+    else:
+        del net.meta["frontend"]["pre_emphasis"]
+    store.save_network(model, net, kind="dvector_net")
+    for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats_raw")],
+                 ["score", "--system", "dvector-cosine", "--trials", trials,
+                  "--segments", segments, "--manifest", manifest]):
+        result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), *args,
+                                      "--model", model, "--out", str(tmp_path / "out.svbf")])
+        _rejected(result, f"{model}: frontend record")
         assert not os.path.exists(tmp_path / "out.svbf")
 
 

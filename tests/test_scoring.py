@@ -28,7 +28,7 @@ def _train_vectors(dnet, rng):
 
 def _plda_scores(trial_set, kwargs):
     enroll, test, trials, _ = trial_set
-    got = score_trials("dvector-plda", trials, enroll, test, **kwargs)
+    got = score_trials("dvector-plda", trials, lambda: (enroll, test), **kwargs)
     ref = oracles.score_trials("dvector-plda", trials, enroll, test, **kwargs)
     assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in ref]
     return np.array([r[2] for r in got]), np.array([r[2] for r in ref])
@@ -61,17 +61,17 @@ def trial_set():
     basis = np.linalg.qr(rng.standard_normal((10, 5)))[0]
     near = (vecs - center) @ basis @ basis.T + 1e-6 * rng.standard_normal(vecs.shape)
     plda = fit_plda(center_and_length_normalize(near, np.zeros(10)), labels, iterations=5)
-    models = {"dvector-cosine": {"dvector_net": dnet},
-              "dvector-lda": {"dvector_net": dnet, "lda": lda},
-              "dvector-plda": {"dvector_net": dnet, "plda": plda, "plda_center": center},
-              "e2e": {"e2e_net": enet, "e2e_scorer": scorer}}
+    models = {"dvector-cosine": {"net": dnet},
+              "dvector-lda": {"net": dnet, "lda": lda},
+              "dvector-plda": {"net": dnet, "plda": plda, "plda_center": center},
+              "e2e": {"net": enet, "scorer": scorer}}
     return enroll, test, trials, models
 
 
 @pytest.mark.parametrize("system", ["dvector-cosine", "dvector-lda", "e2e"])
 def test_grid_scores_match_per_trial_reference(trial_set, system):
     enroll, test, trials, models = trial_set
-    got = score_trials(system, trials, enroll, test, **models[system])
+    got = score_trials(system, trials, lambda: (enroll, test), **models[system])
     ref = oracles.score_trials(system, trials, enroll, test, **models[system])
     assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in ref]
     np.testing.assert_allclose([r[2] for r in got], [r[2] for r in ref], rtol=1e-12, atol=0)
@@ -98,7 +98,7 @@ def test_plda_grid_scores_within_reference_error_when_sides_in_training_span(tri
     center = vecs.mean(axis=0)
     plda = fit_plda(center_and_length_normalize(vecs, center), labels, iterations=5)
     assert _stacked_condition(plda) >= 1e10
-    kwargs = {"dvector_net": dnet, "plda": plda, "plda_center": center}
+    kwargs = {"net": dnet, "plda": plda, "plda_center": center}
     got, ref = _plda_scores(trial_set, kwargs)
     enroll, test, trials, _ = trial_set
     side = lambda f: center_and_length_normalize(dvector_of(dnet, f), center)
@@ -112,8 +112,9 @@ def test_plda_grid_scores_within_reference_error_when_sides_in_training_span(tri
 def test_grid_scoring_keeps_trial_order_and_repeats(trial_set):
     enroll, test, trials, models = trial_set
     shuffled = trials[::-1] + trials[:3]
-    got = score_trials("e2e", shuffled, enroll, test, **models["e2e"])
-    by_pair = {r[:2]: r[2] for r in score_trials("e2e", trials, enroll, test, **models["e2e"])}
+    got = score_trials("e2e", shuffled, lambda: (enroll, test), **models["e2e"])
+    by_pair = {r[:2]: r[2] for r in score_trials("e2e", trials, lambda: (enroll, test),
+                                                      **models["e2e"])}
     assert [r[:2] for r in got] == [(t.enroll_id, t.test_id) for t in shuffled]
     assert [r[2] for r in got] == [by_pair[r[:2]] for r in got]
 
@@ -122,4 +123,4 @@ def test_random_scores_one_draw_per_trial_in_order(trial_set):
     _, _, trials, _ = trial_set
     rng = np.random.default_rng(9)
     expect = [float(rng.uniform(-1, 1)) for _ in trials]
-    assert [r[2] for r in score_trials("random", trials, None, None, seed=9)] == expect
+    assert [r[2] for r in score_trials("random", trials, None, seed=9)] == expect

@@ -53,38 +53,55 @@ def test_vectors_round_trip(tmp_path):
     np.testing.assert_array_equal(got, mat.astype(np.float32))
 
 
+def _with_frontend(net):
+    """The net, carrying the frontend record that every saved model has."""
+    net.meta["frontend"] = FrontendConfig().record()
+    return net
+
+
+def _dvector_net(seed=0):
+    return _with_frontend(build_dvector_net(DVectorConfig(
+        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
+        num_speakers=5), seed=seed))
+
+
+def _e2e_net(seed=0):
+    net, scorer = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
+                                          pre_pool_dim=10, embedding_dim=16), seed=seed)
+    return _with_frontend(net), scorer
+
+
 def test_network_round_trip(tmp_path):
-    net = build_dvector_net(DVectorConfig(input_dim=8, conv_dim=16, bottleneck_dim=12,
-                                          td_dim=16, feature_dim=16, num_speakers=5),
-                            seed=3)
+    net = _dvector_net(seed=3)
     path = tmp_path / "net.svbf"
     store.save_network(str(path), net, kind="dvector_net")
-    again = store.load_network(str(path), kind="dvector_net")
+    again, scorer = store.load_model(str(path))
+    assert scorer is None
     assert again.meta["model"] == "dvector"
     x = np.random.default_rng(4).standard_normal((10, 8))
     np.testing.assert_array_equal(net.forward(x)[0], again.forward(x)[0])
 
 
 def test_network_kind_mismatch(tmp_path):
-    net = build_dvector_net(DVectorConfig(input_dim=8, conv_dim=16, bottleneck_dim=12,
-                                          td_dim=16, feature_dim=16, num_speakers=5))
+    # a d-vector net in an e2e_model container, and a file that holds no model
     path = tmp_path / "net.svbf"
-    store.save_network(str(path), net, kind="dvector_net")
+    store.save_network(str(path), _dvector_net(), kind="e2e_model")
     with pytest.raises(FormatError):
-        store.load_network(str(path), kind="e2e_model")
+        store.load_model(str(path))
+    store.save_lda(str(path), LdaTransform(mean=np.zeros(3), projection=np.eye(3)))
+    with pytest.raises(FormatError):
+        store.load_model(str(path))
 
 
 def test_e2e_model_round_trip(tmp_path):
-    cfg = E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
-                    pre_pool_dim=10, embedding_dim=16)
-    net, scorer = build_e2e_net(cfg, seed=5)
+    net, scorer = _e2e_net(seed=5)
     rng = np.random.default_rng(6)
     scorer.S[...] = rng.standard_normal(scorer.S.shape)
     scorer.symmetrize()
     scorer.b[...] = 0.7
     path = tmp_path / "e2e.svbf"
     store.save_e2e_model(str(path), net, scorer)
-    net2, scorer2 = store.load_e2e_model(str(path))
+    net2, scorer2 = store.load_model(str(path))
     np.testing.assert_array_equal(scorer2.S, scorer.S)
     np.testing.assert_array_equal(scorer2.b, scorer.b)
     x = rng.standard_normal((20, 8))
@@ -196,14 +213,10 @@ def test_dump_config_round_trip(tmp_path):
 
 def _small_models(tmp_path):
     """(path, loader) for a saved d-vector network and a saved e2e model."""
-    dnet = build_dvector_net(DVectorConfig(input_dim=8, conv_dim=16, bottleneck_dim=12,
-                                           td_dim=16, feature_dim=16, num_speakers=5))
-    store.save_network(str(tmp_path / "net.svbf"), dnet, kind="dvector_net")
-    enet, scorer = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
-                                           pre_pool_dim=10, embedding_dim=16))
-    store.save_e2e_model(str(tmp_path / "e2e.svbf"), enet, scorer)
-    return [(str(tmp_path / "net.svbf"), lambda p: store.load_network(p, kind="dvector_net")),
-            (str(tmp_path / "e2e.svbf"), store.load_e2e_model)]
+    store.save_network(str(tmp_path / "net.svbf"), _dvector_net(), kind="dvector_net")
+    store.save_e2e_model(str(tmp_path / "e2e.svbf"), *_e2e_net())
+    return [(str(tmp_path / "net.svbf"), store.load_model),
+            (str(tmp_path / "e2e.svbf"), store.load_model)]
 
 
 def _drop_weight(arrays):
@@ -247,11 +260,9 @@ def _saved_artifacts(tmp_path):
     store.save_lda(paths["lda"], LdaTransform(mean=rng.standard_normal(3),
                                               projection=rng.standard_normal((3, 2))))
     store.save_plda(paths["plda"], PldaModel(np.zeros(3), np.eye(3), np.eye(3)), np.zeros(3))
-    net, scorer = build_e2e_net(E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
-                                          pre_pool_dim=10, embedding_dim=16))
-    store.save_e2e_model(paths["e2e"], net, scorer)
+    store.save_e2e_model(paths["e2e"], *_e2e_net())
     loaders = {"features": store.load_features, "vectors": store.load_vectors,
-               "lda": store.load_lda, "plda": store.load_plda, "e2e": store.load_e2e_model}
+               "lda": store.load_lda, "plda": store.load_plda, "e2e": store.load_model}
     return {name: (paths[name], loaders[name]) for name in paths}
 
 
@@ -272,6 +283,23 @@ def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
         load(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda record: record.update(global_stats="train"),
+    lambda record: record.pop("pre_emphasis"),
+    lambda record: record.update(cmvn="global"),
+    lambda record: record.update(frame_shift_ms=0.0),
+    lambda record: record.update(frame_length_ms="25"),
+], ids=["unknown-key", "missing-key", "unknown-cmvn", "zero-shift", "string-length"])
+def test_loaders_reject_bad_frontend_record(tmp_path, edit):
+    for artifact in ("features", "e2e"):
+        path, load = _saved_artifacts(tmp_path)[artifact]
+        kind, header, arrays = read_container(path)
+        edit(header["frontend"] if artifact == "features" else header["meta"]["frontend"])
+        write_container(path, kind, header, arrays)
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: frontend record"):
+            load(path)
+
+
 def test_e2e_loader_rejects_misshaped_scorer(tmp_path):
     path, load = _saved_artifacts(tmp_path)["e2e"]
     kind, header, arrays = read_container(path)
@@ -283,15 +311,13 @@ def test_e2e_loader_rejects_misshaped_scorer(tmp_path):
 
 def test_network_loader_names_malformed_layer_spec(tmp_path):
     path = str(tmp_path / "net.svbf")
-    store.save_network(path, build_dvector_net(DVectorConfig(
-        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
-        num_speakers=5)), kind="dvector_net")
+    store.save_network(path, _dvector_net(), kind="dvector_net")
     kind, header, arrays = read_container(path)
     index = next(i for i, spec in enumerate(header["layers"]) if spec["kind"] == "affine")
     del header["layers"][index]["d_out"]
     write_container(path, kind, header, arrays)
     with pytest.raises(FormatError, match=rf"layer {index} \('affine'\)"):
-        store.load_network(path, kind="dvector_net")
+        store.load_model(path)
 
 
 @pytest.mark.parametrize("which", [0, 2], ids=["first-affine", "third-affine"])
@@ -299,9 +325,7 @@ def test_network_loader_checks_layer_widths(tmp_path, which):
     # d_in and W agree with each other but not with the width the layers below
     # produce (for the first affine: meta input_dim times the splice widths)
     path = str(tmp_path / "net.svbf")
-    store.save_network(path, build_dvector_net(DVectorConfig(
-        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
-        num_speakers=5)), kind="dvector_net")
+    store.save_network(path, _dvector_net(), kind="dvector_net")
     kind, header, arrays = read_container(path)
     index = [i for i, spec in enumerate(header["layers"]) if spec["kind"] == "affine"][which]
     spec = header["layers"][index]
@@ -309,16 +333,14 @@ def test_network_loader_checks_layer_widths(tmp_path, which):
     arrays[f"l{index}.W"] = arrays[f"l{index}.W"][:spec["d_in"]]
     write_container(path, kind, header, arrays)
     with pytest.raises(FormatError, match=rf"^{re.escape(path)}: layer {index} \('affine'\): d_in"):
-        store.load_network(path, kind="dvector_net")
+        store.load_model(path)
 
 
 def test_network_loader_errors_name_the_file(tmp_path):
     path = str(tmp_path / "net.svbf")
-    store.save_network(path, build_dvector_net(DVectorConfig(
-        input_dim=8, conv_dim=16, bottleneck_dim=12, td_dim=16, feature_dim=16,
-        num_speakers=5)), kind="dvector_net")
+    store.save_network(path, _dvector_net(), kind="dvector_net")
     kind, header, arrays = read_container(path)
     del arrays["l2.W"]
     write_container(path, kind, header, arrays)
     with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*missing \['l2.W'\]"):
-        store.load_network(path, kind="dvector_net")
+        store.load_model(path)

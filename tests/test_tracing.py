@@ -1,4 +1,5 @@
-"""The benchmark's span tracer patches svbench names; a rename must fail here."""
+"""The benchmark imports svbench names and its span tracer patches more; a
+rename of any of them must fail here."""
 
 import os
 
@@ -25,3 +26,10 @@ def test_tracer_patch_table_resolves_and_restores(monkeypatch):
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in names] == originals
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads                # ImportError if a name the workloads import is gone
+
+    assert workloads.cli.main is cli.main
