@@ -38,6 +38,11 @@ class Workspace:
     def path(self, *parts):
         return os.path.join(self.out_dir, *parts)
 
+    def frontend(self, **overrides):
+        """The [frontend] section as a FrontendConfig, dithered from the run seed."""
+        return from_sections(FrontendConfig, self.cfg, "frontend", dither_seed=self.seed,
+                             **overrides)
+
 
 class _Group(click.Group):
     """Reports svbench errors as usage failures (message, exit 1), not tracebacks."""
@@ -98,9 +103,8 @@ def featurize(ws, manifest, no_cmvn, dir_name):
         ws.cfg["frontend"]["cmvn"] = "none"
     ws.prepare()
     entries = read_manifest(manifest)
-    fcfg = from_sections(FrontendConfig, ws.cfg, "frontend", dither_seed=ws.seed)
     feats_dir = ws.path(dir_name)
-    pipeline.featurize_entries(entries, fcfg, feats_dir)
+    pipeline.featurize_entries(entries, ws.frontend(), feats_dir)
     click.echo(f"featurized {len(entries)} utterances into {feats_dir}")
 
 
@@ -123,7 +127,7 @@ def cmd_train_dvector(ws, manifest, feats_dir):
         net = train_dvector(utts, cfg, tcfg, log=lambda h: log.write(
             f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\t{h['grad_norm']!r}\t{h['clipped_frac']!r}\n"))
     net.meta.update(speakers=speakers, frontend=frontend)
-    store.save_network(ws.path("dvector.svbf"), net, kind="dvector_net")
+    store.save_model(ws.path("dvector.svbf"), net)
     click.echo(f"trained d-vector model on {len(speakers)} speakers -> {ws.path('dvector.svbf')}")
 
 
@@ -152,7 +156,7 @@ def cmd_train_e2e(ws, manifest, feats_dir):
             log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
                                     f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
     net.meta["frontend"] = frontend
-    store.save_e2e_model(ws.path("e2e.svbf"), net, scorer)
+    store.save_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
 
 
@@ -202,14 +206,18 @@ def fit_backend(ws, vectors, kind, out_path):
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.pass_obj
 def trials(ws, manifest):
-    """Build gender-matched trial and segment files for the configured condition."""
+    """Build gender-matched trial and segment files for the configured condition,
+    and featurize every trial side once (raw fbank of the [frontend] section, no
+    CMVN) into segments_<tag>.svbf, the file `score` reads its sides from."""
     ws.prepare()
     entries = read_manifest(manifest)
     ev = ws.cfg["eval"]
     tl = build_conditions(entries, ev["enroll_secs"], ev["test_secs"])
     tag = tl.condition.replace("(", "").replace(")", "").replace("-", "_")
     write_trial_file(ws.path(f"trials_{tag}.tsv"), tl.trials)
-    write_segments_file(ws.path(f"segments_{tag}.tsv"), tl)
+    segments_path = ws.path(f"segments_{tag}.tsv")
+    write_segments_file(segments_path, tl)
+    pipeline.save_trial_sides(segments_path, entries, ws.frontend(cmvn="none"))
     targets = sum(1 for t in tl.trials if t.label == "target")
     click.echo(f"{tl.condition}: {len(tl.trials)} trials "
                f"({targets} target / {len(tl.trials) - targets} nontarget)")
@@ -236,14 +244,18 @@ def _check_sides(trial_items, enroll_segments, test_segments, entries,
 @main.command()
 @click.option("--system", required=True, type=click.Choice(pipeline.SYSTEMS))
 @click.option("--trials", "trials_path", required=True, type=click.Path(exists=True))
-@click.option("--segments", "segments_path", required=True, type=click.Path(exists=True))
+@click.option("--segments", "segments_path", required=True, type=click.Path(exists=True),
+              help="Segments file written by `trials`.")
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.option("--model", type=click.Path(exists=True), default=None)
 @click.option("--backend", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.pass_obj
 def score(ws, system, trials_path, segments_path, manifest, model, backend, out_path):
-    """Score a trial list with one system; logits/similarities go to a score file."""
+    """Score a trial list with one system; logits/similarities go to a score file.
+
+    Trial sides are read from the .svbf that `trials` stored beside --segments
+    and normalized by the model's CMVN; no audio is read."""
     ws.prepare()
     trial_items = read_trial_file(trials_path)
     _, enroll_segments, test_segments = read_segments_file(segments_path)
@@ -253,10 +265,8 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     net, scorer = store.load_model(model) if model else (None, None)
     backend_args = store.load_backend(backend) if backend else {}
 
-    def side_frames():
-        fcfg = FrontendConfig(**net.meta["frontend"], dither_seed=ws.seed)
-        return pipeline.side_features((enroll_segments, test_segments), entries, fcfg)
-
+    side_frames = lambda: pipeline.load_trial_sides(segments_path, enroll_segments,
+                                                     test_segments, net.meta["frontend"])
     records = pipeline.score_trials(system, trial_items, side_frames, net=net, scorer=scorer,
                                     seed=ws.seed, **backend_args)
     write_score_file(out_path, records)

@@ -10,17 +10,22 @@ from .backends import center_and_length_normalize, cosine_score
 from .dvector import extract_frame_features, pool_dvector
 from .e2e import embed
 from .errors import FormatError, UsageError
-from .frontend import cmvn, compute_fbank
+from .evaluation import read_segments_file
+from .frontend import FeatureMatrix, cmvn, compute_fbank
 from . import store
 
 
-def clip_features(clip, fcfg):
-    """Fbank features with per-utterance CMVN (applied before any splicing)
-    unless `fcfg.cmvn` is "none"."""
-    feat = compute_fbank(clip, fcfg)
-    if fcfg.cmvn == "per-utterance" and len(feat.frames) >= 2:
+def normalize(feat, mode):
+    """`feat` under CMVN `mode`: per-utterance CMVN, unless `mode` is "none" or
+    `feat` has fewer than two frames."""
+    if mode == "per-utterance" and len(feat.frames) >= 2:
         feat = cmvn(feat)
     return feat
+
+
+def clip_features(clip, fcfg):
+    """Fbank features of a clip, normalized by fcfg.cmvn (before any splicing)."""
+    return normalize(compute_fbank(clip, fcfg), fcfg.cmvn)
 
 
 def featurize_entries(entries, fcfg, feats_dir):
@@ -65,7 +70,7 @@ def corpus_by_speaker(entries, feats):
 
 
 def segment_frames(segments, entries_by_utt, fcfg):
-    """Feature matrix for one trial side: concatenated featurized slices."""
+    """Feature matrix of each segment of one trial side: its featurized slice."""
     parts = []
     for seg in segments:
         entry = entries_by_utt[seg.utt_id]
@@ -74,26 +79,78 @@ def segment_frames(segments, entries_by_utt, fcfg):
         hi = int(round((seg.start + seg.duration) * clip.sample_rate))
         piece = AudioClip(clip.samples[lo:hi], clip.sample_rate, id=seg.utt_id, start=lo)
         parts.append(clip_features(piece, fcfg).frames)
-    return np.concatenate(parts, axis=0)
+    return parts
 
 
 def dvector_of(net, frames):
     return pool_dvector(extract_frame_features(net, frames))
 
 
-def side_features(trial_list_sides, entries, fcfg):
-    """Materialize features for every enroll/test side of a trial list.
+def trial_sides(enroll_segments, test_segments):
+    """{"enroll": side id -> [Segment], "test": side id -> [Segment]} from the enroll
+    and test tables of build_conditions or read_segments_file."""
+    return {"enroll": enroll_segments,
+            "test": {tid: [seg] for tid, seg in test_segments.items()}}
 
-    `trial_list_sides` is (enroll_segments, test_segments) as produced by
-    build_conditions or read_segments_file.
-    """
-    enroll_segments, test_segments = trial_list_sides
+
+def featurize_sides(sides, entries, fcfg):
+    """Features of every side of trial_sides(...) under fcfg, each piece featurized
+    once: role -> side id -> (pieces, frames) as store.save_side_features takes them."""
     entries_by_utt = {e.utt_id: e for e in entries}
-    enroll = {eid: segment_frames(segs, entries_by_utt, fcfg)
-              for eid, segs in enroll_segments.items()}
-    test = {tid: segment_frames([seg], entries_by_utt, fcfg)
-            for tid, seg in test_segments.items()}
-    return enroll, test
+    features = {}
+    for role, table in sides.items():
+        features[role] = {}
+        for sid, segs in table.items():
+            parts = segment_frames(segs, entries_by_utt, fcfg)
+            pieces = [(s.utt_id, s.start, s.duration, len(p)) for s, p in zip(segs, parts)]
+            features[role][sid] = (pieces, np.concatenate(parts, axis=0))
+    return features
+
+
+def normalized_side(pieces, frames, mode):
+    """A side's frames with CMVN `mode` applied to each piece's rows by `normalize`,
+    as clip_features applies it to a piece featurized from audio."""
+    bounds = np.cumsum([p[3] for p in pieces])[:-1]
+    return np.concatenate([normalize(FeatureMatrix(rows), mode).frames
+                           for rows in np.split(frames, bounds)], axis=0)
+
+
+def side_file(segments_path):
+    """The trial-side features file that belongs to a segments file."""
+    return os.path.splitext(segments_path)[0] + ".svbf"
+
+
+def save_trial_sides(segments_path, entries, fcfg):
+    """Featurize every side of a segments file once under fcfg into side_file(segments_path).
+    The segments are read back from the file, so their times are those `score` checks."""
+    _, enroll, test = read_segments_file(segments_path)
+    store.save_side_features(side_file(segments_path), fcfg.record(),
+                             featurize_sides(trial_sides(enroll, test), entries, fcfg))
+
+
+def load_trial_sides(segments_path, enroll_segments, test_segments, frontend):
+    """(enroll, test) dicts of side id -> frames, in the order of the segments file, read
+    from side_file(segments_path) and normalized by `frontend`'s cmvn piece by piece.
+
+    FormatError naming the side file if it was made with a frontend that differs
+    from `frontend` in any key but cmvn, or if its sides or their pieces differ
+    from the segments'. Each raw matrix is released as its side is built.
+    """
+    path = side_file(segments_path)
+    made_with, features = store.load_side_features(path)
+    if {**made_with, "cmvn": None} != {**frontend, "cmvn": None}:
+        raise FormatError(f"{path}: trial sides made with frontend {made_with}, but the model "
+                          f"with {frontend}; rerun `svbench trials` with the model's [frontend]")
+    wanted = trial_sides(enroll_segments, test_segments)
+    for role, table in wanted.items():
+        for sid in sorted(table.keys() | features[role].keys()):
+            want = [(s.utt_id, s.start, s.duration) for s in table.get(sid, [])]
+            have = [p[:3] for p in features[role].get(sid, ([], None))[0]]
+            if have != want:
+                raise FormatError(f"{path}: {role} side {sid!r} has pieces {have}, "
+                                  f"{segments_path} {want}; rerun `svbench trials`")
+    return tuple({sid: normalized_side(*features[role].pop(sid), frontend["cmvn"])
+                  for sid in table} for role, table in wanted.items())
 
 
 SYSTEMS = ("dvector-cosine", "dvector-lda", "dvector-plda", "e2e", "random")

@@ -1,11 +1,13 @@
 """Typed save/load wrappers over the binary container."""
 
+import os
+
 import numpy as np
 
 from .backends import LdaTransform, PldaModel
 from .container import read_container, write_container
 from .e2e import BilinearScorer
-from .errors import FormatError, SvbenchError
+from .errors import FormatError, SvbenchError, UsageError
 from .frontend import FeatureMatrix, FrontendConfig
 from .nn import Network
 
@@ -53,6 +55,51 @@ def load_features(path):
             frontend_record(path, header))
 
 
+SIDE_ROLES = ("enroll", "test")
+
+
+def save_side_features(path, frontend, sides):
+    """Trial-side features with the record of the frontend that made them. `sides`
+    maps each of SIDE_ROLES to {side id: (pieces, frames)}: pieces lists each
+    segment as (utt id, start, duration, frame count), frames stacks their rows.
+    Frames stay float64, so that scores from them keep their bytes."""
+    header = {"frontend": frontend,
+              "sides": {role: {sid: pieces for sid, (pieces, _) in sides[role].items()}
+                        for role in SIDE_ROLES}}
+    write_container(path, "side_features", header,
+                    {f"{role}/{sid}": np.asarray(frames, dtype=np.float64)
+                     for role in SIDE_ROLES for sid, (_, frames) in sides[role].items()})
+
+
+def load_side_features(path):
+    """(frontend record, sides) of a side-features file, `sides` as save_side_features
+    takes it. A missing file, a malformed piece, or a missing, extra or misshaped
+    side matrix is a FormatError naming `path`."""
+    if not os.path.exists(path):
+        raise FormatError(f"{path}: no trial-side features; `svbench trials` writes them "
+                          f"beside its segments file")
+    _, header, arrays = read_container(path, expect_kind="side_features")
+    frontend = frontend_record(path, header)
+    table = _entry(path, header, "sides")
+    sides = {}
+    for role in SIDE_ROLES:
+        sides[role] = {}
+        for sid, pieces in _entry(path, table, role).items():
+            frames = arrays.pop(f"{role}/{sid}", None)
+            if not all(isinstance(p, list) and len(p) == 4 and isinstance(p[3], int) and p[3] > 0
+                       for p in pieces):
+                raise FormatError(f"{path}: {role} side {sid!r} has pieces {pieces}, expected "
+                                  f"[utt id, start, duration, frame count > 0] each")
+            shape = (sum(p[3] for p in pieces), frontend["num_mel_bins"])
+            if frames is None or frames.dtype != np.float64 or frames.shape != shape:
+                raise FormatError(f"{path}: {role} side {sid!r} needs a float64 {shape} matrix, "
+                                  f"found {None if frames is None else (frames.dtype, frames.shape)}")
+            sides[role][sid] = ([tuple(p) for p in pieces], frames)
+    if arrays:
+        raise FormatError(f"{path}: arrays {sorted(arrays)} belong to no side")
+    return frontend, sides
+
+
 def save_vectors(path, kind, ids, speakers, matrix):
     """A vector set (one row per utterance) with its id/speaker tables."""
     write_container(path, kind, {"ids": list(ids), "speakers": list(speakers)},
@@ -65,19 +112,19 @@ def load_vectors(path, kind=None):
             _entry(path, arrays, "vectors").astype(np.float64))
 
 
-def save_network(path, net, kind="network"):
-    arrays = {name: arr for name, arr in net.param_map().items()}
-    write_container(path, kind, {"layers": net.specs(), "meta": net.meta}, arrays)
-
-
-def save_e2e_model(path, net, scorer):
-    arrays = {name: arr for name, arr in net.param_map().items()}
-    arrays["scorer.S"] = scorer.S
-    arrays["scorer.b"] = scorer.b
-    write_container(path, "e2e_model", {"layers": net.specs(), "meta": net.meta}, arrays)
-
-
 MODEL_KINDS = {"dvector_net": "dvector", "e2e_model": "e2e"}   # container kind -> meta["model"]
+
+
+def save_model(path, net, scorer=None):
+    """A trained net (and an e2e net's bilinear scorer) in the container kind
+    that MODEL_KINDS maps its meta["model"] to, as load_model reads it."""
+    kind = {model: kind for kind, model in MODEL_KINDS.items()}[net.meta["model"]]
+    if (scorer is None) == (kind == "e2e_model"):
+        raise UsageError("an e2e model is saved with its scorer, a dvector model without one")
+    arrays = dict(net.param_map())
+    if scorer is not None:
+        arrays.update({"scorer.S": scorer.S, "scorer.b": scorer.b})
+    write_container(path, kind, {"layers": net.specs(), "meta": net.meta}, arrays)
 
 
 def load_model(path):
@@ -118,8 +165,10 @@ def save_plda(path, model, center_mean):
                      "within": model.within, "center_mean": center_mean})
 
 
-def _backend(path, expect_kind=None):
-    kind, _, arrays = read_container(path, expect_kind=expect_kind)
+def load_backend(path):
+    """The scoring keywords of an lda file, {"lda": LdaTransform}, or of a plda file,
+    {"plda": PldaModel, "plda_center": the pre-normalization centering mean}."""
+    kind, _, arrays = read_container(path)
     get = lambda key: _entry(path, arrays, key)
     if kind == "lda":
         return {"lda": LdaTransform(mean=get("mean"), projection=get("projection"))}
@@ -127,18 +176,3 @@ def _backend(path, expect_kind=None):
         return {"plda": PldaModel(get("mean"), get("between"), get("within")),
                 "plda_center": get("center_mean")}
     raise FormatError(f"{path}: kind {kind!r}, expected a back-end ('lda' or 'plda')")
-
-
-def load_backend(path):
-    """The scoring keywords of an lda file, {"lda": LdaTransform}, or of a plda file,
-    {"plda": PldaModel, "plda_center": the pre-normalization centering mean}."""
-    return _backend(path)
-
-
-def load_lda(path):
-    return _backend(path, "lda")["lda"]
-
-
-def load_plda(path):
-    backend = _backend(path, "plda")
-    return backend["plda"], backend["plda_center"]

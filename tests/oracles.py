@@ -238,3 +238,30 @@ def batch_step(net, scorer, batch, loss_cfg):
     grads["scorer.S"] = grad_s
     grads["scorer.b"] = grad_b
     return loss, grads, same_logits, diff_logits
+
+
+# -- reference trial sides ----------------------------------------------
+# Every trial side featurized from its audio, CMVN per piece: the side
+# features that `trials` stores and `score` normalizes must match these
+# byte for byte.
+
+def side_features(enroll_segments, test_segments, entries_by_utt, fcfg):
+    """(enroll, test) dicts of side id -> frames, each segment read from its WAV."""
+    from svbench.audio import AudioClip, read_wav
+    from svbench.frontend import cmvn, compute_fbank
+
+    def frames(segments):
+        parts = []
+        for seg in segments:
+            clip = read_wav(entries_by_utt[seg.utt_id].path)
+            lo = int(round(seg.start * clip.sample_rate))
+            hi = int(round((seg.start + seg.duration) * clip.sample_rate))
+            feat = compute_fbank(AudioClip(clip.samples[lo:hi], clip.sample_rate,
+                                           id=seg.utt_id, start=lo), fcfg)
+            if fcfg.cmvn == "per-utterance" and len(feat.frames) >= 2:
+                feat = cmvn(feat)
+            parts.append(feat.frames)
+        return np.concatenate(parts, axis=0)
+
+    return ({eid: frames(segs) for eid, segs in enroll_segments.items()},
+            {tid: frames([seg]) for tid, seg in test_segments.items()})

@@ -14,7 +14,6 @@ outcome on a corpus this machine can generate: trained systems separate
 speakers by a wide margin while the random baseline sits at 50% EER.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -32,10 +31,11 @@ from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig,
                          build_e2e_net, e2e_specs, pair_loss,
                          sample_pair_batch, train_e2e)
 from svbench.evaluation import build_conditions, compute_eer
-from svbench.frontend import FrontendConfig
+from svbench.frontend import FrontendConfig, cmvn, compute_fbank
 from svbench.nn import TrainerConfig, context_window, effective_context
-from svbench.pipeline import (clip_features, corpus_by_speaker, dvector_of,
-                              labelled_utterances, score_trials, side_features)
+from svbench.pipeline import (corpus_by_speaker, dvector_of, featurize_sides,
+                              labelled_utterances, normalized_side, score_trials,
+                              trial_sides)
 from svbench.audio import read_wav
 
 from oracles import brute_force_eer
@@ -301,8 +301,8 @@ def test_training_is_byte_deterministic(tmp_path):
                                  n_pairs=2, iterations=5)
         d_path = tmp_path / f"dvector_{run}.svbf"
         e_path = tmp_path / f"e2e_{run}.svbf"
-        store.save_network(str(d_path), net, kind="dvector_net")
-        store.save_e2e_model(str(e_path), enet, scorer)
+        store.save_model(str(d_path), net)
+        store.save_model(str(e_path), enet, scorer)
         paths.append((d_path, e_path))
     (da, ea), (db, eb) = paths
     assert da.read_bytes() == db.read_bytes()
@@ -331,13 +331,13 @@ def desk_pipeline(tmp_path_factory):
     entries = generate_corpus(spec, str(out / "corpus"))
     train, evals = split_train_eval(entries, 50, 20, seed=11)
 
-    fcfg = FrontendConfig()
-    fraw = dataclasses.replace(fcfg, cmvn="none")
+    # each utterance featurized once: raw fbank, and its per-utterance CMVN copy
+    fraw = FrontendConfig(cmvn="none")
     feats_cmvn, feats_raw = {}, {}
     for e in train:
-        clip = read_wav(e.path)
-        feats_cmvn[e.utt_id] = clip_features(clip, fcfg).frames
-        feats_raw[e.utt_id] = clip_features(clip, fraw).frames
+        raw = compute_fbank(read_wav(e.path), fraw)
+        feats_raw[e.utt_id] = raw.frames
+        feats_cmvn[e.utt_id] = cmvn(raw).frames
 
     # d-vector system (reduced widths; training the published 256/400-wide
     # net on this corpus would blow the time budget without changing ranks)
@@ -370,13 +370,16 @@ def desk_pipeline(tmp_path_factory):
 
     # enrollment from 4 s of speech, 2 s test cuts (utterances are 2-4 s,
     # so longer test cuts would exclude most of the corpus)
+    # trial sides featurized once, raw, then normalized per model as `score` does
     trial_list = build_conditions(evals, 4.0, 2.0)
-    sides = (trial_list.enroll_segments, trial_list.test_segments)
-    enroll_c, test_c = side_features(sides, evals, fcfg)
-    enroll_r, test_r = side_features(sides, evals, fraw)
+    raw_sides = featurize_sides(trial_sides(trial_list.enroll_segments,
+                                            trial_list.test_segments), evals, fraw)
+    side_frames = {mode: tuple({sid: normalized_side(*side, mode) for sid, side in table.items()}
+                               for table in raw_sides.values())
+                   for mode in ("per-utterance", "none")}
 
     def eer(system, **kwargs):
-        sides = (enroll_r, test_r) if system == "e2e" else (enroll_c, test_c)
+        sides = side_frames["none" if system == "e2e" else "per-utterance"]
         records = score_trials(system, trial_list.trials, lambda: sides, **kwargs)
         return compute_eer([r[2] for r in records], [r[3] for r in records]).eer
 

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from svbench import cli, e2e, store
+import oracles
+
+from svbench import cli, e2e, pipeline, store
 from svbench.audio import read_wav
 from svbench.backends import LdaTransform, PldaModel
 from svbench.cli import main
 from svbench.config import dump_config, load_config
 from svbench.container import read_container, write_container
 from svbench.corpus import read_manifest
+from svbench.evaluation import read_score_file, read_segments_file, read_trial_file
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.frontend import FrontendConfig, cmvn, compute_fbank
 
@@ -296,8 +299,8 @@ def _tiny_e2e(cmvn="none"):
 def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
-    store.save_network(str(tmp_path / "dvector.svbf"), _tiny_dvector(), kind="dvector_net")
-    store.save_e2e_model(str(tmp_path / "e2e.svbf"), *_tiny_e2e())
+    store.save_model(str(tmp_path / "dvector.svbf"), _tiny_dvector())
+    store.save_model(str(tmp_path / "e2e.svbf"), *_tiny_e2e())
     reads = []
     for module in (cli, store):
         def counting(path, *args, _read=module.read_container, **kwargs):
@@ -311,20 +314,22 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
                 "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
         assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
-    # score reads its --model and --backend once each, and no other container
+    # score reads its --model and --backend once each, the side features of a
+    # trained system once, and no other container
     trials, segments = _one_trial(tmp_path, manifest)
     for system, args in score_models.items():
         reads.clear()
         _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
                 "--segments", segments, "--manifest", manifest, *args,
                 "--out", str(tmp_path / f"scores_{system}.tsv"))
-        assert sorted(reads) == sorted(args[1::2]), system
+        sides = [] if system == "random" else [str(tmp_path / "segments.svbf")]
+        assert sorted(reads) == sorted(args[1::2] + sides), system
 
 
 def test_extract_names_model_missing_an_array(tiny_run, tmp_path):
     runner, config, out = tiny_run
     model = str(tmp_path / "dvector.svbf")
-    store.save_network(model, _tiny_dvector(), kind="dvector_net")
+    store.save_model(model, _tiny_dvector())
     kind, header, arrays = read_container(model)
     del arrays["l2.W"]
     write_container(model, kind, header, arrays)
@@ -402,8 +407,8 @@ def score_models(tmp_path_factory):
     base = tmp_path_factory.mktemp("models")
     dvector, e2e_model = str(base / "dvector.svbf"), str(base / "e2e.svbf")
     lda, plda = str(base / "lda.svbf"), str(base / "plda.svbf")
-    store.save_network(dvector, _tiny_dvector(), kind="dvector_net")
-    store.save_e2e_model(e2e_model, *_tiny_e2e())
+    store.save_model(dvector, _tiny_dvector())
+    store.save_model(e2e_model, *_tiny_e2e())
     store.save_lda(lda, LdaTransform(mean=np.zeros(8), projection=np.eye(8)[:, :3]))
     store.save_plda(plda, PldaModel(np.zeros(8), np.eye(8), np.eye(8)), np.zeros(8))
     return {"dvector-cosine": ["--model", dvector],
@@ -470,12 +475,15 @@ def raw_models(tiny_run, tmp_path_factory):
 
 
 def _one_trial(tmp_path, manifest):
-    """(trials, segments) for one C(1-1) trial between the manifest's first two utterances."""
+    """(trials, segments) for one C(1-1) trial between the manifest's first two
+    utterances, with the raw fbank of both sides stored beside the segments as
+    `trials` stores them."""
     a, b = read_manifest(manifest)[:2]
     segments = _write(tmp_path / "segments.tsv", "".join([
         "#condition\tC(1-1)\t1\t1\n",
         f"enroll\tspk-enroll\t{a.speaker_id}\t{a.gender}\t{a.utt_id}\t0.000000\t1.000000\n",
         f"test\t{b.utt_id}\t{b.speaker_id}\t{b.gender}\t{b.utt_id}\t0.000000\t1.000000\n"]))
+    pipeline.save_trial_sides(segments, read_manifest(manifest), FrontendConfig(cmvn="none"))
     return _write(tmp_path / "trials.tsv", f"spk-enroll\t{b.utt_id}\tnontarget\n"), segments
 
 
@@ -509,7 +517,7 @@ def test_scoring_applies_the_models_cmvn(tiny_run, raw_models, tmp_path, monkeyp
     manifest = os.path.join(out, "corpus", "manifest.tsv")
     trials, segments = _one_trial(tmp_path, manifest)
     cmvn_model = str(tmp_path / "cmvn_dvector.svbf")
-    store.save_network(cmvn_model, _tiny_dvector("per-utterance"), kind="dvector_net")
+    store.save_model(cmvn_model, _tiny_dvector("per-utterance"))
     normalized = []
     monkeypatch.setattr(cli.pipeline, "cmvn", lambda feat: normalized.append(feat) or cmvn(feat))
     for system, model, cmvn_calls in (("dvector-cosine", raw_models["dvector"], 0),
@@ -529,7 +537,7 @@ def test_model_without_frontend_record_is_rejected(tiny_run, tmp_path):
     model = str(tmp_path / "dvector.svbf")
     net = _tiny_dvector()
     del net.meta["frontend"]
-    store.save_network(model, net, kind="dvector_net")
+    store.save_model(model, net)
     for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats_raw")],
                  ["score", "--system", "dvector-cosine", "--trials", trials,
                   "--segments", segments, "--manifest", manifest]):
@@ -565,14 +573,15 @@ def test_score_rejects_system_model_mismatch_before_reading_audio(
     args = []
     for name in given:
         args += ["--backend" if name == "lda" else "--model", files[name]]
-    wavs = []
+    wavs, loads = [], []
     monkeypatch.setattr(cli.pipeline, "read_wav", lambda *a, **k: wavs.append(a))
+    monkeypatch.setattr(store, "load_side_features", lambda *a, **k: loads.append(a))
     scores = str(tmp_path / "scores.tsv")
     result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "score",
                                   "--system", system, "--trials", trials, "--segments", segments,
                                   "--manifest", manifest, *args, "--out", scores])
     _rejected(result, *[files.get(name, name) for name in named])
-    assert wavs == [] and not os.path.exists(scores)
+    assert wavs == [] and loads == [] and not os.path.exists(scores)
 
 
 def test_extract_rejects_a_file_that_is_not_a_model(tiny_run, score_models, tmp_path):
@@ -597,7 +606,7 @@ def test_model_with_malformed_frontend_record_is_rejected(tiny_run, tmp_path, ed
         net.meta["frontend"]["global_stats"] = "train"
     else:
         del net.meta["frontend"]["pre_emphasis"]
-    store.save_network(model, net, kind="dvector_net")
+    store.save_model(model, net)
     for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats_raw")],
                  ["score", "--system", "dvector-cosine", "--trials", trials,
                   "--segments", segments, "--manifest", manifest]):
@@ -630,3 +639,138 @@ def test_resolved_config_with_percent_in_out_dir_loads_back(tmp_path):
     assert cfg["run"]["out_dir"] == out
     with open(resolved) as f:
         assert dump_config(cfg) == f.read()
+
+
+SIDES_CONFIG = """
+[run]
+seed = 5
+
+[datagen]
+num_speakers = 4
+utterances_per_speaker = 4
+utterance_secs = 1,2
+
+[frontend]
+dither = {dither}
+
+[eval]
+enroll_secs = 2.5
+test_secs = 1.0
+"""
+
+
+def _trials_run(base, dither=0.0):
+    """`gen-data` and `trials` on a 4-speaker corpus whose enroll sides span two or
+    more utterances; (runner, config, out dir, manifest, trials, segments)."""
+    runner, out = CliRunner(), str(base / "sides")
+    config = _write(base / "sides.ini", SIDES_CONFIG.format(dither=dither))
+    _invoke(runner, config, out, "gen-data")
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    _invoke(runner, config, out, "trials", "--manifest", manifest)
+    return (runner, config, out, manifest, os.path.join(out, "trials_C2.5_1.tsv"),
+            os.path.join(out, "segments_C2.5_1.tsv"))
+
+
+def _model(path, system, cmvn="none", **frontend):
+    """An untrained model for `system` whose frontend record has `frontend` settings."""
+    net, scorer = _tiny_e2e() if system == "e2e" else (_tiny_dvector(), None)
+    net.meta["frontend"] = FrontendConfig(cmvn=cmvn, **frontend).record()
+    store.save_model(path, net, scorer)
+    return path
+
+
+@pytest.mark.parametrize("dither", [0.0, 0.01], ids=["no-dither", "dither"])
+def test_scored_sides_match_the_audio_reference(tmp_path, monkeypatch, dither):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path, dither)
+    assert os.path.exists(os.path.join(out, "segments_C2.5_1.svbf"))
+    _, enroll_segments, test_segments = read_segments_file(segments)
+    assert max(len(segs) for segs in enroll_segments.values()) >= 2
+    entries = {e.utt_id: e for e in read_manifest(manifest)}
+    scored = []
+    load = pipeline.load_trial_sides
+    monkeypatch.setattr(cli.pipeline, "load_trial_sides",
+                        lambda *a: scored.append(load(*a)) or scored[-1])
+    for system, cmvn in (("dvector-cosine", "per-utterance"), ("dvector-cosine", "none"),
+                         ("e2e", "per-utterance"), ("e2e", "none")):
+        scored.clear()
+        model = _model(str(tmp_path / f"{system}_{cmvn}.svbf"), system, cmvn, dither=dither)
+        _invoke(runner, config, out, "score", "--system", system, "--model", model,
+                "--trials", trials, "--segments", segments, "--manifest", manifest,
+                "--out", str(tmp_path / "scores.tsv"))
+        fcfg = FrontendConfig(cmvn=cmvn, dither=dither, dither_seed=5)
+        reference = oracles.side_features(enroll_segments, test_segments, entries, fcfg)
+        (sides,) = scored
+        for got, expect in zip(sides, reference):
+            assert list(got) == list(expect), (system, cmvn)
+            for sid in expect:
+                assert got[sid].tobytes() == expect[sid].tobytes(), (system, cmvn, sid)
+
+
+def test_score_reads_no_audio(tmp_path, score_models, monkeypatch):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+
+    def no_audio(*args, **kwargs):
+        raise AssertionError("score read a WAV file")
+
+    monkeypatch.setattr(pipeline, "read_wav", no_audio)
+    for system, args in score_models.items():
+        scores = str(tmp_path / f"scores_{system}.tsv")
+        _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+                "--segments", segments, "--manifest", manifest, *args, "--out", scores)
+        assert len(read_score_file(scores)) == len(read_trial_file(trials)), system
+
+
+def _drop_side(trials, segments):
+    """Drop the last test side from the segments file and its trials from the trial list."""
+    with open(segments) as f:
+        rows = f.read().splitlines()
+    side = rows.pop().split("\t")[1]
+    _write_lines(segments, rows)
+    with open(trials) as f:
+        _write_lines(trials, [t for t in f.read().splitlines() if t.split("\t")[1] != side])
+    return f"test side {side!r}"
+
+
+def _shorten_enroll_piece(trials, segments):
+    """Cut 0.1 s off the first enroll piece in the segments file."""
+    with open(segments) as f:
+        rows = [r.split("\t") for r in f.read().splitlines()]
+    row = next(r for r in rows if r[0] == "enroll")
+    row[6] = f"{float(row[6]) - 0.1:.6f}"
+    _write_lines(segments, ["\t".join(r) for r in rows])
+    return f"enroll side {row[1]!r}"
+
+
+def _write_lines(path, lines):
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("problem", ["missing-file", "dropped-side", "changed-duration",
+                                     "24-bin-model"])
+def test_score_rejects_side_features_that_do_not_fit(tmp_path, score_models, problem):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    sides = os.path.join(out, "segments_C2.5_1.svbf")
+    named = ""
+    if problem == "missing-file":
+        os.remove(sides)
+    elif problem == "dropped-side":
+        named = _drop_side(trials, segments)
+    elif problem == "changed-duration":
+        named = _shorten_enroll_piece(trials, segments)
+    systems = score_models
+    if problem == "24-bin-model":
+        systems = {"dvector-cosine": ["--model", _model(str(tmp_path / "dvector24.svbf"),
+                                                        "dvector-cosine", num_mel_bins=24)]}
+        named = "'num_mel_bins': 40"
+    for system, args in systems.items():
+        if system == "random":
+            continue
+        scores = str(tmp_path / "scores.tsv")
+        result = runner.invoke(main, ["--config", config, "--out-dir", out, "score",
+                                      "--system", system, "--trials", trials,
+                                      "--segments", segments, "--manifest", manifest,
+                                      *args, "--out", scores])
+        _rejected(result, f"{sides}: ")
+        assert named in result.output, (system, result.output)
+        assert not os.path.exists(scores)

@@ -91,8 +91,9 @@ def test_dither_noise_differs_per_clip_and_repeats_per_run(tmp_path):
 
     def side(utt, start, seed=3, dither=0.01):
         seg = Segment("x", "s1", "female", utt, start, 0.5)
-        return pipeline.segment_frames([seg], entries,
-                                       FrontendConfig(dither=dither, dither_seed=seed))
+        (frames,) = pipeline.segment_frames([seg], entries,
+                                            FrontendConfig(dither=dither, dither_seed=seed))
+        return frames
 
     # every input is silence, so any difference between the features is the dither noise
     base = side("u1", 0.0)

@@ -10,7 +10,7 @@ from svbench.config import default_config, dump_config, load_config
 from svbench.corpus import ManifestEntry
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.e2e import E2EConfig, build_e2e_net
-from svbench.errors import ConfigError, FormatError
+from svbench.errors import ConfigError, FormatError, UsageError
 from svbench.frontend import FeatureMatrix, FrontendConfig
 
 
@@ -74,7 +74,7 @@ def _e2e_net(seed=0):
 def test_network_round_trip(tmp_path):
     net = _dvector_net(seed=3)
     path = tmp_path / "net.svbf"
-    store.save_network(str(path), net, kind="dvector_net")
+    store.save_model(str(path), net)
     again, scorer = store.load_model(str(path))
     assert scorer is None
     assert again.meta["model"] == "dvector"
@@ -85,7 +85,9 @@ def test_network_round_trip(tmp_path):
 def test_network_kind_mismatch(tmp_path):
     # a d-vector net in an e2e_model container, and a file that holds no model
     path = tmp_path / "net.svbf"
-    store.save_network(str(path), _dvector_net(), kind="e2e_model")
+    net = _dvector_net()
+    write_container(str(path), "e2e_model", {"layers": net.specs(), "meta": net.meta},
+                    net.param_map())
     with pytest.raises(FormatError):
         store.load_model(str(path))
     store.save_lda(str(path), LdaTransform(mean=np.zeros(3), projection=np.eye(3)))
@@ -100,7 +102,7 @@ def test_e2e_model_round_trip(tmp_path):
     scorer.symmetrize()
     scorer.b[...] = 0.7
     path = tmp_path / "e2e.svbf"
-    store.save_e2e_model(str(path), net, scorer)
+    store.save_model(str(path), net, scorer)
     net2, scorer2 = store.load_model(str(path))
     np.testing.assert_array_equal(scorer2.S, scorer.S)
     np.testing.assert_array_equal(scorer2.b, scorer.b)
@@ -113,7 +115,7 @@ def test_lda_round_trip(tmp_path):
     lda = LdaTransform(mean=rng.standard_normal(5), projection=rng.standard_normal((5, 2)))
     path = tmp_path / "lda.svbf"
     store.save_lda(str(path), lda)
-    again = store.load_lda(str(path))
+    again = store.load_backend(str(path))["lda"]
     x = rng.standard_normal((4, 5))
     np.testing.assert_array_equal(lda.transform(x), again.transform(x))
 
@@ -125,7 +127,8 @@ def test_plda_round_trip(tmp_path):
     center = rng.standard_normal(3)
     path = tmp_path / "plda.svbf"
     store.save_plda(str(path), model, center)
-    again, got_center = store.load_plda(str(path))
+    backend = store.load_backend(str(path))
+    again, got_center = backend["plda"], backend["plda_center"]
     np.testing.assert_array_equal(got_center, center)
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     assert model.score(a, b) == again.score(a, b)
@@ -213,8 +216,8 @@ def test_dump_config_round_trip(tmp_path):
 
 def _small_models(tmp_path):
     """(path, loader) for a saved d-vector network and a saved e2e model."""
-    store.save_network(str(tmp_path / "net.svbf"), _dvector_net(), kind="dvector_net")
-    store.save_e2e_model(str(tmp_path / "e2e.svbf"), *_e2e_net())
+    store.save_model(str(tmp_path / "net.svbf"), _dvector_net())
+    store.save_model(str(tmp_path / "e2e.svbf"), *_e2e_net())
     return [(str(tmp_path / "net.svbf"), store.load_model),
             (str(tmp_path / "e2e.svbf"), store.load_model)]
 
@@ -249,10 +252,11 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
 
 
 def _saved_artifacts(tmp_path):
-    """{name: (path, loader)} for saved features, a vector set, LDA, PLDA and e2e model."""
+    """{name: (path, loader)} for saved features, a vector set, LDA, PLDA, e2e model
+    and trial-side features."""
     rng = np.random.default_rng(9)
     paths = {name: str(tmp_path / f"{name}.svbf")
-             for name in ("features", "vectors", "lda", "plda", "e2e")}
+             for name in ("features", "vectors", "lda", "plda", "e2e", "sides")}
     store.save_features(paths["features"], FeatureMatrix(rng.standard_normal((4, 3))),
                         FrontendConfig().record())
     store.save_vectors(paths["vectors"], "dvector", ["u1", "u2"], ["s1", "s2"],
@@ -260,9 +264,14 @@ def _saved_artifacts(tmp_path):
     store.save_lda(paths["lda"], LdaTransform(mean=rng.standard_normal(3),
                                               projection=rng.standard_normal((3, 2))))
     store.save_plda(paths["plda"], PldaModel(np.zeros(3), np.eye(3), np.eye(3)), np.zeros(3))
-    store.save_e2e_model(paths["e2e"], *_e2e_net())
+    store.save_model(paths["e2e"], *_e2e_net())
+    store.save_side_features(paths["sides"], FrontendConfig(num_mel_bins=3).record(),
+                             {"enroll": {"s1-enroll": ([("u1", 0.0, 1.5, 2), ("u2", 0.0, 2.5, 3)],
+                                                       rng.standard_normal((5, 3)))},
+                              "test": {"u3": ([("u3", 0.0, 2.0, 4)], rng.standard_normal((4, 3)))}})
     loaders = {"features": store.load_features, "vectors": store.load_vectors,
-               "lda": store.load_lda, "plda": store.load_plda, "e2e": store.load_model}
+               "lda": store.load_backend, "plda": store.load_backend, "e2e": store.load_model,
+               "sides": store.load_side_features}
     return {name: (paths[name], loaders[name]) for name in paths}
 
 
@@ -273,6 +282,7 @@ def _saved_artifacts(tmp_path):
     ("lda", "arrays", "mean"), ("lda", "arrays", "projection"),
     ("plda", "arrays", "between"), ("plda", "arrays", "center_mean"),
     ("e2e", "arrays", "scorer.S"), ("e2e", "arrays", "scorer.b"),
+    ("sides", "header", "frontend"), ("sides", "header", "sides"),
 ])
 def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
     path, load = _saved_artifacts(tmp_path)[artifact]
@@ -291,10 +301,10 @@ def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
     lambda record: record.update(frame_length_ms="25"),
 ], ids=["unknown-key", "missing-key", "unknown-cmvn", "zero-shift", "string-length"])
 def test_loaders_reject_bad_frontend_record(tmp_path, edit):
-    for artifact in ("features", "e2e"):
+    for artifact in ("features", "e2e", "sides"):
         path, load = _saved_artifacts(tmp_path)[artifact]
         kind, header, arrays = read_container(path)
-        edit(header["frontend"] if artifact == "features" else header["meta"]["frontend"])
+        edit(header["meta"]["frontend"] if artifact == "e2e" else header["frontend"])
         write_container(path, kind, header, arrays)
         with pytest.raises(FormatError, match=rf"^{re.escape(path)}: frontend record"):
             load(path)
@@ -311,7 +321,7 @@ def test_e2e_loader_rejects_misshaped_scorer(tmp_path):
 
 def test_network_loader_names_malformed_layer_spec(tmp_path):
     path = str(tmp_path / "net.svbf")
-    store.save_network(path, _dvector_net(), kind="dvector_net")
+    store.save_model(path, _dvector_net())
     kind, header, arrays = read_container(path)
     index = next(i for i, spec in enumerate(header["layers"]) if spec["kind"] == "affine")
     del header["layers"][index]["d_out"]
@@ -325,7 +335,7 @@ def test_network_loader_checks_layer_widths(tmp_path, which):
     # d_in and W agree with each other but not with the width the layers below
     # produce (for the first affine: meta input_dim times the splice widths)
     path = str(tmp_path / "net.svbf")
-    store.save_network(path, _dvector_net(), kind="dvector_net")
+    store.save_model(path, _dvector_net())
     kind, header, arrays = read_container(path)
     index = [i for i, spec in enumerate(header["layers"]) if spec["kind"] == "affine"][which]
     spec = header["layers"][index]
@@ -338,9 +348,79 @@ def test_network_loader_checks_layer_widths(tmp_path, which):
 
 def test_network_loader_errors_name_the_file(tmp_path):
     path = str(tmp_path / "net.svbf")
-    store.save_network(path, _dvector_net(), kind="dvector_net")
+    store.save_model(path, _dvector_net())
     kind, header, arrays = read_container(path)
     del arrays["l2.W"]
     write_container(path, kind, header, arrays)
     with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*missing \['l2.W'\]"):
         store.load_model(path)
+
+
+def test_save_model_takes_kind_from_the_net(tmp_path):
+    path = str(tmp_path / "model.svbf")
+    for net, scorer, kind in ((_dvector_net(), None, "dvector_net"),
+                              (*_e2e_net(), "e2e_model")):
+        store.save_model(path, net, scorer)
+        assert read_container(path)[0] == kind
+        again, again_scorer = store.load_model(path)
+        assert again.meta == net.meta and (again_scorer is None) == (scorer is None)
+    # an e2e net without its scorer, or a d-vector net with one, would not load back
+    with pytest.raises(UsageError):
+        store.save_model(path, _e2e_net()[0])
+    with pytest.raises(UsageError):
+        store.save_model(path, _dvector_net(), _e2e_net()[1])
+
+
+def test_side_features_round_trip(tmp_path):
+    path, load = _saved_artifacts(tmp_path)["sides"]
+    frontend, sides = load(path)
+    assert frontend == FrontendConfig(num_mel_bins=3).record()
+    assert {role: list(table) for role, table in sides.items()} == {
+        "enroll": ["s1-enroll"], "test": ["u3"]}
+    pieces, frames = sides["enroll"]["s1-enroll"]
+    assert pieces == [("u1", 0.0, 1.5, 2), ("u2", 0.0, 2.5, 3)]
+    assert frames.dtype == np.float64 and frames.shape == (5, 3)
+    _, arrays = read_container(path)[1:]
+    assert frames.tobytes() == arrays["enroll/s1-enroll"].tobytes()
+
+
+def _drop_side(header, arrays):
+    del arrays["test/u3"]
+
+
+def _extra_side(header, arrays):
+    arrays["test/u4"] = np.zeros((4, 3))
+
+
+def _short_side(header, arrays):
+    arrays["enroll/s1-enroll"] = arrays["enroll/s1-enroll"][:4]
+
+
+def _float32_side(header, arrays):
+    arrays["test/u3"] = arrays["test/u3"].astype(np.float32)
+
+
+def _empty_piece(header, arrays):
+    header["sides"]["test"]["u3"] = [["u3", 0.0, 2.0, 0]]
+
+
+@pytest.mark.parametrize("change, message", [
+    (_drop_side, "test side 'u3' needs a float64 (4, 3) matrix, found None"),
+    (_extra_side, "arrays ['test/u4'] belong to no side"),
+    (_short_side, "enroll side 's1-enroll' needs a float64 (5, 3) matrix"),
+    (_float32_side, "test side 'u3' needs a float64 (4, 3) matrix"),
+    (_empty_piece, "test side 'u3' has pieces"),
+], ids=["missing", "extra", "misshaped", "float32", "empty-piece"])
+def test_side_features_loader_rejects_bad_sides(tmp_path, change, message):
+    path, load = _saved_artifacts(tmp_path)["sides"]
+    kind, header, arrays = read_container(path)
+    change(header, arrays)
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: {re.escape(message)}"):
+        load(path)
+
+
+def test_side_features_loader_names_a_missing_file(tmp_path):
+    path = str(tmp_path / "segments_C4_2.svbf")
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: no trial-side features"):
+        store.load_side_features(path)
