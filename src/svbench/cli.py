@@ -188,7 +188,7 @@ def extract(ws, model, manifest, feats_dir, out_path):
 def fit_backend(ws, vectors, kind, out_path):
     """Fit an LDA or PLDA back-end on labelled vectors."""
     ws.prepare()
-    _, speakers, x = store.load_vectors(vectors)
+    _, speakers, x = store.load_vectors(vectors, kind="dvector")
     labels = np.array(speakers)
     if kind == "lda":
         target = min(x.shape[1], ws.cfg["backends"]["lda_dim"], len(set(speakers)) - 1)
@@ -265,8 +265,7 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     net, scorer = store.load_model(model) if model else (None, None)
     backend_args = store.load_backend(backend) if backend else {}
 
-    side_frames = lambda: pipeline.load_trial_sides(segments_path, enroll_segments,
-                                                     test_segments, net.meta["frontend"])
+    side_frames = lambda: pipeline.load_trial_sides(segments_path, net.meta["frontend"])
     records = pipeline.score_trials(system, trial_items, side_frames, net=net, scorer=scorer,
                                     seed=ws.seed, **backend_args)
     write_score_file(out_path, records)

@@ -28,6 +28,7 @@ CHUNK_LEN_MAX = 300
 # and a small batch misjudges their spread over the rest of the corpus.
 CALIBRATION_SPEAKERS = 64
 EMBEDDING_SCALE = 0.3         # calibrate_network's extra shrink of the last affine
+RECEPTIVE_FIELD = 17          # frames of context the published embedding network sees
 
 
 @dataclass
@@ -40,7 +41,6 @@ class E2EConfig:
     td_offsets: tuple = ((-3, 0, 3), (-2, 0, 2), (-2, 0, 2))
     pre_pool_dim: int = 150
     embedding_dim: int = 200
-    expected_context: int | None = 17
 
     def __post_init__(self):
         if min(self.lift_dim, self.nin_hidden, self.nin_out,
@@ -132,8 +132,8 @@ class BilinearScorer:
 def build_e2e_net(cfg, seed=0):
     specs = e2e_specs(cfg)
     ctx = effective_context(specs)
-    if cfg.expected_context is not None and ctx != cfg.expected_context:
-        raise ConfigError(f"receptive field {ctx} frames, expected {cfg.expected_context}")
+    if ctx != RECEPTIVE_FIELD:
+        raise ConfigError(f"receptive field {ctx} frames, expected {RECEPTIVE_FIELD}")
     net = Network.from_specs(specs, meta={
         "model": "e2e",
         "input_dim": cfg.input_dim,

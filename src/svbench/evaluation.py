@@ -33,7 +33,6 @@ class Trial:
     enroll_id: str
     test_id: str
     label: str                     # "target" | "nontarget"
-    gender: str = ""
 
 
 @dataclass
@@ -95,7 +94,7 @@ def build_conditions(entries, enroll_secs, test_secs):
             if seg.gender != egender:
                 continue
             label = "target" if seg.speaker_id == espk else "nontarget"
-            trials.append(Trial(enroll_id, test_id, label, egender))
+            trials.append(Trial(enroll_id, test_id, label))
     return TrialList(condition, enroll_secs, test_secs, trials, enroll_segments, test_segments)
 
 

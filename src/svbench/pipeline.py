@@ -1,6 +1,7 @@
 """Glue between corpus files and the models: featurization, vector
 extraction, and trial scoring. Used by the CLI and the acceptance suite."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -73,8 +74,7 @@ def segment_frames(segments, entries_by_utt, fcfg):
     """Feature matrix of each segment of one trial side: its featurized slice."""
     parts = []
     for seg in segments:
-        entry = entries_by_utt[seg.utt_id]
-        clip = read_wav(entry.path)
+        clip = read_wav(entries_by_utt[seg.utt_id].path)
         lo = int(round(seg.start * clip.sample_rate))
         hi = int(round((seg.start + seg.duration) * clip.sample_rate))
         piece = AudioClip(clip.samples[lo:hi], clip.sample_rate, id=seg.utt_id, start=lo)
@@ -86,71 +86,47 @@ def dvector_of(net, frames):
     return pool_dvector(extract_frame_features(net, frames))
 
 
-def trial_sides(enroll_segments, test_segments):
-    """{"enroll": side id -> [Segment], "test": side id -> [Segment]} from the enroll
-    and test tables of build_conditions or read_segments_file."""
-    return {"enroll": enroll_segments,
-            "test": {tid: [seg] for tid, seg in test_segments.items()}}
-
-
-def featurize_sides(sides, entries, fcfg):
-    """Features of every side of trial_sides(...) under fcfg, each piece featurized
-    once: role -> side id -> (pieces, frames) as store.save_side_features takes them."""
-    entries_by_utt = {e.utt_id: e for e in entries}
-    features = {}
-    for role, table in sides.items():
-        features[role] = {}
-        for sid, segs in table.items():
-            parts = segment_frames(segs, entries_by_utt, fcfg)
-            pieces = [(s.utt_id, s.start, s.duration, len(p)) for s, p in zip(segs, parts)]
-            features[role][sid] = (pieces, np.concatenate(parts, axis=0))
-    return features
-
-
-def normalized_side(pieces, frames, mode):
-    """A side's frames with CMVN `mode` applied to each piece's rows by `normalize`,
-    as clip_features applies it to a piece featurized from audio."""
-    bounds = np.cumsum([p[3] for p in pieces])[:-1]
-    return np.concatenate([normalize(FeatureMatrix(rows), mode).frames
-                           for rows in np.split(frames, bounds)], axis=0)
-
-
 def side_file(segments_path):
     """The trial-side features file that belongs to a segments file."""
     return os.path.splitext(segments_path)[0] + ".svbf"
 
 
+def sha256_of(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 def save_trial_sides(segments_path, entries, fcfg):
-    """Featurize every side of a segments file once under fcfg into side_file(segments_path).
-    The segments are read back from the file, so their times are those `score` checks."""
+    """Featurize each side of a segments file once under fcfg into side_file(segments_path),
+    one matrix per row (in read_segments_file's order), with the file's sha256."""
     _, enroll, test = read_segments_file(segments_path)
-    store.save_side_features(side_file(segments_path), fcfg.record(),
-                             featurize_sides(trial_sides(enroll, test), entries, fcfg))
+    entries_by_utt = {e.utt_id: e for e in entries}
+    sides = list(enroll.values()) + [[seg] for seg in test.values()]
+    rows = [frames for segs in sides for frames in segment_frames(segs, entries_by_utt, fcfg)]
+    store.save_side_features(side_file(segments_path), fcfg.record(), sha256_of(segments_path),
+                             rows)
 
 
-def load_trial_sides(segments_path, enroll_segments, test_segments, frontend):
-    """(enroll, test) dicts of side id -> frames, in the order of the segments file, read
-    from side_file(segments_path) and normalized by `frontend`'s cmvn piece by piece.
-
-    FormatError naming the side file if it was made with a frontend that differs
-    from `frontend` in any key but cmvn, or if its sides or their pieces differ
-    from the segments'. Each raw matrix is released as its side is built.
-    """
+def load_trial_sides(segments_path, frontend):
+    """(enroll, test) dicts of side id -> frames, in segments-file order, from
+    side_file(segments_path), normalized by `frontend`'s cmvn row by row; each raw
+    matrix is released as its side is built. FormatError naming the side file if its
+    frontend differs from `frontend` in any key but cmvn, or its sha256 or row count
+    from the segments file's."""
     path = side_file(segments_path)
-    made_with, features = store.load_side_features(path)
+    made_with, digest, rows = store.load_side_features(path)
     if {**made_with, "cmvn": None} != {**frontend, "cmvn": None}:
         raise FormatError(f"{path}: trial sides made with frontend {made_with}, but the model "
                           f"with {frontend}; rerun `svbench trials` with the model's [frontend]")
-    wanted = trial_sides(enroll_segments, test_segments)
-    for role, table in wanted.items():
-        for sid in sorted(table.keys() | features[role].keys()):
-            want = [(s.utt_id, s.start, s.duration) for s in table.get(sid, [])]
-            have = [p[:3] for p in features[role].get(sid, ([], None))[0]]
-            if have != want:
-                raise FormatError(f"{path}: {role} side {sid!r} has pieces {have}, "
-                                  f"{segments_path} {want}; rerun `svbench trials`")
-    return tuple({sid: normalized_side(*features[role].pop(sid), frontend["cmvn"])
-                  for sid in table} for role, table in wanted.items())
+    _, enroll, test = read_segments_file(segments_path)
+    if (digest != sha256_of(segments_path)
+            or len(rows) != sum(map(len, enroll.values())) + len(test)):
+        raise FormatError(f"{path}: not made from {segments_path} as it is now; "
+                          f"rerun `svbench trials`")
+    rows.reverse()
+    side = lambda n: np.concatenate([normalize(FeatureMatrix(rows.pop()), frontend["cmvn"]).frames
+                                     for _ in range(n)], axis=0)
+    return {sid: side(len(segs)) for sid, segs in enroll.items()}, {tid: side(1) for tid in test}
 
 
 SYSTEMS = ("dvector-cosine", "dvector-lda", "dvector-plda", "e2e", "random")
@@ -167,12 +143,13 @@ def score_trials(system, trials, side_frames, *, net=None, scorer=None,
     """Score every trial with one system; returns (enroll, test, score, label) records.
 
     A system of SYSTEMS needs a trained net of its family (e2e: with its
-    bilinear `scorer`), then dvector-lda or dvector-plda its back-end; a
-    UsageError names what is missing before `side_frames()` is called for the
-    (enroll, test) dicts of side id -> T x D frames. Every side is embedded
-    once, each per-side transform runs once on the enroll and once on the
-    test matrix, and one scorer call fills the (enroll x test) grid that each
-    trial reads its score from. `random` draws one uniform score per trial.
+    bilinear `scorer`), then dvector-lda or dvector-plda its back-end, fitted on
+    vectors of the net's d-vector width; a UsageError names what is missing or
+    does not fit before `side_frames()` is called for the (enroll, test) dicts
+    of side id -> T x D frames. Every side is embedded once, each per-side
+    transform runs once on the enroll and once on the test matrix, and one scorer
+    call fills the (enroll x test) grid that each trial reads its score from.
+    `random` draws one uniform score per trial.
     """
     if system not in SYSTEMS:
         raise UsageError(f"unknown system {system!r}")
@@ -190,12 +167,17 @@ def score_trials(system, trials, side_frames, *, net=None, scorer=None,
     elif system == "dvector-lda":
         if lda is None:
             raise UsageError("system 'dvector-lda' needs a fitted LDA back-end as --backend")
+        backend_width = len(lda.mean)
         grid_of = lambda e, t: cosine_score(lda.transform(e), lda.transform(t))
     else:
         if plda is None or plda_center is None:
             raise UsageError("system 'dvector-plda' needs a fitted PLDA back-end as --backend")
+        backend_width = len(plda_center)
         grid_of = lambda e, t: plda.score(center_and_length_normalize(e, plda_center),
                                           center_and_length_normalize(t, plda_center))
+    if system in ("dvector-lda", "dvector-plda") and backend_width != net.layers[-1].d_in:
+        raise UsageError(f"--backend was fitted on {backend_width}-dim vectors, but the "
+                         f"model's d-vectors have {net.layers[-1].d_in} dims")
     if not trials:
         return []
     enroll_frames, test_frames = side_frames()

@@ -55,49 +55,40 @@ def load_features(path):
             frontend_record(path, header))
 
 
-SIDE_ROLES = ("enroll", "test")
+def _row_names(n):
+    """Row indices 0..n-1, zero-padded so that the container's sorted order is row order."""
+    return [f"{i:0{len(str(n - 1))}d}" for i in range(n)]
 
 
-def save_side_features(path, frontend, sides):
-    """Trial-side features with the record of the frontend that made them. `sides`
-    maps each of SIDE_ROLES to {side id: (pieces, frames)}: pieces lists each
-    segment as (utt id, start, duration, frame count), frames stacks their rows.
-    Frames stay float64, so that scores from them keep their bytes."""
-    header = {"frontend": frontend,
-              "sides": {role: {sid: pieces for sid, (pieces, _) in sides[role].items()}
-                        for role in SIDE_ROLES}}
-    write_container(path, "side_features", header,
-                    {f"{role}/{sid}": np.asarray(frames, dtype=np.float64)
-                     for role in SIDE_ROLES for sid, (_, frames) in sides[role].items()})
+def save_side_features(path, frontend, segments, rows):
+    """Trial-side features: one float64 matrix per segments-file row, named by _row_names, with
+    the frontend record and `segments`, the segments file's sha256. float64 keeps score bytes."""
+    write_container(path, "side_features", {"frontend": frontend, "segments": segments},
+                    dict(zip(_row_names(len(rows)), (np.asarray(r, np.float64) for r in rows))))
 
 
 def load_side_features(path):
-    """(frontend record, sides) of a side-features file, `sides` as save_side_features
-    takes it. A missing file, a malformed piece, or a missing, extra or misshaped
-    side matrix is a FormatError naming `path`."""
+    """(frontend record, segments sha256, row matrices in row order) of a side-features
+    file. A missing file or header entry, or arrays not named by _row_names or not each a
+    float64 T x num_mel_bins matrix with T >= 1, is a FormatError naming `path`."""
     if not os.path.exists(path):
         raise FormatError(f"{path}: no trial-side features; `svbench trials` writes them "
                           f"beside its segments file")
     _, header, arrays = read_container(path, expect_kind="side_features")
     frontend = frontend_record(path, header)
-    table = _entry(path, header, "sides")
-    sides = {}
-    for role in SIDE_ROLES:
-        sides[role] = {}
-        for sid, pieces in _entry(path, table, role).items():
-            frames = arrays.pop(f"{role}/{sid}", None)
-            if not all(isinstance(p, list) and len(p) == 4 and isinstance(p[3], int) and p[3] > 0
-                       for p in pieces):
-                raise FormatError(f"{path}: {role} side {sid!r} has pieces {pieces}, expected "
-                                  f"[utt id, start, duration, frame count > 0] each")
-            shape = (sum(p[3] for p in pieces), frontend["num_mel_bins"])
-            if frames is None or frames.dtype != np.float64 or frames.shape != shape:
-                raise FormatError(f"{path}: {role} side {sid!r} needs a float64 {shape} matrix, "
-                                  f"found {None if frames is None else (frames.dtype, frames.shape)}")
-            sides[role][sid] = ([tuple(p) for p in pieces], frames)
-    if arrays:
-        raise FormatError(f"{path}: arrays {sorted(arrays)} belong to no side")
-    return frontend, sides
+    segments = _entry(path, header, "segments")
+    names = _row_names(len(arrays))
+    stray = sorted(arrays.keys() - set(names))
+    if stray:
+        raise FormatError(f"{path}: array {stray[0]!r} is not a row index "
+                          f"(expected {len(names)} arrays named {names[0]} to {names[-1]})")
+    for name in names:
+        frames = arrays[name]
+        if (frames.dtype != np.float64 or frames.ndim != 2 or len(frames) < 1
+                or frames.shape[1] != frontend["num_mel_bins"]):
+            raise FormatError(f"{path}: row {name} needs a float64 T x {frontend['num_mel_bins']} "
+                              f"matrix with T >= 1, found {frames.dtype} {frames.shape}")
+    return frontend, segments, [arrays.pop(name) for name in names]
 
 
 def save_vectors(path, kind, ids, speakers, matrix):

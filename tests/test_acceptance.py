@@ -30,12 +30,11 @@ from svbench.dvector import (DVectorConfig, build_dvector_net, dvector_specs,
 from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig,
                          build_e2e_net, e2e_specs, pair_loss,
                          sample_pair_batch, train_e2e)
-from svbench.evaluation import build_conditions, compute_eer
+from svbench.evaluation import build_conditions, compute_eer, write_segments_file
 from svbench.frontend import FrontendConfig, cmvn, compute_fbank
 from svbench.nn import TrainerConfig, context_window, effective_context
-from svbench.pipeline import (corpus_by_speaker, dvector_of, featurize_sides,
-                              labelled_utterances, normalized_side, score_trials,
-                              trial_sides)
+from svbench.pipeline import (corpus_by_speaker, dvector_of, labelled_utterances,
+                              load_trial_sides, save_trial_sides, score_trials)
 from svbench.audio import read_wav
 
 from oracles import brute_force_eer
@@ -370,12 +369,13 @@ def desk_pipeline(tmp_path_factory):
 
     # enrollment from 4 s of speech, 2 s test cuts (utterances are 2-4 s,
     # so longer test cuts would exclude most of the corpus)
-    # trial sides featurized once, raw, then normalized per model as `score` does
+    # trial sides featurized once, raw, as `trials` does, then normalized per
+    # model as `score` does
     trial_list = build_conditions(evals, 4.0, 2.0)
-    raw_sides = featurize_sides(trial_sides(trial_list.enroll_segments,
-                                            trial_list.test_segments), evals, fraw)
-    side_frames = {mode: tuple({sid: normalized_side(*side, mode) for sid, side in table.items()}
-                               for table in raw_sides.values())
+    segments = str(out / "segments_C4_2.tsv")
+    write_segments_file(segments, trial_list)
+    save_trial_sides(segments, evals, fraw)
+    side_frames = {mode: load_trial_sides(segments, FrontendConfig(cmvn=mode).record())
                    for mode in ("per-utterance", "none")}
 
     def eer(system, **kwargs):

@@ -561,18 +561,26 @@ def _rejected(result, *named):
     ("e2e", ["dvector"], ["--model", "dvector"]),
     ("dvector-cosine", ["e2e"], ["--model", "e2e"]),
     ("dvector-plda", ["dvector", "lda"], ["--backend", "lda"]),
+    ("dvector-lda", ["dvector", "lda12"], ["--backend"]),
+    ("dvector-plda", ["dvector", "plda12"], ["--backend"]),
 ], ids=["cosine-without-model", "lda-without-backend", "e2e-with-dvector-model",
-        "cosine-with-e2e-model", "plda-with-lda-backend"])
+        "cosine-with-e2e-model", "plda-with-lda-backend", "lda-of-another-width",
+        "plda-of-another-width"])
 def test_score_rejects_system_model_mismatch_before_reading_audio(
         tiny_run, score_models, tmp_path, monkeypatch, system, given, named):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
     trials, segments = _one_trial(tmp_path, manifest)
     files = {"dvector": score_models["dvector-cosine"][1], "e2e": score_models["e2e"][1],
-             "lda": score_models["dvector-lda"][3]}
+             "lda": score_models["dvector-lda"][3], "lda12": str(tmp_path / "lda12.svbf"),
+             "plda12": str(tmp_path / "plda12.svbf")}
+    # back-ends fitted on 12-dim vectors, against the d-vector model's 8
+    store.save_lda(files["lda12"], LdaTransform(mean=np.zeros(12), projection=np.eye(12)[:, :3]))
+    store.save_plda(files["plda12"], PldaModel(np.zeros(12), np.eye(12), np.eye(12)),
+                    np.zeros(12))
     args = []
     for name in given:
-        args += ["--backend" if name == "lda" else "--model", files[name]]
+        args += ["--backend" if "lda" in name else "--model", files[name]]
     wavs, loads = [], []
     monkeypatch.setattr(cli.pipeline, "read_wav", lambda *a, **k: wavs.append(a))
     monkeypatch.setattr(store, "load_side_features", lambda *a, **k: loads.append(a))
@@ -628,6 +636,17 @@ def test_fit_backend_rejects_non_finite_lda(rank_deficient_vectors, tmp_path):
     assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
     assert "LDA projection is not finite" in result.output
     assert not os.path.exists(lda)
+
+
+def test_fit_backend_rejects_e2e_embeddings(tmp_path):
+    vectors, out = str(tmp_path / "embeddings.svbf"), str(tmp_path / "backend.svbf")
+    store.save_vectors(vectors, "embedding", ["u1", "u2", "u3", "u4"], ["s1", "s1", "s2", "s2"],
+                       np.random.default_rng(0).standard_normal((4, 8)))
+    for kind in ("lda", "plda"):
+        result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "fit-backend",
+                                           "--vectors", vectors, "--kind", kind, "--out", out])
+        _rejected(result, f"{vectors}: kind 'embedding', expected 'dvector'")
+        assert not os.path.exists(out)
 
 
 def test_resolved_config_with_percent_in_out_dir_loads_back(tmp_path):
@@ -728,7 +747,6 @@ def _drop_side(trials, segments):
     _write_lines(segments, rows)
     with open(trials) as f:
         _write_lines(trials, [t for t in f.read().splitlines() if t.split("\t")[1] != side])
-    return f"test side {side!r}"
 
 
 def _shorten_enroll_piece(trials, segments):
@@ -738,7 +756,6 @@ def _shorten_enroll_piece(trials, segments):
     row = next(r for r in rows if r[0] == "enroll")
     row[6] = f"{float(row[6]) - 0.1:.6f}"
     _write_lines(segments, ["\t".join(r) for r in rows])
-    return f"enroll side {row[1]!r}"
 
 
 def _write_lines(path, lines):
@@ -751,13 +768,14 @@ def _write_lines(path, lines):
 def test_score_rejects_side_features_that_do_not_fit(tmp_path, score_models, problem):
     runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
     sides = os.path.join(out, "segments_C2.5_1.svbf")
-    named = ""
+    named = segments
     if problem == "missing-file":
         os.remove(sides)
+        named = ""
     elif problem == "dropped-side":
-        named = _drop_side(trials, segments)
+        _drop_side(trials, segments)
     elif problem == "changed-duration":
-        named = _shorten_enroll_piece(trials, segments)
+        _shorten_enroll_piece(trials, segments)
     systems = score_models
     if problem == "24-bin-model":
         systems = {"dvector-cosine": ["--model", _model(str(tmp_path / "dvector24.svbf"),

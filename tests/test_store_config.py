@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -251,6 +252,9 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
             load(path)
 
 
+SEGMENTS_SHA = hashlib.sha256(b"#condition\tC(4-2)\t4\t2\n").hexdigest()
+
+
 def _saved_artifacts(tmp_path):
     """{name: (path, loader)} for saved features, a vector set, LDA, PLDA, e2e model
     and trial-side features."""
@@ -265,10 +269,8 @@ def _saved_artifacts(tmp_path):
                                               projection=rng.standard_normal((3, 2))))
     store.save_plda(paths["plda"], PldaModel(np.zeros(3), np.eye(3), np.eye(3)), np.zeros(3))
     store.save_model(paths["e2e"], *_e2e_net())
-    store.save_side_features(paths["sides"], FrontendConfig(num_mel_bins=3).record(),
-                             {"enroll": {"s1-enroll": ([("u1", 0.0, 1.5, 2), ("u2", 0.0, 2.5, 3)],
-                                                       rng.standard_normal((5, 3)))},
-                              "test": {"u3": ([("u3", 0.0, 2.0, 4)], rng.standard_normal((4, 3)))}})
+    store.save_side_features(paths["sides"], FrontendConfig(num_mel_bins=3).record(), SEGMENTS_SHA,
+                             [rng.standard_normal((t, 3)) for t in (2, 3, 4)])
     loaders = {"features": store.load_features, "vectors": store.load_vectors,
                "lda": store.load_backend, "plda": store.load_backend, "e2e": store.load_model,
                "sides": store.load_side_features}
@@ -282,7 +284,7 @@ def _saved_artifacts(tmp_path):
     ("lda", "arrays", "mean"), ("lda", "arrays", "projection"),
     ("plda", "arrays", "between"), ("plda", "arrays", "center_mean"),
     ("e2e", "arrays", "scorer.S"), ("e2e", "arrays", "scorer.b"),
-    ("sides", "header", "frontend"), ("sides", "header", "sides"),
+    ("sides", "header", "frontend"), ("sides", "header", "segments"),
 ])
 def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
     path, load = _saved_artifacts(tmp_path)[artifact]
@@ -373,43 +375,51 @@ def test_save_model_takes_kind_from_the_net(tmp_path):
 
 def test_side_features_round_trip(tmp_path):
     path, load = _saved_artifacts(tmp_path)["sides"]
-    frontend, sides = load(path)
+    frontend, segments, rows = load(path)
     assert frontend == FrontendConfig(num_mel_bins=3).record()
-    assert {role: list(table) for role, table in sides.items()} == {
-        "enroll": ["s1-enroll"], "test": ["u3"]}
-    pieces, frames = sides["enroll"]["s1-enroll"]
-    assert pieces == [("u1", 0.0, 1.5, 2), ("u2", 0.0, 2.5, 3)]
-    assert frames.dtype == np.float64 and frames.shape == (5, 3)
+    assert segments == SEGMENTS_SHA
+    assert [r.shape for r in rows] == [(2, 3), (3, 3), (4, 3)]
     _, arrays = read_container(path)[1:]
-    assert frames.tobytes() == arrays["enroll/s1-enroll"].tobytes()
+    assert list(arrays) == ["0", "1", "2"]
+    assert all(r.dtype == np.float64 and r.tobytes() == arrays[name].tobytes()
+               for r, name in zip(rows, arrays))
 
 
-def _drop_side(header, arrays):
-    del arrays["test/u3"]
+def test_side_features_names_rows_in_row_order(tmp_path):
+    # eleven rows are named 00..10, so that the container's sorted order is row order
+    path = str(tmp_path / "sides.svbf")
+    rows = [np.full((t, 3), float(t)) for t in range(1, 12)]
+    store.save_side_features(path, FrontendConfig(num_mel_bins=3).record(), SEGMENTS_SHA, rows)
+    assert list(read_container(path)[2]) == [f"{i:02d}" for i in range(11)]
+    assert [len(r) for r in store.load_side_features(path)[2]] == list(range(1, 12))
 
 
-def _extra_side(header, arrays):
-    arrays["test/u4"] = np.zeros((4, 3))
+def _drop_row(header, arrays):
+    del arrays["1"]
 
 
-def _short_side(header, arrays):
-    arrays["enroll/s1-enroll"] = arrays["enroll/s1-enroll"][:4]
+def _extra_row(header, arrays):
+    arrays["7"] = np.zeros((4, 3))
 
 
-def _float32_side(header, arrays):
-    arrays["test/u3"] = arrays["test/u3"].astype(np.float32)
+def _narrow_row(header, arrays):
+    arrays["0"] = arrays["0"][:, :2]
 
 
-def _empty_piece(header, arrays):
-    header["sides"]["test"]["u3"] = [["u3", 0.0, 2.0, 0]]
+def _float32_row(header, arrays):
+    arrays["2"] = arrays["2"].astype(np.float32)
+
+
+def _zero_row_piece(header, arrays):
+    arrays["2"] = np.zeros((0, 3))
 
 
 @pytest.mark.parametrize("change, message", [
-    (_drop_side, "test side 'u3' needs a float64 (4, 3) matrix, found None"),
-    (_extra_side, "arrays ['test/u4'] belong to no side"),
-    (_short_side, "enroll side 's1-enroll' needs a float64 (5, 3) matrix"),
-    (_float32_side, "test side 'u3' needs a float64 (4, 3) matrix"),
-    (_empty_piece, "test side 'u3' has pieces"),
+    (_drop_row, "array '2' is not a row index (expected 2 arrays named 0 to 1)"),
+    (_extra_row, "array '7' is not a row index (expected 4 arrays named 0 to 3)"),
+    (_narrow_row, "row 0 needs a float64 T x 3 matrix with T >= 1, found float64 (2, 2)"),
+    (_float32_row, "row 2 needs a float64 T x 3 matrix with T >= 1, found float32 (4, 3)"),
+    (_zero_row_piece, "row 2 needs a float64 T x 3 matrix with T >= 1, found float64 (0, 3)"),
 ], ids=["missing", "extra", "misshaped", "float32", "empty-piece"])
 def test_side_features_loader_rejects_bad_sides(tmp_path, change, message):
     path, load = _saved_artifacts(tmp_path)["sides"]

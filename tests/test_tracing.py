@@ -1,5 +1,6 @@
 """The benchmark imports svbench names and its span tracer patches more; a
-rename of any of them must fail here."""
+rename of any of them must fail here, and so must a change to the CLI or its
+files that the benchmark's score-eval output checks refuse."""
 
 import os
 
@@ -33,3 +34,14 @@ def test_benchmark_workloads_import(monkeypatch):
     import workloads                # ImportError if a name the workloads import is gone
 
     assert workloads.cli.main is cli.main
+
+
+def test_tiny_score_eval_unit_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # the benchmark's own output checks on trials -> score x5 -> eval, at its tiny size
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import TINY, Bench, ScoreEval
+
+    bench, workload = Bench(seed=5), ScoreEval(TINY)
+    workload.setup(bench, str(tmp_path))
+    assert workload.unit(bench, str(tmp_path)) is not None
+    assert bench.failures == []
