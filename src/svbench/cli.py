@@ -38,10 +38,9 @@ class Workspace:
     def path(self, *parts):
         return os.path.join(self.out_dir, *parts)
 
-    def frontend(self, **overrides):
+    def frontend(self):
         """The [frontend] section as a FrontendConfig, dithered from the run seed."""
-        return from_sections(FrontendConfig, self.cfg, "frontend", dither_seed=self.seed,
-                             **overrides)
+        return from_sections(FrontendConfig, self.cfg, "frontend", dither_seed=self.seed)
 
 
 class _Group(click.Group):
@@ -91,16 +90,12 @@ def gen_data(ws):
 
 @main.command()
 @click.option("--manifest", required=True, type=click.Path(exists=True))
-@click.option("--no-cmvn", is_flag=True,
-              help="Skip per-utterance CMVN (as [frontend] cmvn = none). Chosen here once, "
-                   "the choice travels with the features into the model and to scoring.")
+@click.option("--no-cmvn", is_flag=True, hidden=True)   # no effect: CMVN is the model's choice
 @click.option("--name", "dir_name", default="feats",
               help="Subdirectory of the output dir to write features into.")
 @click.pass_obj
 def featurize(ws, manifest, no_cmvn, dir_name):
-    """Extract fbank features for every utterance in a manifest."""
-    if no_cmvn:
-        ws.cfg["frontend"]["cmvn"] = "none"
+    """Extract raw fbank features for every utterance in a manifest."""
     ws.prepare()
     entries = read_manifest(manifest)
     feats_dir = ws.path(dir_name)
@@ -116,7 +111,7 @@ def cmd_train_dvector(ws, manifest, feats_dir):
     """Train the speaker-classifier network on per-frame labels."""
     ws.prepare()
     entries = read_manifest(manifest)
-    feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir, ws.cfg["dvector"]["cmvn"])
     utts, speakers = pipeline.labelled_utterances(entries, feats)
     cfg = from_sections(DVectorConfig, ws.cfg, "dvector",
                         input_dim=frontend["num_mel_bins"], num_speakers=len(speakers))
@@ -126,7 +121,7 @@ def cmd_train_dvector(ws, manifest, feats_dir):
         log.write("epoch\tloss\taccuracy\tgrad_norm\tclipped_frac\n")
         net = train_dvector(utts, cfg, tcfg, log=lambda h: log.write(
             f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\t{h['grad_norm']!r}\t{h['clipped_frac']!r}\n"))
-    net.meta.update(speakers=speakers, frontend=frontend)
+    net.meta.update(speakers=speakers, frontend=frontend, cmvn=ws.cfg["dvector"]["cmvn"])
     store.save_model(ws.path("dvector.svbf"), net)
     click.echo(f"trained d-vector model on {len(speakers)} speakers -> {ws.path('dvector.svbf')}")
 
@@ -139,9 +134,9 @@ def cmd_train_e2e(ws, manifest, feats_dir):
     """Train the end-to-end embedding network and bilinear scorer."""
     ws.prepare()
     entries = read_manifest(manifest)
-    feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
-    corpus = pipeline.corpus_by_speaker(entries, feats)
     e = ws.cfg["e2e"]
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir, e["cmvn"])
+    corpus = pipeline.corpus_by_speaker(entries, feats)
     cfg = from_sections(E2EConfig, ws.cfg, "e2e", input_dim=frontend["num_mel_bins"])
     n = e["pair_batch_n"]
     k = e["loss_k"] if e["loss_k"] > 0 else 1.0 / (n - 1)
@@ -155,7 +150,7 @@ def cmd_train_e2e(ws, manifest, feats_dir):
             chunk_bounds=(e["chunk_min"], e["chunk_max"]),
             log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
                                     f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
-    net.meta["frontend"] = frontend
+    net.meta.update(frontend=frontend, cmvn=e["cmvn"])
     store.save_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
 
@@ -171,7 +166,7 @@ def extract(ws, model, manifest, feats_dir, out_path):
     ws.prepare()
     entries = sorted(read_manifest(manifest), key=lambda e: e.utt_id)
     net, _ = store.load_model(model)
-    feats, frontend = pipeline.load_feature_dir(entries, feats_dir)
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir, net.meta["cmvn"])
     store.same_frontend(feats_dir, frontend, model, net.meta["frontend"])
     ids = [e.utt_id for e in entries]
     vecs = [pipeline.utterance_vector(net, feats[u]) for u in ids]
@@ -206,9 +201,8 @@ def fit_backend(ws, vectors, kind, out_path):
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.pass_obj
 def trials(ws, manifest):
-    """Build gender-matched trial and segment files for the configured condition,
-    and featurize every trial side once (raw fbank of the [frontend] section, no
-    CMVN) into segments_<tag>.svbf, the file `score` reads its sides from."""
+    """Build gender-matched trial and segment files for the configured condition, and
+    featurize every trial side once (raw fbank) into segments_<tag>.svbf for `score`."""
     ws.prepare()
     entries = read_manifest(manifest)
     ev = ws.cfg["eval"]
@@ -217,26 +211,26 @@ def trials(ws, manifest):
     write_trial_file(ws.path(f"trials_{tag}.tsv"), tl.trials)
     segments_path = ws.path(f"segments_{tag}.tsv")
     write_segments_file(segments_path, tl)
-    pipeline.save_trial_sides(segments_path, entries, ws.frontend(cmvn="none"))
+    pipeline.save_trial_sides(segments_path, entries, ws.frontend())
     targets = sum(1 for t in tl.trials if t.label == "target")
     click.echo(f"{tl.condition}: {len(tl.trials)} trials "
                f"({targets} target / {len(tl.trials) - targets} nontarget)")
 
 
-def _check_sides(trial_items, enroll_segments, test_segments, entries,
+def _check_sides(trial_items, enroll_segments, test_segments,
                  trials_path, segments_path, manifest):
-    """FormatError for a trial side the segments file lacks, or a segment
-    utterance the manifest lacks."""
+    """FormatError for a trial side the segments file lacks, or for a segment
+    utterance that `manifest`, if given, lacks."""
     for t in trial_items:
         for side, sid, known in (("enroll", t.enroll_id, enroll_segments),
                                  ("test", t.test_id, test_segments)):
             if sid not in known:
                 raise FormatError(f"{segments_path}: no {side} side {sid!r} "
                                   f"(named by a trial in {trials_path})")
-    utts = {e.utt_id for e in entries}
+    utts = {e.utt_id for e in read_manifest(manifest)} if manifest else None
     segments = [s for segs in enroll_segments.values() for s in segs]
     for seg in segments + list(test_segments.values()):
-        if seg.utt_id not in utts:
+        if utts is not None and seg.utt_id not in utts:
             raise FormatError(f"{manifest}: no utterance {seg.utt_id!r} "
                               f"(named by segment {seg.seg_id!r} in {segments_path})")
 
@@ -246,7 +240,8 @@ def _check_sides(trial_items, enroll_segments, test_segments, entries,
 @click.option("--trials", "trials_path", required=True, type=click.Path(exists=True))
 @click.option("--segments", "segments_path", required=True, type=click.Path(exists=True),
               help="Segments file written by `trials`.")
-@click.option("--manifest", required=True, type=click.Path(exists=True))
+@click.option("--manifest", type=click.Path(exists=True), default=None,
+              help="If given, every segment's utterance must be listed in it.")
 @click.option("--model", type=click.Path(exists=True), default=None)
 @click.option("--backend", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -259,13 +254,13 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     ws.prepare()
     trial_items = read_trial_file(trials_path)
     _, enroll_segments, test_segments = read_segments_file(segments_path)
-    entries = read_manifest(manifest)
-    _check_sides(trial_items, enroll_segments, test_segments, entries,
+    _check_sides(trial_items, enroll_segments, test_segments,
                  trials_path, segments_path, manifest)
     net, scorer = store.load_model(model) if model else (None, None)
     backend_args = store.load_backend(backend) if backend else {}
 
-    side_frames = lambda: pipeline.load_trial_sides(segments_path, net.meta["frontend"])
+    side_frames = lambda: pipeline.load_trial_sides(segments_path, net.meta["frontend"],
+                                                    net.meta["cmvn"])
     records = pipeline.score_trials(system, trial_items, side_frames, net=net, scorer=scorer,
                                     seed=ws.seed, **backend_args)
     write_score_file(out_path, records)

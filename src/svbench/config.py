@@ -11,11 +11,18 @@ import dataclasses
 import io
 
 from .errors import ConfigError
+from .frontend import CMVN_MODES
 
 
 def _secs_pair(raw):
     lo, hi = (float(p) for p in raw.split(","))
     return (lo, hi)
+
+
+def _cmvn_mode(raw):
+    if raw not in CMVN_MODES:
+        raise ValueError(f"not one of {CMVN_MODES}")
+    return raw
 
 
 # section -> key -> (parser, default)
@@ -40,13 +47,13 @@ SCHEMA = {
         "num_mel_bins": (int, 40),
         "pre_emphasis": (float, 0.97),
         "dither": (float, 0.0),
-        "cmvn": (str, "per-utterance"),
     },
     "dvector": {
         "conv_dim": (int, 256),
         "bottleneck_dim": (int, 256),
         "td_dim": (int, 256),
         "feature_dim": (int, 400),
+        "cmvn": (_cmvn_mode, "per-utterance"),   # applied on load, recorded in the model
     },
     "e2e": {
         "lift_dim": (int, 150),
@@ -64,6 +71,7 @@ SCHEMA = {
         "learning_rate": (float, 0.003),
         "lr_decay": (float, 0.5),
         "lr_decay_interval": (int, 400),
+        "cmvn": (_cmvn_mode, "none"),
     },
     "trainer": {
         "learning_rate": (float, 0.02),

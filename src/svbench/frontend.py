@@ -9,12 +9,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 
 LOG_FLOOR = 1e-10
 VAR_FLOOR = 1e-10             # cmvn leaves dimensions of lower variance unscaled
 MEL_LOW_HZ = 20.0             # lowest mel filter edge; the highest is the Nyquist frequency
-CMVN_MODES = ("per-utterance", "none")
+CMVN_MODES = ("per-utterance", "none")   # [dvector]/[e2e] cmvn; each model records its own
 
 
 @dataclass
@@ -25,14 +25,10 @@ class FrontendConfig:
     pre_emphasis: float = 0.97
     dither: float = 0.0            # amplitude of added Gaussian noise
     dither_seed: int = 0           # run seed; noise is drawn per (seed, clip id, clip start)
-    cmvn: str = "per-utterance"    # one of CMVN_MODES
 
     def __post_init__(self):
         if not self.frame_length_ms >= self.frame_shift_ms > 0:
             raise UsageError("require frame_length_ms >= frame_shift_ms > 0")
-        if self.cmvn not in CMVN_MODES:
-            raise ConfigError(f"[frontend] cmvn must be one of {', '.join(CMVN_MODES)}; "
-                              f"got {self.cmvn!r}")
 
     def record(self):
         """Every field but dither_seed, keys sorted: the [frontend] that artifacts store."""

@@ -24,30 +24,24 @@ def normalize(feat, mode):
     return feat
 
 
-def clip_features(clip, fcfg):
-    """Fbank features of a clip, normalized by fcfg.cmvn (before any splicing)."""
-    return normalize(compute_fbank(clip, fcfg), fcfg.cmvn)
-
-
 def featurize_entries(entries, fcfg, feats_dir):
-    """Write one feature file per manifest entry, with its frontend record, into `feats_dir`."""
+    """Write one raw fbank file per manifest entry, with its frontend record, into `feats_dir`."""
     os.makedirs(feats_dir, exist_ok=True)
     for e in entries:
-        clip = read_wav(e.path, id=e.utt_id)
         store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"),
-                            clip_features(clip, fcfg), fcfg.record())
+                            compute_fbank(read_wav(e.path, id=e.utt_id), fcfg), fcfg.record())
 
 
-def load_feature_dir(entries, feats_dir):
-    """(utt_id -> frame matrix, frontend record) for the given manifest entries;
-    FormatError if there are none or they were not all made with one frontend."""
+def load_feature_dir(entries, feats_dir, cmvn_mode):
+    """(utt_id -> frames under CMVN `cmvn_mode`, rounded to float32; frontend record) for the
+    entries; FormatError if there are none or they were not all made with one frontend."""
     feats, first = {}, None
     for e in entries:
         path = os.path.join(feats_dir, f"{e.utt_id}.svbf")
         feat, record = store.load_features(path)
         first = first or (path, record)
         store.same_frontend(path, record, *first)
-        feats[e.utt_id] = feat.frames
+        feats[e.utt_id] = normalize(feat, cmvn_mode).frames.astype(np.float32).astype(np.float64)
     if first is None:
         raise FormatError(f"{feats_dir}: no features to load, the manifest is empty")
     return feats, first[1]
@@ -71,14 +65,14 @@ def corpus_by_speaker(entries, feats):
 
 
 def segment_frames(segments, entries_by_utt, fcfg):
-    """Feature matrix of each segment of one trial side: its featurized slice."""
+    """Raw fbank matrix of each segment of one trial side: its featurized slice."""
     parts = []
     for seg in segments:
         clip = read_wav(entries_by_utt[seg.utt_id].path)
         lo = int(round(seg.start * clip.sample_rate))
         hi = int(round((seg.start + seg.duration) * clip.sample_rate))
         piece = AudioClip(clip.samples[lo:hi], clip.sample_rate, id=seg.utt_id, start=lo)
-        parts.append(clip_features(piece, fcfg).frames)
+        parts.append(compute_fbank(piece, fcfg).frames)
     return parts
 
 
@@ -107,15 +101,14 @@ def save_trial_sides(segments_path, entries, fcfg):
                              rows)
 
 
-def load_trial_sides(segments_path, frontend):
+def load_trial_sides(segments_path, frontend, cmvn_mode):
     """(enroll, test) dicts of side id -> frames, in segments-file order, from
-    side_file(segments_path), normalized by `frontend`'s cmvn row by row; each raw
-    matrix is released as its side is built. FormatError naming the side file if its
-    frontend differs from `frontend` in any key but cmvn, or its sha256 or row count
-    from the segments file's."""
+    side_file(segments_path), each raw row normalized by `cmvn_mode` and released as its
+    side is built. FormatError naming the side file if its frontend record differs from
+    `frontend`, or its sha256 or row count from the segments file's."""
     path = side_file(segments_path)
     made_with, digest, rows = store.load_side_features(path)
-    if {**made_with, "cmvn": None} != {**frontend, "cmvn": None}:
+    if made_with != frontend:
         raise FormatError(f"{path}: trial sides made with frontend {made_with}, but the model "
                           f"with {frontend}; rerun `svbench trials` with the model's [frontend]")
     _, enroll, test = read_segments_file(segments_path)
@@ -124,7 +117,7 @@ def load_trial_sides(segments_path, frontend):
         raise FormatError(f"{path}: not made from {segments_path} as it is now; "
                           f"rerun `svbench trials`")
     rows.reverse()
-    side = lambda n: np.concatenate([normalize(FeatureMatrix(rows.pop()), frontend["cmvn"]).frames
+    side = lambda n: np.concatenate([normalize(FeatureMatrix(rows.pop()), cmvn_mode).frames
                                      for _ in range(n)], axis=0)
     return {sid: side(len(segs)) for sid, segs in enroll.items()}, {tid: side(1) for tid in test}
 

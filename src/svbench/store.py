@@ -8,7 +8,7 @@ from .backends import LdaTransform, PldaModel
 from .container import read_container, write_container
 from .e2e import BilinearScorer
 from .errors import FormatError, SvbenchError, UsageError
-from .frontend import FeatureMatrix, FrontendConfig
+from .frontend import CMVN_MODES, FeatureMatrix, FrontendConfig
 from .nn import Network
 
 FRONTEND_KEYS = sorted(FrontendConfig().record())
@@ -42,17 +42,28 @@ def same_frontend(path, record, other_path, other):
                           f"{record} vs {other}")
 
 
+def _frames(path, frames, frontend, what):
+    """`frames` if it is a float64 T x num_mel_bins matrix with T >= 1, else a FormatError
+    naming `path` and `what`."""
+    if (frames.dtype != np.float64 or frames.ndim != 2 or len(frames) < 1
+            or frames.shape[1] != frontend["num_mel_bins"]):
+        raise FormatError(f"{path}: {what} needs a float64 T x {frontend['num_mel_bins']} "
+                          f"matrix with T >= 1, found {frames.dtype} {frames.shape}")
+    return frames
+
+
 def save_features(path, feat, frontend):
-    """Features with the record of the frontend that made them."""
+    """Raw float64 features with the record of the frontend that made them."""
     write_container(path, "features", {"frontend": frontend},
-                    {"frames": feat.frames.astype(np.float32)})
+                    {"frames": feat.frames})
 
 
 def load_features(path):
     """(FeatureMatrix, frontend record) of a feature file."""
     _, header, arrays = read_container(path, expect_kind="features")
-    return (FeatureMatrix(_entry(path, arrays, "frames").astype(np.float64)),
-            frontend_record(path, header))
+    frontend = frontend_record(path, header)
+    frames = _frames(path, _entry(path, arrays, "frames"), frontend, "frames")
+    return FeatureMatrix(frames), frontend
 
 
 def _row_names(n):
@@ -61,8 +72,8 @@ def _row_names(n):
 
 
 def save_side_features(path, frontend, segments, rows):
-    """Trial-side features: one float64 matrix per segments-file row, named by _row_names, with
-    the frontend record and `segments`, the segments file's sha256. float64 keeps score bytes."""
+    """Trial-side features: one raw float64 matrix per segments-file row, named by _row_names,
+    with the frontend record and `segments`, the segments file's sha256."""
     write_container(path, "side_features", {"frontend": frontend, "segments": segments},
                     dict(zip(_row_names(len(rows)), (np.asarray(r, np.float64) for r in rows))))
 
@@ -82,13 +93,8 @@ def load_side_features(path):
     if stray:
         raise FormatError(f"{path}: array {stray[0]!r} is not a row index "
                           f"(expected {len(names)} arrays named {names[0]} to {names[-1]})")
-    for name in names:
-        frames = arrays[name]
-        if (frames.dtype != np.float64 or frames.ndim != 2 or len(frames) < 1
-                or frames.shape[1] != frontend["num_mel_bins"]):
-            raise FormatError(f"{path}: row {name} needs a float64 T x {frontend['num_mel_bins']} "
-                              f"matrix with T >= 1, found {frames.dtype} {frames.shape}")
-    return frontend, segments, [arrays.pop(name) for name in names]
+    return frontend, segments, [_frames(path, arrays.pop(name), frontend, f"row {name}")
+                                for name in names]
 
 
 def save_vectors(path, kind, ids, speakers, matrix):
@@ -120,8 +126,8 @@ def save_model(path, net, scorer=None):
 
 def load_model(path):
     """(network, scorer) of a dvector_net file (scorer None) or an e2e_model file,
-    read once. Any other kind or family, a bad frontend record, layer or width,
-    or a missing, extra or misshaped array is a FormatError naming `path`."""
+    read once. Any other kind or family, a bad frontend record or cmvn mode, layer or
+    width, or a missing, extra or misshaped array is a FormatError naming `path`."""
     kind, header, arrays = read_container(path)
     if kind not in MODEL_KINDS:
         raise FormatError(f"{path}: kind {kind!r}, expected a model ({' or '.join(MODEL_KINDS)})")
@@ -129,6 +135,8 @@ def load_model(path):
     if _entry(path, meta, "model") != MODEL_KINDS[kind]:
         raise FormatError(f"{path}: kind {kind!r} holding a {meta['model']!r} model")
     frontend_record(path, meta)
+    if _entry(path, meta, "cmvn") not in CMVN_MODES:
+        raise FormatError(f"{path}: cmvn {meta['cmvn']!r}, expected one of {CMVN_MODES}")
     scorer = None
     if kind == "e2e_model":
         S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")

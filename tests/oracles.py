@@ -245,8 +245,9 @@ def batch_step(net, scorer, batch, loss_cfg):
 # features that `trials` stores and `score` normalizes must match these
 # byte for byte.
 
-def side_features(enroll_segments, test_segments, entries_by_utt, fcfg):
-    """(enroll, test) dicts of side id -> frames, each segment read from its WAV."""
+def side_features(enroll_segments, test_segments, entries_by_utt, fcfg, cmvn_mode):
+    """(enroll, test) dicts of side id -> frames, each segment read from its WAV and
+    normalized by `cmvn_mode`."""
     from svbench.audio import AudioClip, read_wav
     from svbench.frontend import cmvn, compute_fbank
 
@@ -258,7 +259,7 @@ def side_features(enroll_segments, test_segments, entries_by_utt, fcfg):
             hi = int(round((seg.start + seg.duration) * clip.sample_rate))
             feat = compute_fbank(AudioClip(clip.samples[lo:hi], clip.sample_rate,
                                            id=seg.utt_id, start=lo), fcfg)
-            if fcfg.cmvn == "per-utterance" and len(feat.frames) >= 2:
+            if cmvn_mode == "per-utterance" and len(feat.frames) >= 2:
                 feat = cmvn(feat)
             parts.append(feat.frames)
         return np.concatenate(parts, axis=0)

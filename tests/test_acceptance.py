@@ -331,10 +331,10 @@ def desk_pipeline(tmp_path_factory):
     train, evals = split_train_eval(entries, 50, 20, seed=11)
 
     # each utterance featurized once: raw fbank, and its per-utterance CMVN copy
-    fraw = FrontendConfig(cmvn="none")
+    fcfg = FrontendConfig()
     feats_cmvn, feats_raw = {}, {}
     for e in train:
-        raw = compute_fbank(read_wav(e.path), fraw)
+        raw = compute_fbank(read_wav(e.path), fcfg)
         feats_raw[e.utt_id] = raw.frames
         feats_cmvn[e.utt_id] = cmvn(raw).frames
 
@@ -374,8 +374,8 @@ def desk_pipeline(tmp_path_factory):
     trial_list = build_conditions(evals, 4.0, 2.0)
     segments = str(out / "segments_C4_2.tsv")
     write_segments_file(segments, trial_list)
-    save_trial_sides(segments, evals, fraw)
-    side_frames = {mode: load_trial_sides(segments, FrontendConfig(cmvn=mode).record())
+    save_trial_sides(segments, evals, fcfg)
+    side_frames = {mode: load_trial_sides(segments, fcfg.record(), mode)
                    for mode in ("per-utterance", "none")}
 
     def eer(system, **kwargs):

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from svbench.container import read_container, write_container
 from svbench.corpus import read_manifest
 from svbench.evaluation import read_score_file, read_segments_file, read_trial_file
 from svbench.dvector import DVectorConfig, build_dvector_net
-from svbench.frontend import FrontendConfig, cmvn, compute_fbank
+from svbench.frontend import FeatureMatrix, FrontendConfig, cmvn, compute_fbank
 
 CONFIG = """
 [run]
@@ -68,12 +69,10 @@ def _run_pipeline(runner, config, out):
     train = os.path.join(out, "train.tsv")
     evals = os.path.join(out, "eval.tsv")
     _invoke(runner, config, out, "featurize", "--manifest", train)
-    _invoke(runner, config, out, "featurize", "--manifest", train,
-            "--no-cmvn", "--name", "feats_raw")
     _invoke(runner, config, out, "train-dvector", "--manifest", train,
             "--features", os.path.join(out, "feats"))
     _invoke(runner, config, out, "train-e2e", "--manifest", train,
-            "--features", os.path.join(out, "feats_raw"))
+            "--features", os.path.join(out, "feats"))
     _invoke(runner, config, out, "extract",
             "--model", os.path.join(out, "dvector.svbf"),
             "--manifest", train, "--features", os.path.join(out, "feats"),
@@ -213,7 +212,7 @@ iterations = 2
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    """A 4-speaker corpus with raw fbank features; (runner, config path, out dir)."""
+    """A 4-speaker corpus with its fbank features in feats/; (runner, config path, out dir)."""
     base = tmp_path_factory.mktemp("tiny")
     config = str(base / "run.ini")
     with open(config, "w") as f:
@@ -222,7 +221,7 @@ def tiny_run(tmp_path_factory):
     out = str(base / "out")
     _invoke(runner, config, out, "gen-data")
     _invoke(runner, config, out, "featurize", "--manifest",
-            os.path.join(out, "corpus", "manifest.tsv"), "--no-cmvn", "--name", "feats_raw")
+            os.path.join(out, "corpus", "manifest.tsv"))
     return runner, config, out
 
 
@@ -230,21 +229,29 @@ def test_featurize_fbank(tiny_run):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
     _invoke(runner, config, out, "featurize", "--manifest", manifest, "--name", "fbank")
-    _invoke(runner, config, out, "featurize", "--manifest", manifest,
-            "--no-cmvn", "--name", "fbank_raw")
     for e in read_manifest(manifest):
         raw = compute_fbank(read_wav(e.path))
-        normed, normed_frontend = store.load_features(
-            os.path.join(out, "fbank", f"{e.utt_id}.svbf"))
-        unnormed, unnormed_frontend = store.load_features(
-            os.path.join(out, "fbank_raw", f"{e.utt_id}.svbf"))
-        assert normed_frontend == FrontendConfig().record()
-        assert unnormed_frontend == FrontendConfig(cmvn="none").record()
-        assert normed.frames.shape == unnormed.frames.shape == (len(raw.frames), 40)
-        # feature files store float32
-        np.testing.assert_array_equal(unnormed.frames, raw.frames.astype(np.float32))
-        np.testing.assert_array_equal(normed.frames, cmvn(raw).frames.astype(np.float32))
-        assert np.all(np.abs(normed.frames.mean(axis=0)) < 1e-4)
+        path = os.path.join(out, "fbank", f"{e.utt_id}.svbf")
+        stored, frontend = store.load_features(path)
+        assert frontend == FrontendConfig().record()
+        # feature files store the raw float64 fbank; each model normalizes on load
+        assert stored.frames.shape == (len(raw.frames), 40)
+        assert stored.frames.tobytes() == raw.frames.tobytes()
+        assert read_container(path)[2]["frames"].dtype == np.float64
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(pathlib.Path(path).iterdir())}
+
+
+def test_featurize_no_cmvn_has_no_effect(tiny_run, tmp_path):
+    # kept only so that old command lines still run; it is not in --help
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    _invoke(runner, config, str(tmp_path), "featurize", "--manifest", manifest,
+            "--no-cmvn", "--name", "fbank_raw")
+    assert _dir_bytes(str(tmp_path / "fbank_raw")) == _dir_bytes(os.path.join(out, "feats"))
+    assert "--no-cmvn" not in _invoke(runner, config, str(tmp_path), "featurize", "--help").output
 
 
 def test_featurize_rejects_removed_option(tiny_run):
@@ -272,16 +279,16 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     monkeypatch.setattr(e2e, "sample_pair_batch", recording_sample)
     _invoke(runner, str(config), str(tmp_path / "out"), "train-e2e", "--manifest",
             os.path.join(out, "corpus", "manifest.tsv"),
-            "--features", os.path.join(out, "feats_raw"))
+            "--features", os.path.join(out, "feats"))
     # warm-up batch over all 4 speakers plus two training batches of 2N = 6 chunks
     assert len(lengths) == 2 * 4 + 2 * 6
     assert set(lengths) == {60}
 
 
 def _with_frontend(net, cmvn="none"):
-    """A hand-built model carrying the frontend record of tiny_run's raw fbank
-    (or, with cmvn="per-utterance", of CMVN fbank)."""
-    net.meta["frontend"] = FrontendConfig(cmvn=cmvn).record()
+    """A hand-built model carrying the frontend record of tiny_run's fbank and the
+    CMVN mode `cmvn`."""
+    net.meta.update(frontend=FrontendConfig().record(), cmvn=cmvn)
     return net
 
 
@@ -310,7 +317,7 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
     for name in ("dvector", "e2e"):
         model = str(tmp_path / f"{name}.svbf")
         _invoke(runner, config, out, "extract", "--model", model,
-                "--manifest", manifest, "--features", os.path.join(out, "feats_raw"),
+                "--manifest", manifest, "--features", os.path.join(out, "feats"),
                 "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
         assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
@@ -336,7 +343,7 @@ def test_extract_names_model_missing_an_array(tiny_run, tmp_path):
     result = runner.invoke(main, ["--config", config, "--out-dir", out, "extract",
                                   "--model", model,
                                   "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                                  "--features", os.path.join(out, "feats_raw"),
+                                  "--features", os.path.join(out, "feats"),
                                   "--out", str(tmp_path / "vectors.svbf")])
     assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
@@ -455,6 +462,7 @@ conv_dim = 8
 bottleneck_dim = 8
 td_dim = 8
 feature_dim = 8
+cmvn = none
 
 [trainer]
 max_epochs = 1
@@ -463,14 +471,14 @@ max_epochs = 1
 
 @pytest.fixture(scope="module")
 def raw_models(tiny_run, tmp_path_factory):
-    """d-vector and e2e models trained on tiny_run's --no-cmvn fbank; {system: model path}."""
+    """d-vector and e2e models trained on tiny_run's fbank with no CMVN; {system: model path}."""
     runner, _, out = tiny_run
     base = tmp_path_factory.mktemp("raw_models")
     config = _write(base / "run.ini", TINY_CONFIG + TINY_DVECTOR)
     for command in ("train-dvector", "train-e2e"):
         _invoke(runner, config, str(base), command,
                 "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                "--features", os.path.join(out, "feats_raw"))
+                "--features", os.path.join(out, "feats"))
     return {"dvector": str(base / "dvector.svbf"), "e2e": str(base / "e2e.svbf")}
 
 
@@ -483,13 +491,13 @@ def _one_trial(tmp_path, manifest):
         "#condition\tC(1-1)\t1\t1\n",
         f"enroll\tspk-enroll\t{a.speaker_id}\t{a.gender}\t{a.utt_id}\t0.000000\t1.000000\n",
         f"test\t{b.utt_id}\t{b.speaker_id}\t{b.gender}\t{b.utt_id}\t0.000000\t1.000000\n"]))
-    pipeline.save_trial_sides(segments, read_manifest(manifest), FrontendConfig(cmvn="none"))
+    pipeline.save_trial_sides(segments, read_manifest(manifest), FrontendConfig())
     return _write(tmp_path / "trials.tsv", f"spk-enroll\t{b.utt_id}\tnontarget\n"), segments
 
 
-@pytest.mark.parametrize("frontend, settings", [("", {}), ("num_mel_bins = 24\ncmvn = none\n",
-                                                          {"num_mel_bins": 24, "cmvn": "none"})],
-                         ids=["cmvn", "width"])
+@pytest.mark.parametrize("frontend, settings", [("dither = 0.01\n", {"dither": 0.01}),
+                                                ("num_mel_bins = 24\n", {"num_mel_bins": 24})],
+                         ids=["dither", "width"])
 def test_extract_rejects_features_of_another_frontend(tiny_run, raw_models, tmp_path,
                                                       frontend, settings):
     runner, config, out = tiny_run
@@ -499,7 +507,7 @@ def test_extract_rejects_features_of_another_frontend(tiny_run, raw_models, tmp_
     feats, vectors = str(tmp_path / "feats"), str(tmp_path / "vectors.svbf")
     for model in raw_models.values():
         _invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
-                manifest, "--features", os.path.join(out, "feats_raw"), "--out", vectors)
+                manifest, "--features", os.path.join(out, "feats"), "--out", vectors)
         os.remove(vectors)
         result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "extract",
                                       "--model", model, "--manifest", manifest,
@@ -507,7 +515,7 @@ def test_extract_rejects_features_of_another_frontend(tiny_run, raw_models, tmp_
         assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert (f"{feats} and {model} were made with different frontends: "
-                f"{FrontendConfig(**settings).record()} vs {FrontendConfig(cmvn='none').record()}"
+                f"{FrontendConfig(**settings).record()} vs {FrontendConfig().record()}"
                 in result.output)
         assert not os.path.exists(vectors)
 
@@ -518,6 +526,7 @@ def test_scoring_applies_the_models_cmvn(tiny_run, raw_models, tmp_path, monkeyp
     trials, segments = _one_trial(tmp_path, manifest)
     cmvn_model = str(tmp_path / "cmvn_dvector.svbf")
     store.save_model(cmvn_model, _tiny_dvector("per-utterance"))
+    assert [store.load_model(m)[0].meta["cmvn"] for m in raw_models.values()] == ["none"] * 2
     normalized = []
     monkeypatch.setattr(cli.pipeline, "cmvn", lambda feat: normalized.append(feat) or cmvn(feat))
     for system, model, cmvn_calls in (("dvector-cosine", raw_models["dvector"], 0),
@@ -528,6 +537,12 @@ def test_scoring_applies_the_models_cmvn(tiny_run, raw_models, tmp_path, monkeyp
                 "--trials", trials, "--segments", segments, "--manifest", manifest,
                 "--out", str(tmp_path / "scores.tsv"))
         assert len(normalized) == cmvn_calls, (system, model)
+        # extract normalizes all 8 utterances by the same mode, or none of them
+        normalized.clear()
+        _invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
+                manifest, "--features", os.path.join(out, "feats"),
+                "--out", str(tmp_path / "vectors.svbf"))
+        assert len(normalized) == (8 if cmvn_calls else 0), (system, model)
 
 
 def test_model_without_frontend_record_is_rejected(tiny_run, tmp_path):
@@ -538,7 +553,7 @@ def test_model_without_frontend_record_is_rejected(tiny_run, tmp_path):
     net = _tiny_dvector()
     del net.meta["frontend"]
     store.save_model(model, net)
-    for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats_raw")],
+    for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats")],
                  ["score", "--system", "dvector-cosine", "--trials", trials,
                   "--segments", segments, "--manifest", manifest]):
         result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), *args,
@@ -598,7 +613,7 @@ def test_extract_rejects_a_file_that_is_not_a_model(tiny_run, score_models, tmp_
     result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "extract",
                                   "--model", lda,
                                   "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                                  "--features", os.path.join(out, "feats_raw"), "--out", vectors])
+                                  "--features", os.path.join(out, "feats"), "--out", vectors])
     _rejected(result, lda)
     assert not os.path.exists(vectors)
 
@@ -615,13 +630,35 @@ def test_model_with_malformed_frontend_record_is_rejected(tiny_run, tmp_path, ed
     else:
         del net.meta["frontend"]["pre_emphasis"]
     store.save_model(model, net)
-    for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats_raw")],
+    for args in (["extract", "--manifest", manifest, "--features", os.path.join(out, "feats")],
                  ["score", "--system", "dvector-cosine", "--trials", trials,
                   "--segments", segments, "--manifest", manifest]):
         result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), *args,
                                       "--model", model, "--out", str(tmp_path / "out.svbf")])
         _rejected(result, f"{model}: frontend record")
         assert not os.path.exists(tmp_path / "out.svbf")
+
+
+def test_features_of_featurize_time_cmvn_are_refused(tiny_run, score_models, tmp_path):
+    # feature files whose frontend record still holds cmvn, as they were written when
+    # featurize normalized, are refused rather than normalized a second time
+    runner, config, out = tiny_run
+    manifest = os.path.join(out, "corpus", "manifest.tsv")
+    old = tmp_path / "old_feats"
+    old.mkdir()
+    for e in read_manifest(manifest):
+        kind, header, arrays = read_container(os.path.join(out, "feats", f"{e.utt_id}.svbf"))
+        header["frontend"]["cmvn"] = "per-utterance"
+        write_container(str(old / f"{e.utt_id}.svbf"), kind, header,
+                        {"frames": cmvn(FeatureMatrix(arrays["frames"])).frames.astype(np.float32)})
+    first = str(old / f"{read_manifest(manifest)[0].utt_id}.svbf")
+    vectors = str(tmp_path / "vectors.svbf")
+    for args in (["train-dvector"],
+                 ["extract", "--model", score_models["dvector-cosine"][1], "--out", vectors]):
+        result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), *args,
+                                      "--manifest", manifest, "--features", str(old)])
+        _rejected(result, f"{first}: frontend record")
+    assert not os.path.exists(tmp_path / "dvector.svbf") and not os.path.exists(vectors)
 
 
 def test_fit_backend_rejects_non_finite_lda(rank_deficient_vectors, tmp_path):
@@ -691,9 +728,10 @@ def _trials_run(base, dither=0.0):
 
 
 def _model(path, system, cmvn="none", **frontend):
-    """An untrained model for `system` whose frontend record has `frontend` settings."""
-    net, scorer = _tiny_e2e() if system == "e2e" else (_tiny_dvector(), None)
-    net.meta["frontend"] = FrontendConfig(cmvn=cmvn, **frontend).record()
+    """An untrained model for `system` with CMVN mode `cmvn`, whose frontend record
+    has `frontend` settings."""
+    net, scorer = _tiny_e2e(cmvn) if system == "e2e" else (_tiny_dvector(cmvn), None)
+    net.meta["frontend"] = FrontendConfig(**frontend).record()
     store.save_model(path, net, scorer)
     return path
 
@@ -716,8 +754,8 @@ def test_scored_sides_match_the_audio_reference(tmp_path, monkeypatch, dither):
         _invoke(runner, config, out, "score", "--system", system, "--model", model,
                 "--trials", trials, "--segments", segments, "--manifest", manifest,
                 "--out", str(tmp_path / "scores.tsv"))
-        fcfg = FrontendConfig(cmvn=cmvn, dither=dither, dither_seed=5)
-        reference = oracles.side_features(enroll_segments, test_segments, entries, fcfg)
+        fcfg = FrontendConfig(dither=dither, dither_seed=5)
+        reference = oracles.side_features(enroll_segments, test_segments, entries, fcfg, cmvn)
         (sides,) = scored
         for got, expect in zip(sides, reference):
             assert list(got) == list(expect), (system, cmvn)
@@ -737,6 +775,19 @@ def test_score_reads_no_audio(tmp_path, score_models, monkeypatch):
         _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
                 "--segments", segments, "--manifest", manifest, *args, "--out", scores)
         assert len(read_score_file(scores)) == len(read_trial_file(trials)), system
+
+
+def test_score_manifest_is_optional(tmp_path, score_models):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    for system, args in score_models.items():
+        written = []
+        for given in (["--manifest", manifest], []):
+            scores = str(tmp_path / f"scores_{system}_{len(given)}.tsv")
+            _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+                    "--segments", segments, *given, *args, "--out", scores)
+            with open(scores, "rb") as f:
+                written.append(f.read())
+        assert written[0] == written[1] and written[0], system
 
 
 def _drop_side(trials, segments):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 import oracles
 from svbench import frontend, pipeline
 from svbench.audio import AudioClip, write_wav
-from svbench.config import from_sections, load_config
+from svbench.config import default_config, load_config
 from svbench.corpus import ManifestEntry
 from svbench.errors import ConfigError, UsageError
 from svbench.evaluation import Segment
-from svbench.frontend import (FeatureMatrix, FrontendConfig, cmvn, compute_fbank,
+from svbench.frontend import (CMVN_MODES, FeatureMatrix, FrontendConfig, cmvn, compute_fbank,
                               mel_filterbank, num_frames_for)
 
 
@@ -74,12 +75,27 @@ def test_feature_matrix_validation():
 
 
 def test_unknown_cmvn_mode_rejected(tmp_path):
+    # each model's section chooses its CMVN mode; the parser accepts only CMVN_MODES
     path = tmp_path / "run.ini"
-    path.write_text("[frontend]\ncmvn = global\n")
-    with pytest.raises(ConfigError, match="global"):
-        from_sections(FrontendConfig, load_config(str(path)), "frontend")
-    for mode in ("per-utterance", "none"):
-        assert FrontendConfig(cmvn=mode).cmvn == mode
+    for section in ("dvector", "e2e"):
+        path.write_text(f"[{section}]\ncmvn = global\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\[{section}\] cmvn: "
+                                              r"'global'"):
+            load_config(str(path))
+        for mode in CMVN_MODES:
+            path.write_text(f"[{section}]\ncmvn = {mode}\n")
+            assert load_config(str(path))[section]["cmvn"] == mode
+    assert (default_config()["dvector"]["cmvn"], default_config()["e2e"]["cmvn"]) == \
+        ("per-utterance", "none")
+
+
+def test_frontend_section_has_no_cmvn(tmp_path):
+    # CMVN is the model's choice, so [frontend] cmvn is an unknown key like any other
+    path = tmp_path / "run.ini"
+    path.write_text("[frontend]\ncmvn = none\n")
+    with pytest.raises(ConfigError, match=r"unknown config key 'cmvn' in \[frontend\]"):
+        load_config(str(path))
+    assert "cmvn" not in {f.name for f in dataclasses.fields(FrontendConfig)}
 
 
 def test_dither_noise_differs_per_clip_and_repeats_per_run(tmp_path):

@@ -17,30 +17,56 @@ from svbench.frontend import FeatureMatrix, FrontendConfig
 
 def test_features_round_trip(tmp_path):
     feat = FeatureMatrix(np.random.default_rng(0).standard_normal((12, 5)))
-    frontend = FrontendConfig(num_mel_bins=5, cmvn="none", dither=0.5).record()
+    frontend = FrontendConfig(num_mel_bins=5, dither=0.5).record()
     path = tmp_path / "f.svbf"
     store.save_features(str(path), feat, frontend)
     again, again_frontend = store.load_features(str(path))
-    # feature files store float32
-    np.testing.assert_array_equal(again.frames, feat.frames.astype(np.float32))
+    # feature files store raw float64 frames
+    assert again.frames.tobytes() == feat.frames.tobytes()
     assert again_frontend == frontend
 
 
+@pytest.mark.parametrize("frames, found", [
+    (np.zeros((4, 5), np.float32), "float32 (4, 5)"),
+    (np.zeros((4, 3)), "float64 (4, 3)"),
+    (np.zeros((0, 5)), "float64 (0, 5)"),
+], ids=["float32", "misshaped", "empty"])
+def test_features_loader_rejects_bad_frames(tmp_path, frames, found):
+    # a float32 array is what feature files held when CMVN ran at featurize time
+    path = str(tmp_path / "f.svbf")
+    write_container(path, "features", {"frontend": FrontendConfig(num_mel_bins=5).record()},
+                    {"frames": frames})
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: frames needs a float64 "
+                                          rf"T x 5 matrix with T >= 1, found {re.escape(found)}$"):
+        store.load_features(path)
+
+
 def test_load_feature_dir_needs_one_frontend(tmp_path):
-    feat = FeatureMatrix(np.random.default_rng(0).standard_normal((12, 5)))
+    feat = FeatureMatrix(np.random.default_rng(0).standard_normal((12, 40)))
     entries = [ManifestEntry(utt, "s1", "female", f"{utt}.wav", 1.0) for utt in ("u1", "u2")]
-    for e, cmvn in zip(entries, ("per-utterance", "none")):
+    for e, dither in zip(entries, (0.0, 0.5)):
         store.save_features(str(tmp_path / f"{e.utt_id}.svbf"), feat,
-                            FrontendConfig(cmvn=cmvn).record())
-    feats, frontend = pipeline.load_feature_dir(entries[:1], str(tmp_path))
+                            FrontendConfig(dither=dither).record())
+    feats, frontend = pipeline.load_feature_dir(entries[:1], str(tmp_path), "none")
     assert list(feats) == ["u1"] and frontend == FrontendConfig().record()
     with pytest.raises(FormatError, match="the manifest is empty"):
-        pipeline.load_feature_dir([], str(tmp_path))
+        pipeline.load_feature_dir([], str(tmp_path), "none")
     with pytest.raises(FormatError) as err:
-        pipeline.load_feature_dir(entries, str(tmp_path))
+        pipeline.load_feature_dir(entries, str(tmp_path), "none")
     assert str(err.value) == (f"{tmp_path / 'u2.svbf'} and {tmp_path / 'u1.svbf'} were made "
-                              f"with different frontends: {FrontendConfig(cmvn='none').record()} "
+                              f"with different frontends: {FrontendConfig(dither=0.5).record()} "
                               f"vs {FrontendConfig().record()}")
+
+
+@pytest.mark.parametrize("mode", ["per-utterance", "none"])
+def test_load_feature_dir_normalizes_then_rounds_to_float32(tmp_path, mode):
+    # the input that CMVN at featurize time, then float32 storage, gave the trainers
+    feat = FeatureMatrix(np.random.default_rng(1).standard_normal((12, 40)) * 3.0 + 1.0)
+    entry = ManifestEntry("u1", "s1", "female", "u1.wav", 1.0)
+    store.save_features(str(tmp_path / "u1.svbf"), feat, FrontendConfig().record())
+    feats, _ = pipeline.load_feature_dir([entry], str(tmp_path), mode)
+    expect = pipeline.normalize(feat, mode).frames.astype(np.float32).astype(np.float64)
+    assert feats["u1"].dtype == np.float64 and feats["u1"].tobytes() == expect.tobytes()
 
 
 def test_vectors_round_trip(tmp_path):
@@ -55,8 +81,8 @@ def test_vectors_round_trip(tmp_path):
 
 
 def _with_frontend(net):
-    """The net, carrying the frontend record that every saved model has."""
-    net.meta["frontend"] = FrontendConfig().record()
+    """The net, carrying the frontend record and CMVN mode that every saved model has."""
+    net.meta.update(frontend=FrontendConfig().record(), cmvn="none")
     return net
 
 
@@ -262,7 +288,7 @@ def _saved_artifacts(tmp_path):
     paths = {name: str(tmp_path / f"{name}.svbf")
              for name in ("features", "vectors", "lda", "plda", "e2e", "sides")}
     store.save_features(paths["features"], FeatureMatrix(rng.standard_normal((4, 3))),
-                        FrontendConfig().record())
+                        FrontendConfig(num_mel_bins=3).record())
     store.save_vectors(paths["vectors"], "dvector", ["u1", "u2"], ["s1", "s2"],
                        rng.standard_normal((2, 3)))
     store.save_lda(paths["lda"], LdaTransform(mean=rng.standard_normal(3),
@@ -298,7 +324,7 @@ def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
 @pytest.mark.parametrize("edit", [
     lambda record: record.update(global_stats="train"),
     lambda record: record.pop("pre_emphasis"),
-    lambda record: record.update(cmvn="global"),
+    lambda record: record.update(cmvn="per-utterance"),   # as records of featurize-time CMVN held it
     lambda record: record.update(frame_shift_ms=0.0),
     lambda record: record.update(frame_length_ms="25"),
 ], ids=["unknown-key", "missing-key", "unknown-cmvn", "zero-shift", "string-length"])
@@ -310,6 +336,22 @@ def test_loaders_reject_bad_frontend_record(tmp_path, edit):
         write_container(path, kind, header, arrays)
         with pytest.raises(FormatError, match=rf"^{re.escape(path)}: frontend record"):
             load(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta.pop("cmvn"), "missing 'cmvn'"),
+    (lambda meta: meta.update(cmvn="global"), "cmvn 'global', expected one of"),
+], ids=["missing", "unknown-mode"])
+def test_model_loader_needs_a_known_cmvn_mode(tmp_path, edit, message):
+    for name, (net, scorer) in (("dvector", (_dvector_net(), None)), ("e2e", _e2e_net())):
+        path = str(tmp_path / f"{name}.svbf")
+        store.save_model(path, net, scorer)
+        assert store.load_model(path)[0].meta["cmvn"] == "none"
+        kind, header, arrays = read_container(path)
+        edit(header["meta"])
+        write_container(path, kind, header, arrays)
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: {re.escape(message)}"):
+            store.load_model(path)
 
 
 def test_e2e_loader_rejects_misshaped_scorer(tmp_path):

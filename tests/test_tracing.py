@@ -1,8 +1,10 @@
 """The benchmark imports svbench names and its span tracer patches more; a
 rename of any of them must fail here, and so must a change to the CLI or its
-files that the benchmark's score-eval output checks refuse."""
+files that the output checks of any benchmark workload refuse."""
 
 import os
+
+import pytest
 
 from svbench import backends, cli, e2e, pipeline
 
@@ -29,19 +31,28 @@ def test_tracer_patch_table_resolves_and_restores(monkeypatch):
     assert [getattr(owner, attr) for owner, attr in names] == originals
 
 
+# every workload of perfbench/workloads.py WORKLOADS, checked against it below
+WORKLOAD_NAMES = ["dvector-train", "e2e-train", "score-eval"]
+
+
 def test_benchmark_workloads_import(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import workloads                # ImportError if a name the workloads import is gone
 
     assert workloads.cli.main is cli.main
+    assert sorted(workloads.WORKLOADS) == WORKLOAD_NAMES
 
 
-def test_tiny_score_eval_unit_passes_the_benchmark_checks(monkeypatch, tmp_path):
-    # the benchmark's own output checks on trials -> score x5 -> eval, at its tiny size
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_tiny_unit_passes_the_benchmark_checks(monkeypatch, tmp_path, name):
+    # the benchmark's own set-up and output checks on two units, at its tiny size;
+    # the second must reproduce the first unit's output bytes
     monkeypatch.syspath_prepend(PERFBENCH)
-    from workloads import TINY, Bench, ScoreEval
+    from workloads import TINY, WORKLOADS, Bench
 
-    bench, workload = Bench(seed=5), ScoreEval(TINY)
+    bench, workload = Bench(seed=5), WORKLOADS[name](TINY)
     workload.setup(bench, str(tmp_path))
-    assert workload.unit(bench, str(tmp_path)) is not None
-    assert bench.failures == []
+    workload.after_setup(str(tmp_path))
+    for _ in range(2):
+        assert workload.unit(bench, str(tmp_path)) is not None
+    assert bench.failures == [] and bench.failed == 0
