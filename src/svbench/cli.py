@@ -202,7 +202,8 @@ def fit_backend(ws, vectors, kind, out_path):
 @click.pass_obj
 def trials(ws, manifest):
     """Build gender-matched trial and segment files for the configured condition, and
-    featurize every trial side once (raw fbank) into segments_<tag>.svbf for `score`."""
+    featurize every trial side once (raw fbank) into segments_<tag>.svbf for `score`,
+    deleting the side vectors `score` kept of the previous sides."""
     ws.prepare()
     entries = read_manifest(manifest)
     ev = ws.cfg["eval"]
@@ -249,8 +250,10 @@ def _check_sides(trial_items, enroll_segments, test_segments,
 def score(ws, system, trials_path, segments_path, manifest, model, backend, out_path):
     """Score a trial list with one system; logits/similarities go to a score file.
 
-    Trial sides are read from the .svbf that `trials` stored beside --segments
-    and normalized by the model's CMVN; no audio is read."""
+    Trial sides are read from the .svbf that `trials` stored beside --segments and
+    normalized by the model's CMVN; no audio is read. Their vectors under the model are
+    kept beside it, segments_<tag>.<model sha256[:16]>.vectors.svbf, and read by every
+    later `score` with the same model, sides and segments files."""
     ws.prepare()
     trial_items = read_trial_file(trials_path)
     _, enroll_segments, test_segments = read_segments_file(segments_path)
@@ -259,9 +262,8 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     net, scorer = store.load_model(model) if model else (None, None)
     backend_args = store.load_backend(backend) if backend else {}
 
-    side_frames = lambda: pipeline.load_trial_sides(segments_path, net.meta["frontend"],
-                                                    net.meta["cmvn"])
-    records = pipeline.score_trials(system, trial_items, side_frames, net=net, scorer=scorer,
+    sides = lambda: pipeline.side_vectors(segments_path, model, net)
+    records = pipeline.score_trials(system, trial_items, sides, net=net, scorer=scorer,
                                     seed=ws.seed, **backend_args)
     write_score_file(out_path, records)
     click.echo(f"scored {len(records)} trials -> {out_path}")

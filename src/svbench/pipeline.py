@@ -1,6 +1,7 @@
 """Glue between corpus files and the models: featurization, vector
 extraction, and trial scoring. Used by the CLI and the acceptance suite."""
 
+import glob
 import hashlib
 import os
 
@@ -85,14 +86,22 @@ def side_file(segments_path):
     return os.path.splitext(segments_path)[0] + ".svbf"
 
 
+def vectors_file(segments_path, model_sha256):
+    """The side-vectors file of a segments file under the model file of sha256 `model_sha256`."""
+    return f"{os.path.splitext(segments_path)[0]}.{model_sha256[:16]}.vectors.svbf"
+
+
 def sha256_of(path):
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def save_trial_sides(segments_path, entries, fcfg):
     """Featurize each side of a segments file once under fcfg into side_file(segments_path),
-    one matrix per row (in read_segments_file's order), with the file's sha256."""
+    one matrix per row (in read_segments_file's order), with the file's sha256. Every
+    side-vectors file of the segments file is deleted first: its vectors are of the old sides."""
+    for stale in glob.glob(vectors_file(glob.escape(segments_path), "?" * 16)):
+        os.remove(stale)
     _, enroll, test = read_segments_file(segments_path)
     entries_by_utt = {e.utt_id: e for e in entries}
     sides = list(enroll.values()) + [[seg] for seg in test.values()]
@@ -131,17 +140,48 @@ def utterance_vector(net, frames):
     return embed(net, frames) if net.meta["model"] == "e2e" else dvector_of(net, frames)
 
 
-def score_trials(system, trials, side_frames, *, net=None, scorer=None,
+def vector_width(net):
+    """The width of utterance_vector's vectors under `net`."""
+    return net.layers[-1].d_out if net.meta["model"] == "e2e" else net.layers[-1].d_in
+
+
+def side_vectors(segments_path, model_path, net):
+    """(enroll, test) dicts of side id -> utterance_vector under `net`, the model read
+    from `model_path`, of the sides of a segments file, in segments-file order.
+
+    They are read from vectors_file(segments_path, the model's sha256) if its stamp holds
+    the sha256 of the model, side and segments files as they are now. Otherwise the sides of
+    load_trial_sides, which refuses what does not fit the model or the segments file, are
+    embedded and written there as float64 matrices, so that scores keep their bytes."""
+    model_sha256, sides = sha256_of(model_path), side_file(segments_path)
+    path = vectors_file(segments_path, model_sha256)
+    stamp = {"model": model_sha256, "segments": sha256_of(segments_path),
+             "sides": sha256_of(sides) if os.path.exists(sides) else None}
+    if os.path.exists(path):
+        _, enroll, test = read_segments_file(segments_path)
+        found = store.load_side_vectors(path, stamp, len(enroll), len(test), vector_width(net))
+        if found is not None:
+            return tuple(dict(zip(ids, matrix)) for ids, matrix in zip((enroll, test), found))
+    enroll, test = ({sid: utterance_vector(net, f) for sid, f in frames.items()}
+                    for frames in load_trial_sides(segments_path, net.meta["frontend"],
+                                                   net.meta["cmvn"]))
+    width = vector_width(net)
+    store.save_side_vectors(path, stamp, *(np.reshape(list(v.values()), (len(v), width))
+                                           for v in (enroll, test)))
+    return enroll, test
+
+
+def score_trials(system, trials, sides, *, net=None, scorer=None,
                  lda=None, plda=None, plda_center=None, seed=0):
     """Score every trial with one system; returns (enroll, test, score, label) records.
 
     A system of SYSTEMS needs a trained net of its family (e2e: with its
     bilinear `scorer`), then dvector-lda or dvector-plda its back-end, fitted on
     vectors of the net's d-vector width; a UsageError names what is missing or
-    does not fit before `side_frames()` is called for the (enroll, test) dicts
-    of side id -> T x D frames. Every side is embedded once, each per-side
-    transform runs once on the enroll and once on the test matrix, and one scorer
-    call fills the (enroll x test) grid that each trial reads its score from.
+    does not fit before `sides()` is called for the (enroll, test) dicts of
+    side id -> vector under the net, as side_vectors gives them. Each per-side
+    transform runs once on the enroll and once on the test matrix, and one
+    scorer call fills the (enroll x test) grid that each trial reads its score from.
     `random` draws one uniform score per trial.
     """
     if system not in SYSTEMS:
@@ -168,16 +208,14 @@ def score_trials(system, trials, side_frames, *, net=None, scorer=None,
         backend_width = len(plda_center)
         grid_of = lambda e, t: plda.score(center_and_length_normalize(e, plda_center),
                                           center_and_length_normalize(t, plda_center))
-    if system in ("dvector-lda", "dvector-plda") and backend_width != net.layers[-1].d_in:
+    if system in ("dvector-lda", "dvector-plda") and backend_width != vector_width(net):
         raise UsageError(f"--backend was fitted on {backend_width}-dim vectors, but the "
-                         f"model's d-vectors have {net.layers[-1].d_in} dims")
+                         f"model's d-vectors have {vector_width(net)} dims")
     if not trials:
         return []
-    enroll_frames, test_frames = side_frames()
-    enroll = np.array([utterance_vector(net, f) for f in enroll_frames.values()])
-    test = np.array([utterance_vector(net, f) for f in test_frames.values()])
-    grid = grid_of(enroll, test)
-    row = {side: i for i, side in enumerate(enroll_frames)}
-    col = {side: j for j, side in enumerate(test_frames)}
+    enroll_vectors, test_vectors = sides()
+    grid = grid_of(np.array(list(enroll_vectors.values())), np.array(list(test_vectors.values())))
+    row = {side: i for i, side in enumerate(enroll_vectors)}
+    col = {side: j for j, side in enumerate(test_vectors)}
     scores = grid[[row[t.enroll_id] for t in trials], [col[t.test_id] for t in trials]]
     return [(t.enroll_id, t.test_id, float(s), t.label) for t, s in zip(trials, scores)]

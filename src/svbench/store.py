@@ -97,6 +97,17 @@ def load_side_features(path):
                                 for name in names]
 
 
+def _vector_rows(path, arrays, name, rows, width=None, dtype=None):
+    """arrays[name] if it is a 2-D matrix of `rows` rows (and, if given, `width` columns
+    and `dtype`), else a FormatError naming `path` and `name`."""
+    matrix = _entry(path, arrays, name)
+    if (matrix.ndim != 2 or len(matrix) != rows or width not in (None, matrix.shape[1])
+            or dtype not in (None, matrix.dtype.name)):
+        raise FormatError(f"{path}: {name!r} needs a {dtype or 'numeric'} {rows} x {width or 'd'}"
+                          f" matrix, found {matrix.dtype} {matrix.shape}")
+    return matrix
+
+
 def save_vectors(path, kind, ids, speakers, matrix):
     """A vector set (one row per utterance) with its id/speaker tables."""
     write_container(path, kind, {"ids": list(ids), "speakers": list(speakers)},
@@ -104,9 +115,32 @@ def save_vectors(path, kind, ids, speakers, matrix):
 
 
 def load_vectors(path, kind=None):
+    """(ids, speakers, float64 vectors) of a vector set; FormatError naming `path` unless
+    there are as many ids as speakers and the vectors are a matrix with a row for each."""
     _, header, arrays = read_container(path, expect_kind=kind)
-    return (_entry(path, header, "ids"), _entry(path, header, "speakers"),
-            _entry(path, arrays, "vectors").astype(np.float64))
+    ids, speakers = _entry(path, header, "ids"), _entry(path, header, "speakers")
+    if len(ids) != len(speakers):
+        raise FormatError(f"{path}: {len(ids)} ids but {len(speakers)} speakers")
+    return ids, speakers, _vector_rows(path, arrays, "vectors", len(ids)).astype(np.float64)
+
+
+def save_side_vectors(path, stamp, enroll, test):
+    """The float64 vectors of the enroll and of the test sides of a segments file, one row
+    per side in segments-file order, with `stamp`, the sha256 of the files they came from."""
+    write_container(path, "side_vectors", {"stamp": stamp},
+                    {"enroll": np.asarray(enroll, np.float64),
+                     "test": np.asarray(test, np.float64)})
+
+
+def load_side_vectors(path, stamp, enroll_rows, test_rows, width):
+    """(enroll, test) matrices of a side-vectors file, or None if its stamp is not `stamp`.
+    Under a matching stamp, anything but float64 matrices of enroll_rows and test_rows rows
+    and `width` columns is a FormatError naming `path`."""
+    _, header, arrays = read_container(path, expect_kind="side_vectors")
+    if _entry(path, header, "stamp") != stamp:
+        return None
+    return (_vector_rows(path, arrays, "enroll", enroll_rows, width, "float64"),
+            _vector_rows(path, arrays, "test", test_rows, width, "float64"))
 
 
 MODEL_KINDS = {"dvector_net": "dvector", "e2e_model": "e2e"}   # container kind -> meta["model"]

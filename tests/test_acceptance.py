@@ -34,7 +34,8 @@ from svbench.evaluation import build_conditions, compute_eer, write_segments_fil
 from svbench.frontend import FrontendConfig, cmvn, compute_fbank
 from svbench.nn import TrainerConfig, context_window, effective_context
 from svbench.pipeline import (corpus_by_speaker, dvector_of, labelled_utterances,
-                              load_trial_sides, save_trial_sides, score_trials)
+                              load_trial_sides, save_trial_sides, score_trials,
+                              utterance_vector)
 from svbench.audio import read_wav
 
 from oracles import brute_force_eer
@@ -379,8 +380,10 @@ def desk_pipeline(tmp_path_factory):
                    for mode in ("per-utterance", "none")}
 
     def eer(system, **kwargs):
-        sides = side_frames["none" if system == "e2e" else "per-utterance"]
-        records = score_trials(system, trial_list.trials, lambda: sides, **kwargs)
+        frames = side_frames["none" if system == "e2e" else "per-utterance"]
+        vectors = lambda: tuple({sid: utterance_vector(kwargs["net"], f) for sid, f in s.items()}
+                                for s in frames)
+        records = score_trials(system, trial_list.trials, vectors, **kwargs)
         return compute_eer([r[2] for r in records], [r[3] for r in records]).eer
 
     eers = {

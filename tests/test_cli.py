@@ -130,8 +130,12 @@ def test_pipeline_artifacts_exist(pipeline_runs):
 
 def test_run_twice_byte_identical(pipeline_runs):
     a, b = pipeline_runs
+    # the side vectors `score` kept under each model, named by the model's bytes
+    vectors = [os.path.basename(pipeline.vectors_file(
+        "segments_C4_2.tsv", pipeline.sha256_of(os.path.join(a, model))))
+        for model in ("dvector.svbf", "e2e.svbf")]
     for artifact in ("dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf",
-                     "trials_C4_2.tsv", "segments_C4_2.tsv",
+                     "trials_C4_2.tsv", "segments_C4_2.tsv", *vectors,
                      "scores_dvector-cosine.tsv", "scores_dvector-lda.tsv",
                      "scores_e2e.tsv", "scores_random.tsv",
                      "report.txt", "report.tsv"):
@@ -321,15 +325,21 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
                 "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
         assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
-    # score reads its --model and --backend once each, the side features of a
-    # trained system once, and no other container
+    # score reads its --model and --backend once each and, for a trained system, the
+    # side features the first time under a model, then the side vectors it kept of
+    # them; no other container
     trials, segments = _one_trial(tmp_path, manifest)
+    embedded = set()
     for system, args in score_models.items():
         reads.clear()
         _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
                 "--segments", segments, "--manifest", manifest, *args,
                 "--out", str(tmp_path / f"scores_{system}.tsv"))
-        sides = [] if system == "random" else [str(tmp_path / "segments.svbf")]
+        model = args[1] if args else None
+        sides = [] if model is None else [
+            pipeline.vectors_file(segments, pipeline.sha256_of(model)) if model in embedded
+            else str(tmp_path / "segments.svbf")]
+        embedded.add(model)
         assert sorted(reads) == sorted(args[1::2] + sides), system
 
 
@@ -843,3 +853,160 @@ def test_score_rejects_side_features_that_do_not_fit(tmp_path, score_models, pro
         _rejected(result, f"{sides}: ")
         assert named in result.output, (system, result.output)
         assert not os.path.exists(scores)
+
+
+@pytest.mark.parametrize("kind, speakers, vectors", [
+    ("lda", ["s1", "s1", "s2"], np.zeros((4, 8))),
+    ("plda", ["s1", "s1", "s2", "s2"], np.zeros(4)),
+], ids=["lda-rows-without-speakers", "plda-one-dimensional"])
+def test_fit_backend_rejects_inconsistent_vector_sets(tmp_path, kind, speakers, vectors):
+    path, out = str(tmp_path / "vectors.svbf"), str(tmp_path / "backend.svbf")
+    write_container(path, "dvector", {"ids": ["u1", "u2", "u3", "u4"], "speakers": speakers},
+                    {"vectors": vectors.astype(np.float32)})
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "fit-backend",
+                                       "--vectors", path, "--kind", kind, "--out", out])
+    _rejected(result, f"{path}: ")
+    assert not os.path.exists(out)
+
+
+# -- side vectors: `score` keeps each trial side's vector under a model ------
+
+def _score(runner, config, out, trials, segments, system, args, scores):
+    _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+            "--segments", segments, *args, "--out", scores)
+    with open(scores, "rb") as f:
+        return f.read()
+
+
+def _vectors_files(out):
+    return sorted(f for f in os.listdir(out) if f.endswith(".vectors.svbf"))
+
+
+def _counting_vectors(monkeypatch):
+    """Calls of pipeline.utterance_vector, recorded from here on."""
+    calls, vector = [], pipeline.utterance_vector
+    monkeypatch.setattr(pipeline, "utterance_vector",
+                        lambda net, frames: calls.append(net) or vector(net, frames))
+    return calls
+
+
+def test_score_embeds_each_side_once_per_model(tmp_path, score_models, monkeypatch):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    _, enroll, test = read_segments_file(segments)
+    calls = _counting_vectors(monkeypatch)
+    _score(runner, config, out, trials, segments, "dvector-cosine",
+           score_models["dvector-cosine"], str(tmp_path / "cosine.tsv"))
+    assert len(calls) == len(enroll) + len(test)
+    model = score_models["dvector-cosine"][1]
+    assert _vectors_files(out) == [os.path.basename(
+        pipeline.vectors_file(segments, pipeline.sha256_of(model)))]
+
+    def no_vectors(*args):
+        raise AssertionError("a side was embedded again")
+
+    monkeypatch.setattr(pipeline, "utterance_vector", no_vectors)
+    for system in ("dvector-lda", "dvector-plda"):
+        scores = str(tmp_path / f"{system}.tsv")
+        _score(runner, config, out, trials, segments, system, score_models[system], scores)
+        assert len(read_score_file(scores)) == len(read_trial_file(trials)), system
+
+
+def test_scores_from_kept_vectors_match_embedded_ones(tmp_path, score_models):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    for system, args in score_models.items():
+        if system == "random":
+            continue
+        written = []
+        for kept in (False, True):
+            if not kept:
+                for name in _vectors_files(out):
+                    os.remove(os.path.join(out, name))
+            written.append(_score(runner, config, out, trials, segments, system, args,
+                                  str(tmp_path / f"{system}_{kept}.tsv")))
+            assert len(_vectors_files(out)) == 1, system
+        assert written[0] == written[1] and written[0], system
+
+
+@pytest.mark.parametrize("change", ["model", "side-file", "side-file-frontend",
+                                    "segments-file"])
+def test_kept_vectors_are_never_read_for_changed_inputs(tmp_path, score_models, monkeypatch,
+                                                        change):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    model = str(tmp_path / "dvector.svbf")
+    store.save_model(model, _tiny_dvector())
+    args = ["--model", model]
+    first = _score(runner, config, out, trials, segments, "dvector-cosine", args,
+                   str(tmp_path / "first.tsv"))
+    assert len(_vectors_files(out)) == 1
+    sides = os.path.join(out, "segments_C2.5_1.svbf")
+    frontend, digest, rows = store.load_side_features(sides)
+    if change == "model":
+        store.save_model(model, _with_frontend(build_dvector_net(DVectorConfig(
+            conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4), seed=1)))
+    elif change == "side-file":
+        store.save_side_features(sides, frontend, digest, [r + 1.0 for r in rows])
+    elif change == "side-file-frontend":
+        store.save_side_features(sides, {**frontend, "dither": 0.01}, digest, rows)
+    else:
+        _drop_side(trials, segments)
+    calls = _counting_vectors(monkeypatch)
+    kept_reads = []
+    load = store.load_side_vectors
+    monkeypatch.setattr(store, "load_side_vectors",
+                        lambda *a: kept_reads.append(load(*a)) or kept_reads[-1])
+    scores = str(tmp_path / "second.tsv")
+    result = runner.invoke(main, ["--config", config, "--out-dir", out, "score",
+                                  "--system", "dvector-cosine", "--trials", trials,
+                                  "--segments", segments, *args, "--out", scores])
+    assert all(found is None for found in kept_reads)
+    if change in ("side-file-frontend", "segments-file"):
+        # refused as without kept vectors, and nothing embedded
+        _rejected(result, f"{sides}: ")
+        assert ("made with frontend" if change == "side-file-frontend"
+                else "not made from") in result.output
+        assert calls == [] and not os.path.exists(scores)
+        return
+    assert result.exit_code == 0, result.output
+    _, enroll, test = read_segments_file(segments)
+    assert len(calls) == len(enroll) + len(test)
+    with open(scores, "rb") as f:
+        second = f.read()
+    assert second != first
+    # the re-embedded vectors give the bytes of scoring with no vectors kept
+    for name in _vectors_files(out):
+        os.remove(os.path.join(out, name))
+    assert _score(runner, config, out, trials, segments, "dvector-cosine", args,
+                  str(tmp_path / "cold.tsv")) == second
+
+
+def test_trials_deletes_kept_vectors(tmp_path, score_models):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    for system in ("dvector-cosine", "e2e"):
+        _score(runner, config, out, trials, segments, system, score_models[system],
+               str(tmp_path / f"{system}.tsv"))
+    assert len(_vectors_files(out)) == 2
+    other = _write(tmp_path / "sides" / f"segments_C2.5_10.{'0' * 16}.vectors.svbf", "")
+    _invoke(runner, config, out, "trials", "--manifest", manifest)
+    assert _vectors_files(out) == [os.path.basename(other)]
+
+
+@pytest.mark.parametrize("misshape", ["rows", "width", "dtype"])
+def test_kept_vectors_that_do_not_fit_are_refused(tmp_path, score_models, misshape):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    args = score_models["dvector-cosine"]
+    _score(runner, config, out, trials, segments, "dvector-cosine", args,
+           str(tmp_path / "scores.tsv"))
+    (name,) = _vectors_files(out)
+    path = os.path.join(out, name)
+    kind, header, arrays = read_container(path)
+    arrays["enroll"] = {"rows": arrays["enroll"][1:],
+                        "width": arrays["enroll"][:, 1:],
+                        "dtype": arrays["enroll"].astype(np.float32)}[misshape]
+    write_container(path, kind, header, arrays)
+    scores = str(tmp_path / "refused.tsv")
+    result = runner.invoke(main, ["--config", config, "--out-dir", out, "score",
+                                  "--system", "dvector-lda", "--trials", trials,
+                                  "--segments", segments, *score_models["dvector-lda"],
+                                  "--out", scores])
+    _rejected(result, f"{path}: 'enroll'")
+    assert not os.path.exists(scores)

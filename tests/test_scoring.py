@@ -8,7 +8,13 @@ from svbench.backends import center_and_length_normalize, fit_lda, fit_plda
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.e2e import E2EConfig, build_e2e_net
 from svbench.evaluation import Trial
-from svbench.pipeline import dvector_of, score_trials
+from svbench.pipeline import dvector_of, score_trials, utterance_vector
+
+
+def _vectors(net, enroll, test):
+    """score_trials' `sides` callable: the side vectors of `enroll` and `test` frames."""
+    return lambda: tuple({sid: utterance_vector(net, f) for sid, f in frames.items()}
+                         for frames in (enroll, test))
 
 
 def _sides(rng, prefix, count):
@@ -28,7 +34,7 @@ def _train_vectors(dnet, rng):
 
 def _plda_scores(trial_set, kwargs):
     enroll, test, trials, _ = trial_set
-    got = score_trials("dvector-plda", trials, lambda: (enroll, test), **kwargs)
+    got = score_trials("dvector-plda", trials, _vectors(kwargs["net"], enroll, test), **kwargs)
     ref = oracles.score_trials("dvector-plda", trials, enroll, test, **kwargs)
     assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in ref]
     return np.array([r[2] for r in got]), np.array([r[2] for r in ref])
@@ -71,7 +77,8 @@ def trial_set():
 @pytest.mark.parametrize("system", ["dvector-cosine", "dvector-lda", "e2e"])
 def test_grid_scores_match_per_trial_reference(trial_set, system):
     enroll, test, trials, models = trial_set
-    got = score_trials(system, trials, lambda: (enroll, test), **models[system])
+    got = score_trials(system, trials, _vectors(models[system]["net"], enroll, test),
+                       **models[system])
     ref = oracles.score_trials(system, trials, enroll, test, **models[system])
     assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in ref]
     np.testing.assert_allclose([r[2] for r in got], [r[2] for r in ref], rtol=1e-12, atol=0)
@@ -112,9 +119,9 @@ def test_plda_grid_scores_within_reference_error_when_sides_in_training_span(tri
 def test_grid_scoring_keeps_trial_order_and_repeats(trial_set):
     enroll, test, trials, models = trial_set
     shuffled = trials[::-1] + trials[:3]
-    got = score_trials("e2e", shuffled, lambda: (enroll, test), **models["e2e"])
-    by_pair = {r[:2]: r[2] for r in score_trials("e2e", trials, lambda: (enroll, test),
-                                                      **models["e2e"])}
+    sides = _vectors(models["e2e"]["net"], enroll, test)
+    got = score_trials("e2e", shuffled, sides, **models["e2e"])
+    by_pair = {r[:2]: r[2] for r in score_trials("e2e", trials, sides, **models["e2e"])}
     assert [r[:2] for r in got] == [(t.enroll_id, t.test_id) for t in shuffled]
     assert [r[2] for r in got] == [by_pair[r[:2]] for r in got]
 

@@ -279,14 +279,15 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
 
 
 SEGMENTS_SHA = hashlib.sha256(b"#condition\tC(4-2)\t4\t2\n").hexdigest()
+SIDE_VECTORS_STAMP = {"model": "0" * 64, "segments": SEGMENTS_SHA, "sides": "1" * 64}
 
 
 def _saved_artifacts(tmp_path):
-    """{name: (path, loader)} for saved features, a vector set, LDA, PLDA, e2e model
-    and trial-side features."""
+    """{name: (path, loader)} for saved features, a vector set, LDA, PLDA, e2e model,
+    trial-side features and trial-side vectors."""
     rng = np.random.default_rng(9)
     paths = {name: str(tmp_path / f"{name}.svbf")
-             for name in ("features", "vectors", "lda", "plda", "e2e", "sides")}
+             for name in ("features", "vectors", "lda", "plda", "e2e", "sides", "side_vectors")}
     store.save_features(paths["features"], FeatureMatrix(rng.standard_normal((4, 3))),
                         FrontendConfig(num_mel_bins=3).record())
     store.save_vectors(paths["vectors"], "dvector", ["u1", "u2"], ["s1", "s2"],
@@ -297,9 +298,12 @@ def _saved_artifacts(tmp_path):
     store.save_model(paths["e2e"], *_e2e_net())
     store.save_side_features(paths["sides"], FrontendConfig(num_mel_bins=3).record(), SEGMENTS_SHA,
                              [rng.standard_normal((t, 3)) for t in (2, 3, 4)])
+    store.save_side_vectors(paths["side_vectors"], SIDE_VECTORS_STAMP,
+                            rng.standard_normal((1, 3)), rng.standard_normal((2, 3)))
     loaders = {"features": store.load_features, "vectors": store.load_vectors,
                "lda": store.load_backend, "plda": store.load_backend, "e2e": store.load_model,
-               "sides": store.load_side_features}
+               "sides": store.load_side_features,
+               "side_vectors": lambda p: store.load_side_vectors(p, SIDE_VECTORS_STAMP, 1, 2, 3)}
     return {name: (paths[name], loaders[name]) for name in paths}
 
 
@@ -311,6 +315,8 @@ def _saved_artifacts(tmp_path):
     ("plda", "arrays", "between"), ("plda", "arrays", "center_mean"),
     ("e2e", "arrays", "scorer.S"), ("e2e", "arrays", "scorer.b"),
     ("sides", "header", "frontend"), ("sides", "header", "segments"),
+    ("side_vectors", "header", "stamp"), ("side_vectors", "arrays", "enroll"),
+    ("side_vectors", "arrays", "test"),
 ])
 def test_loaders_name_missing_entries(tmp_path, artifact, part, key):
     path, load = _saved_artifacts(tmp_path)[artifact]
@@ -476,3 +482,28 @@ def test_side_features_loader_names_a_missing_file(tmp_path):
     path = str(tmp_path / "segments_C4_2.svbf")
     with pytest.raises(FormatError, match=rf"^{re.escape(path)}: no trial-side features"):
         store.load_side_features(path)
+
+
+@pytest.mark.parametrize("ids, speakers, vectors", [
+    (["u1", "u2", "u3", "u4"], ["s1", "s1", "s2"], np.zeros((4, 3))),
+    (["u1", "u2", "u3"], ["s1", "s1", "s2"], np.zeros((4, 3))),
+    (["u1", "u2", "u3"], ["s1", "s1", "s2"], np.zeros(3)),
+], ids=["speakers-short", "rows-long", "one-dimensional"])
+def test_vectors_loader_rejects_inconsistent_sets(tmp_path, ids, speakers, vectors):
+    path = str(tmp_path / "vectors.svbf")
+    write_container(path, "dvector", {"ids": ids, "speakers": speakers},
+                    {"vectors": vectors.astype(np.float32)})
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: "):
+        store.load_vectors(path, kind="dvector")
+
+
+def test_side_vectors_round_trip_and_stamp(tmp_path):
+    path = str(tmp_path / "side_vectors.svbf")
+    rng = np.random.default_rng(4)
+    enroll, test = rng.standard_normal((2, 5)), rng.standard_normal((3, 5))
+    store.save_side_vectors(path, SIDE_VECTORS_STAMP, enroll, test)
+    got = store.load_side_vectors(path, SIDE_VECTORS_STAMP, 2, 3, 5)
+    assert [m.tobytes() for m in got] == [enroll.tobytes(), test.tobytes()]
+    for key in SIDE_VECTORS_STAMP:
+        assert store.load_side_vectors(path, {**SIDE_VECTORS_STAMP, key: "f" * 64},
+                                       2, 3, 5) is None, key
