@@ -13,7 +13,7 @@ from .corpus import read_manifest, split_train_eval, write_manifest
 from .datagen import SyntheticSpec, generate_corpus
 # extract_frame_features and embed are unused here; perfbench/tracing.py patches them
 from .dvector import DVectorConfig, extract_frame_features, train_dvector
-from .e2e import E2EConfig, E2ELossConfig, embed, train_e2e
+from .e2e import E2EConfig, embed, train_e2e
 from .errors import FormatError, SvbenchError
 from .evaluation import (build_conditions, compute_eer, emit_report,
                          read_score_file, read_segments_file, read_trial_file,
@@ -134,23 +134,18 @@ def cmd_train_e2e(ws, manifest, feats_dir):
     """Train the end-to-end embedding network and bilinear scorer."""
     ws.prepare()
     entries = read_manifest(manifest)
-    e = ws.cfg["e2e"]
-    feats, frontend = pipeline.load_feature_dir(entries, feats_dir, e["cmvn"])
+    cmvn_mode = ws.cfg["e2e"]["cmvn"]
+    feats, frontend = pipeline.load_feature_dir(entries, feats_dir, cmvn_mode)
     corpus = pipeline.corpus_by_speaker(entries, feats)
     cfg = from_sections(E2EConfig, ws.cfg, "e2e", input_dim=frontend["num_mel_bins"])
-    n = e["pair_batch_n"]
-    k = e["loss_k"] if e["loss_k"] > 0 else 1.0 / (n - 1)
-    tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", "e2e", max_epochs=1, seed=ws.seed)
+    tcfg = from_sections(TrainerConfig, ws.cfg, "trainer", "e2e", seed=ws.seed)
     log_path = ws.path("e2e_train.log")
     with open(log_path, "w") as log:
         log.write("iteration\tloss\tpair_accuracy\tgrad_norm\tclip_scale\n")
-        net, scorer = train_e2e(
-            corpus, cfg, E2ELossConfig(k=k), tcfg,
-            n_pairs=n, iterations=e["iterations"],
-            chunk_bounds=(e["chunk_min"], e["chunk_max"]),
-            log=lambda h: log.write(f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
-                                    f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
-    net.meta.update(frontend=frontend, cmvn=e["cmvn"])
+        net, scorer = train_e2e(corpus, cfg, tcfg, log=lambda h: log.write(
+            f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
+            f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
+    net.meta.update(frontend=frontend, cmvn=cmvn_mode)
     store.save_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
 
@@ -252,8 +247,8 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
 
     Trial sides are read from the .svbf that `trials` stored beside --segments and
     normalized by the model's CMVN; no audio is read. Their vectors under the model are
-    kept beside it, segments_<tag>.<model sha256[:16]>.vectors.svbf, and read by every
-    later `score` with the same model, sides and segments files."""
+    kept beside it, segments_<tag>.<dvector|e2e>.vectors.svbf, one file per model family,
+    and read by every later `score` with the same model, sides and segments files."""
     ws.prepare()
     trial_items = read_trial_file(trials_path)
     _, enroll_segments, test_segments = read_segments_file(segments_path)

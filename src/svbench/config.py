@@ -10,8 +10,12 @@ import configparser
 import dataclasses
 import io
 
+from .datagen import SyntheticSpec
+from .dvector import DVectorConfig
+from .e2e import E2EConfig
 from .errors import ConfigError
-from .frontend import CMVN_MODES
+from .frontend import CMVN_MODES, FrontendConfig
+from .nn import TrainerConfig
 
 
 def _secs_pair(raw):
@@ -25,47 +29,33 @@ def _cmvn_mode(raw):
     return raw
 
 
-# section -> key -> (parser, default)
+def _fields(cls, *derived):
+    """key -> (parser, default) of every field of dataclass `cls` but `derived`,
+    the fields that the CLI fills in itself."""
+    parsers = {int: int, float: float, tuple: _secs_pair}
+    return {f.name: (parsers[f.type], f.default)
+            for f in dataclasses.fields(cls) if f.name not in derived}
+
+
+# section -> key -> (parser, default); a dataclass-fed section takes its keys
+# from the dataclass's fields, and only keys that no field has are written here
 SCHEMA = {
     "run": {
         "out_dir": (str, "runs/default"),
         "seed": (int, 0),
     },
     "datagen": {
-        "num_speakers": (int, 10),
-        "utterances_per_speaker": (int, 5),
-        "utterance_secs": (_secs_pair, (2.0, 4.0)),
-        "sample_rate": (int, 16000),
-        "separability": (float, 1.0),
-        "noise_level": (float, 0.05),
+        **_fields(SyntheticSpec, "seed"),
         "train_speakers": (int, 0),
         "eval_speakers": (int, 0),
     },
-    "frontend": {
-        "frame_length_ms": (float, 25.0),
-        "frame_shift_ms": (float, 10.0),
-        "num_mel_bins": (int, 40),
-        "pre_emphasis": (float, 0.97),
-        "dither": (float, 0.0),
-    },
+    "frontend": _fields(FrontendConfig, "dither_seed"),
     "dvector": {
-        "conv_dim": (int, 256),
-        "bottleneck_dim": (int, 256),
-        "td_dim": (int, 256),
-        "feature_dim": (int, 400),
+        **_fields(DVectorConfig, "input_dim", "num_speakers"),
         "cmvn": (_cmvn_mode, "per-utterance"),   # applied on load, recorded in the model
     },
     "e2e": {
-        "lift_dim": (int, 150),
-        "nin_hidden": (int, 1000),
-        "nin_out": (int, 500),
-        "pre_pool_dim": (int, 150),
-        "embedding_dim": (int, 200),
-        "pair_batch_n": (int, 64),
-        "iterations": (int, 200),
-        "loss_k": (float, 0.0),           # 0 means 1/(N-1)
-        "chunk_min": (int, 50),
-        "chunk_max": (int, 300),
+        **_fields(E2EConfig, "input_dim"),
         # pair training runs on iterations, not epochs, and needs a much
         # smaller step than frame classification, so it gets its own schedule
         "learning_rate": (float, 0.003),
@@ -73,14 +63,7 @@ SCHEMA = {
         "lr_decay_interval": (int, 400),
         "cmvn": (_cmvn_mode, "none"),
     },
-    "trainer": {
-        "learning_rate": (float, 0.02),
-        "lr_decay": (float, 0.7),
-        "lr_decay_interval": (int, 2),
-        "momentum": (float, 0.9),
-        "max_epochs": (int, 10),
-        "clip_norm": (float, 5.0),
-    },
+    "trainer": _fields(TrainerConfig, "seed"),
     "backends": {
         "lda_dim": (int, 150),
         "plda_iterations": (int, 10),

@@ -6,23 +6,26 @@ feature layer in front of the softmax head. Frame-level features are
 read from the feature layer and averaged into utterance d-vectors.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingDivergedError, UsageError
-from .nn import Network, SgdOptimizer, effective_context, softmax_xent
+from .nn import Network, SgdOptimizer, effective_context, softmax_xent, splice
+
+
+# The layer recipe: a +-4 frame input splice, a conv stage of time kernels 2 and 1,
+# then two time-delay stages; 9 + 1 + 6 + 4 = 20 frames of receptive field.
+SPLICE_CONTEXT = 4
+CONV_KERNELS = (2, 1)
+TD_OFFSETS = ((-3, 0, 3), (-2, 0, 2))
 
 
 @dataclass
 class DVectorConfig:
     input_dim: int = 40
-    splice_context: int = 4
-    conv_kernels: tuple = (2, 1)       # time-kernel sizes of the conv stage
     conv_dim: int = 256
     bottleneck_dim: int = 256
-    td_offsets: tuple = ((-3, 0, 3), (-2, 0, 2))
     td_dim: int = 256
     feature_dim: int = 400
     num_speakers: int = 5000
@@ -34,13 +37,9 @@ class DVectorConfig:
 
 def dvector_specs(cfg):
     """Layer spec list for the classifier network (feature layer + head last)."""
-    specs = []
-    d = cfg.input_dim
-    k = cfg.splice_context
-    if k > 0:
-        specs.append({"kind": "time_delay", "offsets": list(range(-k, k + 1))})
-        d *= 2 * k + 1
-    for kernel in cfg.conv_kernels:
+    specs = [splice(SPLICE_CONTEXT)]
+    d = cfg.input_dim * (2 * SPLICE_CONTEXT + 1)
+    for kernel in CONV_KERNELS:
         if kernel > 1:
             specs.append({"kind": "time_delay", "offsets": list(range(kernel))})
             d *= kernel
@@ -49,7 +48,7 @@ def dvector_specs(cfg):
         d = cfg.conv_dim
     specs.append({"kind": "affine", "d_in": d, "d_out": cfg.bottleneck_dim})
     d = cfg.bottleneck_dim
-    for offsets in cfg.td_offsets:
+    for offsets in TD_OFFSETS:
         specs.append({"kind": "time_delay", "offsets": list(offsets)})
         d *= len(offsets)
         specs.append({"kind": "affine", "d_in": d, "d_out": cfg.td_dim})
@@ -62,15 +61,12 @@ def dvector_specs(cfg):
 
 def build_dvector_net(cfg, seed=0):
     specs = dvector_specs(cfg)
-    ctx = effective_context(specs)
-    if ctx != 20:
-        warnings.warn(f"d-vector receptive field is {ctx} frames, not the standard 20")
     return Network.from_specs(specs, meta={
         "model": "dvector",
         "input_dim": cfg.input_dim,
         "feature_dim": cfg.feature_dim,
         "num_speakers": cfg.num_speakers,
-        "effective_context": ctx,
+        "effective_context": effective_context(specs),
         "seed": seed,
     }, rng=np.random.default_rng(seed))
 

@@ -19,33 +19,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplingError, TrainingDivergedError, UsageError
-from .nn import Affine, Network, SgdOptimizer, effective_context, run_layer
+from .nn import Affine, Network, SgdOptimizer, effective_context, run_layer, splice
 
-CHUNK_LEN_MIN = 50
-CHUNK_LEN_MAX = 300
+# The layer recipe: a +-1 frame input splice, then three time-delay NIN blocks;
+# 3 + 6 + 4 + 4 = 17 frames of receptive field.
+SPLICE_CONTEXT = 1
+TD_OFFSETS = ((-3, 0, 3), (-2, 0, 2), (-2, 0, 2))
 # The calibration batch covers at least this many speakers (every speaker of a
 # smaller corpus): the post-pool layers are calibrated on its pooled chunks,
 # and a small batch misjudges their spread over the rest of the corpus.
 CALIBRATION_SPEAKERS = 64
 EMBEDDING_SCALE = 0.3         # calibrate_network's extra shrink of the last affine
-RECEPTIVE_FIELD = 17          # frames of context the published embedding network sees
 
 
 @dataclass
 class E2EConfig:
     input_dim: int = 40
-    splice_context: int = 1
     lift_dim: int = 150            # width entering NIN-1 (spliced input lifted by an affine)
     nin_hidden: int = 1000
     nin_out: int = 500
-    td_offsets: tuple = ((-3, 0, 3), (-2, 0, 2), (-2, 0, 2))
     pre_pool_dim: int = 150
     embedding_dim: int = 200
+    pair_batch_n: int = 64         # N: same-speaker pairs per training batch
+    iterations: int = 200
+    loss_k: float = 0.0            # weight K of the different-speaker pairs; 0 means 1/(N-1)
+    chunk_min: int = 50            # bounds, in frames, of the log-uniform chunk lengths
+    chunk_max: int = 300
 
     def __post_init__(self):
         if min(self.lift_dim, self.nin_hidden, self.nin_out,
                self.pre_pool_dim, self.embedding_dim) <= 0:
             raise ConfigError("all e2e dims must be positive")
+        if self.pair_batch_n < 2:
+            raise ConfigError("pair_batch_n must be at least 2")
+        if not 1 <= self.chunk_min <= self.chunk_max:
+            raise ConfigError("chunk_min and chunk_max must satisfy 1 <= chunk_min <= chunk_max")
+        if self.loss_k < 0:
+            raise ConfigError("loss_k must be non-negative (0 means 1/(N-1))")
 
 
 def _nin_specs(d_in, hidden, out):
@@ -57,15 +67,10 @@ def _nin_specs(d_in, hidden, out):
 
 
 def e2e_specs(cfg):
-    specs = []
-    d = cfg.input_dim
-    k = cfg.splice_context
-    if k > 0:
-        specs.append({"kind": "time_delay", "offsets": list(range(-k, k + 1))})
-        d *= 2 * k + 1
-    specs.append({"kind": "affine", "d_in": d, "d_out": cfg.lift_dim})
+    d = cfg.input_dim * (2 * SPLICE_CONTEXT + 1)
+    specs = [splice(SPLICE_CONTEXT), {"kind": "affine", "d_in": d, "d_out": cfg.lift_dim}]
     d = cfg.lift_dim
-    for offsets in cfg.td_offsets:
+    for offsets in TD_OFFSETS:
         specs.append({"kind": "time_delay", "offsets": list(offsets)})
         specs.extend(_nin_specs(d * len(offsets), cfg.nin_hidden, cfg.nin_out))
         d = cfg.nin_out
@@ -131,14 +136,11 @@ class BilinearScorer:
 
 def build_e2e_net(cfg, seed=0):
     specs = e2e_specs(cfg)
-    ctx = effective_context(specs)
-    if ctx != RECEPTIVE_FIELD:
-        raise ConfigError(f"receptive field {ctx} frames, expected {RECEPTIVE_FIELD}")
     net = Network.from_specs(specs, meta={
         "model": "e2e",
         "input_dim": cfg.input_dim,
         "embedding_dim": cfg.embedding_dim,
-        "effective_context": ctx,
+        "effective_context": effective_context(specs),
         "seed": seed,
     }, rng=np.random.default_rng(seed))
     return net, BilinearScorer(cfg.embedding_dim)
@@ -190,31 +192,21 @@ def pair_probability(logit):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class E2ELossConfig:
-    k: float = 1.0 / 63.0          # balance weight on the different-speaker set
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigError("balance weight must be positive")
-
-
-def pair_loss(same_logits, diff_logits, loss_cfg):
+def pair_loss(same_logits, diff_logits, k):
     """Weighted pairwise cross-entropy in the log domain.
 
-    E = -sum ln P(same) - K sum ln(1 - P(diff)); returns
+    E = -sum ln P(same) - k sum ln(1 - P(diff)); returns
     (E, dE/d same_logits, dE/d diff_logits).
     """
     same = np.asarray(same_logits, dtype=np.float64)
     diff = np.asarray(diff_logits, dtype=np.float64)
-    k = loss_cfg.k
     loss = float(np.sum(np.logaddexp(0.0, -same)) + k * np.sum(np.logaddexp(0.0, diff)))
     g_same = pair_probability(same) - 1.0
     g_diff = k * pair_probability(diff)
     return loss, np.atleast_1d(g_same), np.atleast_1d(g_diff)
 
 
-def sample_chunk_length(rng, lo=CHUNK_LEN_MIN, hi=CHUNK_LEN_MAX):
+def sample_chunk_length(rng, lo=E2EConfig.chunk_min, hi=E2EConfig.chunk_max):
     """Log-uniform chunk length in [lo, hi] frames."""
     return min(int(np.exp(rng.uniform(np.log(lo), np.log(hi + 1)))), hi)
 
@@ -250,7 +242,7 @@ def _cut_chunk(frames, length, rng):
     return frames[start:start + length]
 
 
-def sample_pair_batch(corpus, n, rng, chunk_bounds=(CHUNK_LEN_MIN, CHUNK_LEN_MAX)):
+def sample_pair_batch(corpus, n, rng, chunk_bounds=(E2EConfig.chunk_min, E2EConfig.chunk_max)):
     """Draw N same-speaker pairs plus the N(N-1) cross pairs of their first chunks.
 
     `corpus` maps speaker id -> list of utterance feature matrices. Each
@@ -291,7 +283,7 @@ def _pair_index(pairs):
     return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _batch_step(net, scorer, batch, loss_cfg):
+def _batch_step(net, scorer, batch, k):
     """Loss and full gradient map (network + scorer) for one pair batch.
 
     One forward pass embeds all 2N chunks; the logits of the batch's pairs
@@ -304,7 +296,7 @@ def _batch_step(net, scorer, batch, loss_cfg):
     logits = scorer.score_matrix(emb)
     same, diff = _pair_index(batch.same_pairs), _pair_index(batch.diff_pairs)
     same_logits, diff_logits = logits[same], logits[diff]
-    loss, g_same, g_diff = pair_loss(same_logits, diff_logits, loss_cfg)
+    loss, g_same, g_diff = pair_loss(same_logits, diff_logits, k)
 
     w = np.zeros_like(logits)
     np.add.at(w, same, g_same)
@@ -316,27 +308,28 @@ def _batch_step(net, scorer, batch, loss_cfg):
     return loss, grads, same_logits, diff_logits
 
 
-def train_e2e(corpus, cfg, loss_cfg, tcfg, n_pairs=64, iterations=200, log=None,
-              chunk_bounds=(CHUNK_LEN_MIN, CHUNK_LEN_MAX)):
-    """Train embedding network and scorer jointly on sampled pair batches.
+def train_e2e(corpus, cfg, tcfg, log=None):
+    """Train embedding network and scorer jointly for cfg.iterations batches of
+    cfg.pair_batch_n speakers, weighing the different-speaker pairs by cfg.loss_k.
 
-    Chunk lengths are drawn log-uniformly from `chunk_bounds` (frames).
     Returns (net, scorer); the per-iteration loss history lands in
     net.meta["history"]. `log` receives each history record together with
     the step's gradient norm and clip scale.
     """
+    n, bounds = cfg.pair_batch_n, (cfg.chunk_min, cfg.chunk_max)
+    k = cfg.loss_k or 1.0 / (n - 1)
     net, scorer = build_e2e_net(cfg, seed=tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 2)
-    warmup = sample_pair_batch(corpus, min(max(n_pairs, CALIBRATION_SPEAKERS), len(corpus)),
-                               rng, chunk_bounds)
+    warmup = sample_pair_batch(corpus, min(max(n, CALIBRATION_SPEAKERS), len(corpus)),
+                               rng, bounds)
     calibrate_network(net, warmup.chunks)
     opt = SgdOptimizer(tcfg)
     params = dict(net.param_map())
     params.update(scorer.param_map())
     history = []
-    for it in range(iterations):
-        batch = sample_pair_batch(corpus, n_pairs, rng, chunk_bounds)
-        loss, grads, same_logits, diff_logits = _batch_step(net, scorer, batch, loss_cfg)
+    for it in range(cfg.iterations):
+        batch = sample_pair_batch(corpus, n, rng, bounds)
+        loss, grads, same_logits, diff_logits = _batch_step(net, scorer, batch, k)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at iteration {it}", where=it)
         grad_norm, clip_scale = opt.step(params, grads, lr=tcfg.lr_at(it))

@@ -3,8 +3,7 @@
 import numpy as np
 
 from .dvector import DVectorConfig, build_dvector_net
-from .e2e import (E2EConfig, E2ELossConfig, PairBatch, _batch_step,
-                  build_e2e_net, pair_loss)
+from .e2e import E2EConfig, PairBatch, _batch_step, build_e2e_net, pair_loss
 from .nn import ReLU, grad_check, softmax_xent
 
 TOLERANCE = 1e-4
@@ -72,9 +71,9 @@ def gradcheck_e2e(seed=0):
     scorer.b[...] = 0.1
     batch = PairBatch(chunks, ["a", "a", "b", "b"],
                       same_pairs=[(0, 1), (2, 3)], diff_pairs=[(0, 2), (2, 0)])
-    loss_cfg = E2ELossConfig(k=0.5)
+    k = 0.5
 
-    _, analytic, _, _ = _batch_step(net, scorer, batch, loss_cfg)
+    _, analytic, _, _ = _batch_step(net, scorer, batch, k)
     params = dict(net.param_map())
     params.update(scorer.param_map())
 
@@ -82,7 +81,7 @@ def gradcheck_e2e(seed=0):
         emb = [net.forward(c)[0][0] for c in batch.chunks]
         same = [scorer.score(emb[i], emb[j]) for i, j in batch.same_pairs]
         diff = [scorer.score(emb[i], emb[j]) for i, j in batch.diff_pairs]
-        val, _, _ = pair_loss(same, diff, loss_cfg)
+        val, _, _ = pair_loss(same, diff, k)
         return val
 
     return grad_check(params, loss, analytic, step=1e-5)

@@ -286,6 +286,11 @@ class Network:
         return net
 
 
+def splice(k):
+    """Spec of the time-delay layer that stacks each frame with its k neighbours either side."""
+    return {"kind": "time_delay", "offsets": list(range(-k, k + 1))}
+
+
 def context_window(net_or_specs):
     """(left, right) frame extents of the receptive field around t.
 
@@ -335,7 +340,7 @@ def softmax_xent(logits, labels):
 
 @dataclass
 class TrainerConfig:
-    learning_rate: float = 0.05
+    learning_rate: float = 0.02
     lr_decay: float = 0.7
     lr_decay_interval: int = 2      # epochs between decays
     momentum: float = 0.9
@@ -348,6 +353,10 @@ class TrainerConfig:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
+        if self.lr_decay_interval < 1:
+            raise ConfigError("lr_decay_interval must be at least 1")
+        if self.clip_norm < 0:
+            raise ConfigError("clip_norm must be non-negative (0 turns clipping off)")
 
     def lr_at(self, epoch):
         return self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_interval)

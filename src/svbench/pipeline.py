@@ -1,7 +1,6 @@
 """Glue between corpus files and the models: featurization, vector
 extraction, and trial scoring. Used by the CLI and the acceptance suite."""
 
-import glob
 import hashlib
 import os
 
@@ -86,9 +85,10 @@ def side_file(segments_path):
     return os.path.splitext(segments_path)[0] + ".svbf"
 
 
-def vectors_file(segments_path, model_sha256):
-    """The side-vectors file of a segments file under the model file of sha256 `model_sha256`."""
-    return f"{os.path.splitext(segments_path)[0]}.{model_sha256[:16]}.vectors.svbf"
+def vectors_file(segments_path, family):
+    """The side-vectors file of a segments file under a model of `family`, a model's
+    meta["model"]: one file per family, so a retrained model overwrites its forerunner's."""
+    return f"{os.path.splitext(segments_path)[0]}.{family}.vectors.svbf"
 
 
 def sha256_of(path):
@@ -100,8 +100,9 @@ def save_trial_sides(segments_path, entries, fcfg):
     """Featurize each side of a segments file once under fcfg into side_file(segments_path),
     one matrix per row (in read_segments_file's order), with the file's sha256. Every
     side-vectors file of the segments file is deleted first: its vectors are of the old sides."""
-    for stale in glob.glob(vectors_file(glob.escape(segments_path), "?" * 16)):
-        os.remove(stale)
+    for family in store.MODEL_KINDS.values():
+        if os.path.exists(vectors_file(segments_path, family)):
+            os.remove(vectors_file(segments_path, family))
     _, enroll, test = read_segments_file(segments_path)
     entries_by_utt = {e.utt_id: e for e in entries}
     sides = list(enroll.values()) + [[seg] for seg in test.values()]
@@ -149,13 +150,12 @@ def side_vectors(segments_path, model_path, net):
     """(enroll, test) dicts of side id -> utterance_vector under `net`, the model read
     from `model_path`, of the sides of a segments file, in segments-file order.
 
-    They are read from vectors_file(segments_path, the model's sha256) if its stamp holds
+    They are read from vectors_file(segments_path, the model's family) if its stamp holds
     the sha256 of the model, side and segments files as they are now. Otherwise the sides of
     load_trial_sides, which refuses what does not fit the model or the segments file, are
     embedded and written there as float64 matrices, so that scores keep their bytes."""
-    model_sha256, sides = sha256_of(model_path), side_file(segments_path)
-    path = vectors_file(segments_path, model_sha256)
-    stamp = {"model": model_sha256, "segments": sha256_of(segments_path),
+    sides, path = side_file(segments_path), vectors_file(segments_path, net.meta["model"])
+    stamp = {"model": sha256_of(model_path), "segments": sha256_of(segments_path),
              "sides": sha256_of(sides) if os.path.exists(sides) else None}
     if os.path.exists(path):
         _, enroll, test = read_segments_file(segments_path)

@@ -201,7 +201,7 @@ def _pair_grads(scorer, x, y):
     return y - s2 @ x, x - s2 @ y, -(np.outer(x, x) + np.outer(y, y)), np.ones(1)
 
 
-def batch_step(net, scorer, batch, loss_cfg):
+def batch_step(net, scorer, batch, k):
     """e2e._batch_step with one forward/backward per chunk and one scorer call per pair."""
     from svbench.e2e import pair_loss       # here, so that importing this module loads only NumPy
 
@@ -214,7 +214,7 @@ def batch_step(net, scorer, batch, loss_cfg):
                             for i, j in batch.same_pairs])
     diff_logits = np.array([scorer.score(embeddings[i], embeddings[j])
                             for i, j in batch.diff_pairs])
-    loss, g_same, g_diff = pair_loss(same_logits, diff_logits, loss_cfg)
+    loss, g_same, g_diff = pair_loss(same_logits, diff_logits, k)
 
     demb = [np.zeros_like(e) for e in embeddings]
     grad_s = np.zeros_like(scorer.S)

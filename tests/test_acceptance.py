@@ -20,16 +20,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from svbench import gradcheck, store
+from svbench import dvector, e2e, gradcheck, store
 from svbench.backends import (PldaModel, center_and_length_normalize, fit_lda,
                               fit_plda)
 from svbench.corpus import split_train_eval
 from svbench.datagen import SyntheticSpec, generate_corpus
 from svbench.dvector import (DVectorConfig, build_dvector_net, dvector_specs,
                              extract_frame_features, train_dvector)
-from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig,
-                         build_e2e_net, e2e_specs, pair_loss,
-                         sample_pair_batch, train_e2e)
+from svbench.e2e import (BilinearScorer, E2EConfig, build_e2e_net, e2e_specs,
+                         pair_loss, sample_pair_batch, train_e2e)
 from svbench.evaluation import build_conditions, compute_eer, write_segments_file
 from svbench.frontend import FrontendConfig, cmvn, compute_fbank
 from svbench.nn import TrainerConfig, context_window, effective_context
@@ -49,12 +48,14 @@ def test_default_architectures_are_published_scale():
     """The reduced dims used for desk-scale training are explicit overrides;
     the default configs keep the published architecture."""
     d = DVectorConfig()
-    assert (d.input_dim, d.splice_context) == (40, 4)
+    assert (d.input_dim, dvector.SPLICE_CONTEXT) == (40, 4)
     assert d.feature_dim == 400 and d.num_speakers == 5000
-    assert d.td_offsets == ((-3, 0, 3), (-2, 0, 2))
+    assert dvector.TD_OFFSETS == ((-3, 0, 3), (-2, 0, 2))
+    assert build_dvector_net(DVectorConfig(num_speakers=2)).meta["effective_context"] == 20
     e = E2EConfig()
-    assert (e.input_dim, e.splice_context, e.embedding_dim) == (40, 1, 200)
-    assert e.td_offsets == ((-3, 0, 3), (-2, 0, 2), (-2, 0, 2))
+    assert (e.input_dim, e2e.SPLICE_CONTEXT, e.embedding_dim) == (40, 1, 200)
+    assert e2e.TD_OFFSETS == ((-3, 0, 3), (-2, 0, 2), (-2, 0, 2))
+    assert build_e2e_net(E2EConfig())[0].meta["effective_context"] == 17
 
 
 # --------------------------------------------------------------------------
@@ -260,16 +261,16 @@ def test_bilinear_scorer_laws():
 def test_pair_loss_laws():
     # all logits at zero: every pair contributes ln 2, weighted K for diffs
     n, m, k = 4, 12, 0.25
-    loss, _, _ = pair_loss(np.zeros(n), np.zeros(m), E2ELossConfig(k=k))
+    loss, _, _ = pair_loss(np.zeros(n), np.zeros(m), k)
     assert loss == pytest.approx((n + k * m) * np.log(2.0))
     # confident correct classification drives the loss to zero
-    loss, _, _ = pair_loss([400.0] * 3, [-400.0] * 6, E2ELossConfig(k=1.0))
+    loss, _, _ = pair_loss([400.0] * 3, [-400.0] * 6, 1.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
     # the diff-pair term scales linearly in K
     same, diff = np.array([0.3, -0.8]), np.array([1.1, -0.2, 0.6])
-    l1, _, _ = pair_loss(same, diff, E2ELossConfig(k=1.0))
-    l2, _, _ = pair_loss(same, diff, E2ELossConfig(k=2.0))
-    l3, _, _ = pair_loss(same, diff, E2ELossConfig(k=3.0))
+    l1, _, _ = pair_loss(same, diff, 1.0)
+    l2, _, _ = pair_loss(same, diff, 2.0)
+    l3, _, _ = pair_loss(same, diff, 3.0)
     assert l3 - l2 == pytest.approx(l2 - l1, abs=1e-12)
 
 
@@ -295,10 +296,9 @@ def test_training_is_byte_deterministic(tmp_path):
         net = train_dvector(utts, dcfg, TrainerConfig(learning_rate=0.02,
                                                       max_epochs=2, seed=3))
         ecfg = E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
-                         pre_pool_dim=10, embedding_dim=8)
-        enet, scorer = train_e2e(corpus, ecfg, E2ELossConfig(k=1.0),
-                                 TrainerConfig(learning_rate=0.003, seed=3),
-                                 n_pairs=2, iterations=5)
+                         pre_pool_dim=10, embedding_dim=8, pair_batch_n=2, iterations=5,
+                         loss_k=1.0)
+        enet, scorer = train_e2e(corpus, ecfg, TrainerConfig(learning_rate=0.003, seed=3))
         d_path = tmp_path / f"dvector_{run}.svbf"
         e_path = tmp_path / f"e2e_{run}.svbf"
         store.save_model(str(d_path), net)
@@ -353,11 +353,9 @@ def desk_pipeline(tmp_path_factory):
     enet, scorer = train_e2e(
         corpus_by_speaker(train, feats_raw),
         E2EConfig(lift_dim=48, nin_hidden=64, nin_out=32, pre_pool_dim=32,
-                  embedding_dim=24),
-        E2ELossConfig(k=1.0 / 7.0),
+                  embedding_dim=24, pair_batch_n=8, iterations=1500, loss_k=1.0 / 7.0),
         TrainerConfig(learning_rate=0.003, lr_decay=0.5, lr_decay_interval=400,
-                      seed=11),
-        n_pairs=8, iterations=1500)
+                      seed=11))
 
     # back-ends on training-speaker d-vectors
     by_id = sorted(train, key=lambda e: e.utt_id)

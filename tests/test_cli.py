@@ -130,10 +130,8 @@ def test_pipeline_artifacts_exist(pipeline_runs):
 
 def test_run_twice_byte_identical(pipeline_runs):
     a, b = pipeline_runs
-    # the side vectors `score` kept under each model, named by the model's bytes
-    vectors = [os.path.basename(pipeline.vectors_file(
-        "segments_C4_2.tsv", pipeline.sha256_of(os.path.join(a, model))))
-        for model in ("dvector.svbf", "e2e.svbf")]
+    # the side vectors `score` kept under each model, named by the model's family
+    vectors = [pipeline.vectors_file("segments_C4_2.tsv", family) for family in ("dvector", "e2e")]
     for artifact in ("dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf",
                      "trials_C4_2.tsv", "segments_C4_2.tsv", *vectors,
                      "scores_dvector-cosine.tsv", "scores_dvector-lda.tsv",
@@ -269,24 +267,63 @@ def test_featurize_rejects_removed_option(tiny_run):
 
 
 def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch):
+    # ... and every other [e2e] training key: pair_batch_n, iterations and loss_k
     runner, _, out = tiny_run
-    config = tmp_path / "chunks.ini"
-    config.write_text(TINY_CONFIG + "chunk_min = 60\nchunk_max = 60\n")
-    lengths = []
+    batches = []
     sample = e2e.sample_pair_batch
 
     def recording_sample(*args, **kwargs):
         batch = sample(*args, **kwargs)
-        lengths.extend(chunk.shape[0] for chunk in batch.chunks)
+        batches.append([chunk.shape[0] for chunk in batch.chunks])
         return batch
 
     monkeypatch.setattr(e2e, "sample_pair_batch", recording_sample)
-    _invoke(runner, str(config), str(tmp_path / "out"), "train-e2e", "--manifest",
-            os.path.join(out, "corpus", "manifest.tsv"),
-            "--features", os.path.join(out, "feats"))
+
+    def train(name, pair_batch_n=3, iterations=2, **keys):
+        """(model bytes, training-log rows) of train-e2e on TINY_CONFIG with these [e2e] keys."""
+        keys.update(pair_batch_n=pair_batch_n, iterations=iterations)
+        base = TINY_CONFIG.replace("pair_batch_n = 3\niterations = 2\n", "")
+        config = _write(tmp_path / f"{name}.ini",
+                        base + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+        run = tmp_path / name
+        batches.clear()
+        _invoke(runner, config, str(run), "train-e2e", "--manifest",
+                os.path.join(out, "corpus", "manifest.tsv"),
+                "--features", os.path.join(out, "feats"))
+        return (run / "e2e.svbf").read_bytes(), len((run / "e2e_train.log").read_text().splitlines()) - 1
+
+    default, rows = train("default")
+    assert rows == 2
+    train("chunks", chunk_min=60, chunk_max=60)
     # warm-up batch over all 4 speakers plus two training batches of 2N = 6 chunks
-    assert len(lengths) == 2 * 4 + 2 * 6
-    assert set(lengths) == {60}
+    assert [len(b) for b in batches] == [2 * 4, 6, 6]
+    assert {n for b in batches for n in b} == {60}
+    _, rows = train("pairs", pair_batch_n=2, iterations=3)
+    assert [len(b) for b in batches] == [2 * 4, 4, 4, 4] and rows == 3
+    # loss_k = 0 stands for 1/(N-1); any other value weighs the different-speaker pairs
+    assert train("k_half", loss_k=0.5)[0] == default
+    assert train("k_quarter", loss_k=0.25)[0] != default
+
+
+@pytest.mark.parametrize("section, keys, named, command", [
+    ("e2e", "pair_batch_n = 1", "pair_batch_n", "train-e2e"),
+    ("e2e", "chunk_min = 0", "chunk_min", "train-e2e"),
+    ("e2e", "chunk_min = 200\nchunk_max = 60", "chunk_min", "train-e2e"),
+    ("e2e", "loss_k = -5", "loss_k", "train-e2e"),
+    ("e2e", "lr_decay_interval = 0", "lr_decay_interval", "train-e2e"),
+    ("trainer", "lr_decay_interval = 0", "lr_decay_interval", "train-dvector"),
+    ("trainer", "clip_norm = -1", "clip_norm", "train-dvector"),
+], ids=["pair_batch_n", "chunk_min", "chunk_order", "loss_k", "e2e_lr_decay_interval",
+        "lr_decay_interval", "clip_norm"])
+def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
+                                                   command):
+    runner, _, out = tiny_run
+    config = _write(tmp_path / "bad.ini", f"[{section}]\n{keys}\n")
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"), command,
+                                  "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+                                  "--features", os.path.join(out, "feats")])
+    _rejected(result, named)
+    assert not list((tmp_path / "out").glob("*.svbf"))
 
 
 def _with_frontend(net, cmvn="none"):
@@ -336,8 +373,9 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
                 "--segments", segments, "--manifest", manifest, *args,
                 "--out", str(tmp_path / f"scores_{system}.tsv"))
         model = args[1] if args else None
+        family = "e2e" if system == "e2e" else "dvector"
         sides = [] if model is None else [
-            pipeline.vectors_file(segments, pipeline.sha256_of(model)) if model in embedded
+            pipeline.vectors_file(segments, family) if model in embedded
             else str(tmp_path / "segments.svbf")]
         embedded.add(model)
         assert sorted(reads) == sorted(args[1::2] + sides), system
@@ -897,9 +935,7 @@ def test_score_embeds_each_side_once_per_model(tmp_path, score_models, monkeypat
     _score(runner, config, out, trials, segments, "dvector-cosine",
            score_models["dvector-cosine"], str(tmp_path / "cosine.tsv"))
     assert len(calls) == len(enroll) + len(test)
-    model = score_models["dvector-cosine"][1]
-    assert _vectors_files(out) == [os.path.basename(
-        pipeline.vectors_file(segments, pipeline.sha256_of(model)))]
+    assert _vectors_files(out) == [os.path.basename(pipeline.vectors_file(segments, "dvector"))]
 
     def no_vectors(*args):
         raise AssertionError("a side was embedded again")
@@ -972,6 +1008,8 @@ def test_kept_vectors_are_never_read_for_changed_inputs(tmp_path, score_models, 
     with open(scores, "rb") as f:
         second = f.read()
     assert second != first
+    # the new vectors replace the old in the one file of the model's family
+    assert _vectors_files(out) == [os.path.basename(pipeline.vectors_file(segments, "dvector"))]
     # the re-embedded vectors give the bytes of scoring with no vectors kept
     for name in _vectors_files(out):
         os.remove(os.path.join(out, name))
@@ -985,7 +1023,7 @@ def test_trials_deletes_kept_vectors(tmp_path, score_models):
         _score(runner, config, out, trials, segments, system, score_models[system],
                str(tmp_path / f"{system}.tsv"))
     assert len(_vectors_files(out)) == 2
-    other = _write(tmp_path / "sides" / f"segments_C2.5_10.{'0' * 16}.vectors.svbf", "")
+    other = _write(tmp_path / "sides" / "segments_C2.5_10.dvector.vectors.svbf", "")
     _invoke(runner, config, out, "trials", "--manifest", manifest)
     assert _vectors_files(out) == [os.path.basename(other)]
 

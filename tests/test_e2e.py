@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from svbench.e2e import (BilinearScorer, E2EConfig, E2ELossConfig, PairBatch,
+from svbench.e2e import (BilinearScorer, E2EConfig, PairBatch,
                          _batch_step, build_e2e_net, calibrate_network, e2e_specs,
                          embed, pair_loss, pair_probability, sample_chunk_length,
                          sample_pair_batch, train_e2e)
-from svbench.errors import ConfigError, SamplingError, UsageError
+from svbench.errors import SamplingError, UsageError
 from svbench.nn import TrainerConfig, effective_context, grad_check
 
 SMALL = dict(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
@@ -22,11 +22,6 @@ def test_default_widths():
     first_affine = next(s for s in specs if s["kind"] == "affine")
     assert first_affine["d_in"] == 120          # splice +-1 on 40-d input
     assert specs[-1]["d_out"] == 200            # embedding width
-
-
-def test_wrong_context_rejected():
-    with pytest.raises(ConfigError):
-        build_e2e_net(E2EConfig(splice_context=2))
 
 
 def test_scorer_reduces_to_dot_product():
@@ -64,28 +59,28 @@ def test_pair_probability_laws():
 
 
 def test_pair_loss_perfect_classification():
-    loss, _, _ = pair_loss([200.0, 300.0], [-200.0], E2ELossConfig(k=1.0))
+    loss, _, _ = pair_loss([200.0, 300.0], [-200.0], 1.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pair_loss_uniform_probability():
     n, m, k = 3, 6, 0.4
-    loss, _, _ = pair_loss(np.zeros(n), np.zeros(m), E2ELossConfig(k=k))
+    loss, _, _ = pair_loss(np.zeros(n), np.zeros(m), k)
     assert loss == pytest.approx((n + k * m) * np.log(2.0))
 
 
 def test_pair_loss_additive_in_k():
     same = np.array([0.5, -1.0])
     diff = np.array([0.2, 1.5, -0.3])
-    l1, _, _ = pair_loss(same, diff, E2ELossConfig(k=1.0))
-    l2, _, _ = pair_loss(same, diff, E2ELossConfig(k=2.0))
+    l1, _, _ = pair_loss(same, diff, 1.0)
+    l2, _, _ = pair_loss(same, diff, 2.0)
     diff_term = l2 - l1
-    l3, _, _ = pair_loss(same, diff, E2ELossConfig(k=3.0))
+    l3, _, _ = pair_loss(same, diff, 3.0)
     assert l3 - l2 == pytest.approx(diff_term)
 
 
 def test_pair_loss_saturated_logits_stay_finite():
-    loss, gs, gd = pair_loss([-800.0], [800.0], E2ELossConfig(k=1.0))
+    loss, gs, gd = pair_loss([-800.0], [800.0], 1.0)
     assert np.isfinite(loss) and np.all(np.isfinite(gs)) and np.all(np.isfinite(gd))
 
 
@@ -185,8 +180,8 @@ def test_verify_pair_symmetric_and_finite():
 def _short_train(seed, corpus, lr=0.003, iterations=60, k=1.0 / 3.0):
     tcfg = TrainerConfig(learning_rate=lr, lr_decay=0.5, lr_decay_interval=400,
                          max_epochs=1, seed=seed)
-    return train_e2e(corpus, E2EConfig(**SMALL), E2ELossConfig(k=k), tcfg,
-                     n_pairs=4, iterations=iterations)
+    return train_e2e(corpus, E2EConfig(**SMALL, pair_batch_n=4, iterations=iterations,
+                                       loss_k=k), tcfg)
 
 
 def test_train_deterministic():
@@ -274,9 +269,9 @@ def test_batch_step_matches_per_pair_reference(n):
     scorer.b[...] = 0.3
     batch = _ragged_batch(n, seed=n)
     calibrate_network(net, batch.chunks)
-    loss_cfg = E2ELossConfig(k=1.0 / (n - 1))
-    loss, grads, same, diff = _batch_step(net, scorer, batch, loss_cfg)
-    ref_loss, ref_grads, ref_same, ref_diff = oracles.batch_step(net, scorer, batch, loss_cfg)
+    k = 1.0 / (n - 1)
+    loss, grads, same, diff = _batch_step(net, scorer, batch, k)
+    ref_loss, ref_grads, ref_same, ref_diff = oracles.batch_step(net, scorer, batch, k)
     _assert_close(loss, ref_loss, "loss")
     _assert_close(np.concatenate([same, diff]), np.concatenate([ref_same, ref_diff]), "logits")
     assert sorted(grads) == sorted(ref_grads)

@@ -7,12 +7,14 @@ import pytest
 from svbench import pipeline, store
 from svbench.backends import LdaTransform, PldaModel
 from svbench.container import read_container, write_container
-from svbench.config import default_config, dump_config, load_config
+from svbench.config import default_config, dump_config, from_sections, load_config
 from svbench.corpus import ManifestEntry
+from svbench.datagen import SyntheticSpec
 from svbench.dvector import DVectorConfig, build_dvector_net
 from svbench.e2e import E2EConfig, build_e2e_net
 from svbench.errors import ConfigError, FormatError, UsageError
 from svbench.frontend import FeatureMatrix, FrontendConfig
+from svbench.nn import TrainerConfig
 
 
 def test_features_round_trip(tmp_path):
@@ -166,6 +168,87 @@ def test_config_defaults():
     assert cfg == default_config()
     assert cfg["frontend"]["num_mel_bins"] == 40
     assert cfg["e2e"]["pair_batch_n"] == 64
+
+
+# dump_config(default_config()): every key, in order, and every default
+DEFAULT_CONFIG_TEXT = """\
+[run]
+out_dir = runs/default
+seed = 0
+
+[datagen]
+num_speakers = 10
+utterances_per_speaker = 5
+utterance_secs = 2,4
+sample_rate = 16000
+separability = 1.0
+noise_level = 0.05
+train_speakers = 0
+eval_speakers = 0
+
+[frontend]
+frame_length_ms = 25.0
+frame_shift_ms = 10.0
+num_mel_bins = 40
+pre_emphasis = 0.97
+dither = 0.0
+
+[dvector]
+conv_dim = 256
+bottleneck_dim = 256
+td_dim = 256
+feature_dim = 400
+cmvn = per-utterance
+
+[e2e]
+lift_dim = 150
+nin_hidden = 1000
+nin_out = 500
+pre_pool_dim = 150
+embedding_dim = 200
+pair_batch_n = 64
+iterations = 200
+loss_k = 0.0
+chunk_min = 50
+chunk_max = 300
+learning_rate = 0.003
+lr_decay = 0.5
+lr_decay_interval = 400
+cmvn = none
+
+[trainer]
+learning_rate = 0.02
+lr_decay = 0.7
+lr_decay_interval = 2
+momentum = 0.9
+max_epochs = 10
+clip_norm = 5.0
+
+[backends]
+lda_dim = 150
+plda_iterations = 10
+
+[eval]
+enroll_secs = 4.0
+test_secs = 4.0
+
+"""
+
+
+@pytest.mark.parametrize("cls, section, derived", [
+    (FrontendConfig, "frontend", {"dither_seed": 0}),
+    (SyntheticSpec, "datagen", {"seed": 0}),
+    (DVectorConfig, "dvector", {"input_dim": 40, "num_speakers": 5000}),
+    (E2EConfig, "e2e", {"input_dim": 40}),
+    (TrainerConfig, "trainer", {"seed": 0}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_each_default_is_defined_once(cls, section, derived):
+    # the fields the CLI fills in itself are supplied; every other field comes from its key
+    assert from_sections(cls, default_config(), section, **derived) == cls()
+
+
+def test_default_config_text_is_pinned():
+    assert dump_config(default_config()) == DEFAULT_CONFIG_TEXT
 
 
 def test_config_file_and_overrides(tmp_path):
