@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergedError, UsageError
+from .errors import ConfigError, TrainingDivergedError, UsageError
 from .nn import Network, SgdOptimizer, effective_context, softmax_xent, splice
 
 
@@ -31,6 +31,9 @@ class DVectorConfig:
     num_speakers: int = 5000
 
     def __post_init__(self):
+        for key in ("conv_dim", "bottleneck_dim", "td_dim", "feature_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1")
         if self.num_speakers < 2:
             raise UsageError("need at least 2 speakers")
 

@@ -47,15 +47,17 @@ class E2EConfig:
     chunk_max: int = 300
 
     def __post_init__(self):
-        if min(self.lift_dim, self.nin_hidden, self.nin_out,
-               self.pre_pool_dim, self.embedding_dim) <= 0:
-            raise ConfigError("all e2e dims must be positive")
+        for key in ("lift_dim", "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1")
         if self.pair_batch_n < 2:
             raise ConfigError("pair_batch_n must be at least 2")
         if not 1 <= self.chunk_min <= self.chunk_max:
             raise ConfigError("chunk_min and chunk_max must satisfy 1 <= chunk_min <= chunk_max")
         if self.loss_k < 0:
             raise ConfigError("loss_k must be non-negative (0 means 1/(N-1))")
+        if self.iterations < 1:
+            raise ConfigError("iterations must be at least 1")
 
 
 def _nin_specs(d_in, hidden, out):

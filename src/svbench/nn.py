@@ -353,8 +353,12 @@ class TrainerConfig:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0, 1)")
+        if self.lr_decay <= 0:
+            raise ConfigError("lr_decay must be positive")
         if self.lr_decay_interval < 1:
             raise ConfigError("lr_decay_interval must be at least 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be at least 1")
         if self.clip_norm < 0:
             raise ConfigError("clip_norm must be non-negative (0 turns clipping off)")
 

@@ -98,37 +98,37 @@ def sha256_of(path):
 
 def save_trial_sides(segments_path, entries, fcfg):
     """Featurize each side of a segments file once under fcfg into side_file(segments_path),
-    one matrix per row (in read_segments_file's order), with the file's sha256. Every
-    side-vectors file of the segments file is deleted first: its vectors are of the old sides."""
+    one matrix per row (in read_segments_file's order), with the file's sha256, each side
+    written as it is featurized. Every side-vectors file of the segments file is deleted
+    first: its vectors are of the old sides."""
     for family in store.MODEL_KINDS.values():
         if os.path.exists(vectors_file(segments_path, family)):
             os.remove(vectors_file(segments_path, family))
     _, enroll, test = read_segments_file(segments_path)
     entries_by_utt = {e.utt_id: e for e in entries}
     sides = list(enroll.values()) + [[seg] for seg in test.values()]
-    rows = [frames for segs in sides for frames in segment_frames(segs, entries_by_utt, fcfg)]
+    rows = (frames for segs in sides for frames in segment_frames(segs, entries_by_utt, fcfg))
     store.save_side_features(side_file(segments_path), fcfg.record(), sha256_of(segments_path),
-                             rows)
+                             sum(map(len, sides)), rows)
 
 
-def load_trial_sides(segments_path, frontend, cmvn_mode):
-    """(enroll, test) dicts of side id -> frames, in segments-file order, from
-    side_file(segments_path), each raw row normalized by `cmvn_mode` and released as its
-    side is built. FormatError naming the side file if its frontend record differs from
-    `frontend`, or its sha256 or row count from the segments file's."""
+def load_trial_sides(segments_path, frontend, cmvn_mode, vector_of):
+    """(enroll, test) dicts of side id -> vector_of(frames), in segments-file order, where
+    `frames` are the side's raw rows from side_file(segments_path), normalized by
+    `cmvn_mode`; each side is read and passed to vector_of before the next is read.
+    FormatError naming the side file, before any row is read, if its frontend record
+    differs from `frontend`, or its sha256 or row count from the segments file's."""
     path = side_file(segments_path)
-    made_with, digest, rows = store.load_side_features(path)
+    made_with, digest, count, rows = store.load_side_features(path)
     if made_with != frontend:
         raise FormatError(f"{path}: trial sides made with frontend {made_with}, but the model "
                           f"with {frontend}; rerun `svbench trials` with the model's [frontend]")
     _, enroll, test = read_segments_file(segments_path)
-    if (digest != sha256_of(segments_path)
-            or len(rows) != sum(map(len, enroll.values())) + len(test)):
+    if digest != sha256_of(segments_path) or count != sum(map(len, enroll.values())) + len(test):
         raise FormatError(f"{path}: not made from {segments_path} as it is now; "
                           f"rerun `svbench trials`")
-    rows.reverse()
-    side = lambda n: np.concatenate([normalize(FeatureMatrix(rows.pop()), cmvn_mode).frames
-                                     for _ in range(n)], axis=0)
+    side = lambda n: vector_of(np.concatenate(
+        [normalize(FeatureMatrix(next(rows)), cmvn_mode).frames for _ in range(n)], axis=0))
     return {sid: side(len(segs)) for sid, segs in enroll.items()}, {tid: side(1) for tid in test}
 
 
@@ -151,9 +151,10 @@ def side_vectors(segments_path, model_path, net):
     from `model_path`, of the sides of a segments file, in segments-file order.
 
     They are read from vectors_file(segments_path, the model's family) if its stamp holds
-    the sha256 of the model, side and segments files as they are now. Otherwise the sides of
-    load_trial_sides, which refuses what does not fit the model or the segments file, are
-    embedded and written there as float64 matrices, so that scores keep their bytes."""
+    the sha256 of the model, side and segments files as they are now. Otherwise each side of
+    load_trial_sides, which refuses what does not fit the model or the segments file, is
+    embedded as it is read, and the vectors are written there as float64 matrices, so that
+    scores keep their bytes."""
     sides, path = side_file(segments_path), vectors_file(segments_path, net.meta["model"])
     stamp = {"model": sha256_of(model_path), "segments": sha256_of(segments_path),
              "sides": sha256_of(sides) if os.path.exists(sides) else None}
@@ -162,9 +163,8 @@ def side_vectors(segments_path, model_path, net):
         found = store.load_side_vectors(path, stamp, len(enroll), len(test), vector_width(net))
         if found is not None:
             return tuple(dict(zip(ids, matrix)) for ids, matrix in zip((enroll, test), found))
-    enroll, test = ({sid: utterance_vector(net, f) for sid, f in frames.items()}
-                    for frames in load_trial_sides(segments_path, net.meta["frontend"],
-                                                   net.meta["cmvn"]))
+    enroll, test = load_trial_sides(segments_path, net.meta["frontend"], net.meta["cmvn"],
+                                    lambda frames: utterance_vector(net, frames))
     width = vector_width(net)
     store.save_side_vectors(path, stamp, *(np.reshape(list(v.values()), (len(v), width))
                                            for v in (enroll, test)))

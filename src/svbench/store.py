@@ -5,7 +5,7 @@ import os
 import numpy as np
 
 from .backends import LdaTransform, PldaModel
-from .container import read_container, write_container
+from .container import iter_container, read_container, write_container
 from .e2e import BilinearScorer
 from .errors import FormatError, SvbenchError, UsageError
 from .frontend import CMVN_MODES, FeatureMatrix, FrontendConfig
@@ -71,30 +71,37 @@ def _row_names(n):
     return [f"{i:0{len(str(n - 1))}d}" for i in range(n)]
 
 
-def save_side_features(path, frontend, segments, rows):
-    """Trial-side features: one raw float64 matrix per segments-file row, named by _row_names,
-    with the frontend record and `segments`, the segments file's sha256."""
+def save_side_features(path, frontend, segments, count, rows):
+    """Trial-side features: `count` raw float64 matrices, one per segments-file row, named
+    by _row_names and written as `rows` yields them, with the frontend record and
+    `segments`, the segments file's sha256."""
     write_container(path, "side_features", {"frontend": frontend, "segments": segments},
-                    dict(zip(_row_names(len(rows)), (np.asarray(r, np.float64) for r in rows))))
+                    zip(_row_names(count), (np.asarray(r, np.float64) for r in rows)), count)
 
 
 def load_side_features(path):
-    """(frontend record, segments sha256, row matrices in row order) of a side-features
-    file. A missing file or header entry, or arrays not named by _row_names or not each a
-    float64 T x num_mel_bins matrix with T >= 1, is a FormatError naming `path`."""
+    """(frontend record, segments sha256, row count, rows) of a side-features file, where
+    `rows` yields the row matrices in row order, each read as it is asked for. A missing
+    file or header entry is a FormatError naming `path` before any row is read; a row not
+    named by _row_names or not a float64 T x num_mel_bins matrix with T >= 1 is one at
+    that row."""
     if not os.path.exists(path):
         raise FormatError(f"{path}: no trial-side features; `svbench trials` writes them "
                           f"beside its segments file")
-    _, header, arrays = read_container(path, expect_kind="side_features")
+    items = iter_container(path, expect_kind="side_features")
+    _, header, count = next(items)
     frontend = frontend_record(path, header)
     segments = _entry(path, header, "segments")
-    names = _row_names(len(arrays))
-    stray = sorted(arrays.keys() - set(names))
-    if stray:
-        raise FormatError(f"{path}: array {stray[0]!r} is not a row index "
-                          f"(expected {len(names)} arrays named {names[0]} to {names[-1]})")
-    return frontend, segments, [_frames(path, arrays.pop(name), frontend, f"row {name}")
-                                for name in names]
+    names = _row_names(count)
+
+    def rows():
+        for expected, (name, frames) in zip(names, items):
+            if name != expected:
+                raise FormatError(f"{path}: array {name!r} is not a row index "
+                                  f"(expected {count} arrays named {names[0]} to {names[-1]})")
+            yield _frames(path, frames, frontend, f"row {name}")
+
+    return frontend, segments, count, rows()
 
 
 def _vector_rows(path, arrays, name, rows, width=None, dtype=None):

@@ -374,7 +374,7 @@ def desk_pipeline(tmp_path_factory):
     segments = str(out / "segments_C4_2.tsv")
     write_segments_file(segments, trial_list)
     save_trial_sides(segments, evals, fcfg)
-    side_frames = {mode: load_trial_sides(segments, fcfg.record(), mode)
+    side_frames = {mode: load_trial_sides(segments, fcfg.record(), mode, lambda frames: frames)
                    for mode in ("per-utterance", "none")}
 
     def eer(system, **kwargs):

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,8 +314,18 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     ("e2e", "lr_decay_interval = 0", "lr_decay_interval", "train-e2e"),
     ("trainer", "lr_decay_interval = 0", "lr_decay_interval", "train-dvector"),
     ("trainer", "clip_norm = -1", "clip_norm", "train-dvector"),
+    ("e2e", "iterations = 0", "iterations", "train-e2e"),
+    ("trainer", "max_epochs = 0", "max_epochs", "train-dvector"),
+    ("trainer", "lr_decay = -1", "lr_decay", "train-dvector"),
+    ("e2e", "lr_decay = 0", "lr_decay", "train-e2e"),
+    *[("dvector", f"{key} = 0", key, "train-dvector")
+      for key in ("conv_dim", "bottleneck_dim", "td_dim", "feature_dim")],
+    *[("e2e", f"{key} = 0", key, "train-e2e")
+      for key in ("lift_dim", "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim")],
 ], ids=["pair_batch_n", "chunk_min", "chunk_order", "loss_k", "e2e_lr_decay_interval",
-        "lr_decay_interval", "clip_norm"])
+        "lr_decay_interval", "clip_norm", "iterations", "max_epochs", "lr_decay",
+        "e2e_lr_decay", "conv_dim", "bottleneck_dim", "td_dim", "feature_dim", "lift_dim",
+        "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim"])
 def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
                                                    command):
     runner, _, out = tiny_run
@@ -350,11 +361,12 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
     store.save_model(str(tmp_path / "dvector.svbf"), _tiny_dvector())
     store.save_model(str(tmp_path / "e2e.svbf"), *_tiny_e2e())
     reads = []
-    for module in (cli, store):
-        def counting(path, *args, _read=module.read_container, **kwargs):
+    for module, reader in ((cli, "read_container"), (store, "read_container"),
+                           (store, "iter_container")):
+        def counting(path, *args, _read=getattr(module, reader), **kwargs):
             reads.append(str(path))
             return _read(path, *args, **kwargs)
-        monkeypatch.setattr(module, "read_container", counting)
+        monkeypatch.setattr(module, reader, counting)
     for name in ("dvector", "e2e"):
         model = str(tmp_path / f"{name}.svbf")
         _invoke(runner, config, out, "extract", "--model", model,
@@ -793,8 +805,16 @@ def test_scored_sides_match_the_audio_reference(tmp_path, monkeypatch, dither):
     entries = {e.utt_id: e for e in read_manifest(manifest)}
     scored = []
     load = pipeline.load_trial_sides
-    monkeypatch.setattr(cli.pipeline, "load_trial_sides",
-                        lambda *a: scored.append(load(*a)) or scored[-1])
+
+    def capture(segments, frontend, cmvn_mode, vector_of):
+        # each side's normalized frames, as load_trial_sides hands them to vector_of
+        frames = []
+        sides = load(segments, frontend, cmvn_mode, lambda f: frames.append(f) or vector_of(f))
+        read = iter(frames)
+        scored.append(tuple({sid: next(read) for sid in side} for side in sides))
+        return sides
+
+    monkeypatch.setattr(cli.pipeline, "load_trial_sides", capture)
     for system, cmvn in (("dvector-cosine", "per-utterance"), ("dvector-cosine", "none"),
                          ("e2e", "per-utterance"), ("e2e", "none")):
         scored.clear()
@@ -975,14 +995,15 @@ def test_kept_vectors_are_never_read_for_changed_inputs(tmp_path, score_models, 
                    str(tmp_path / "first.tsv"))
     assert len(_vectors_files(out)) == 1
     sides = os.path.join(out, "segments_C2.5_1.svbf")
-    frontend, digest, rows = store.load_side_features(sides)
+    frontend, digest, count, rows = store.load_side_features(sides)
+    rows = list(rows)
     if change == "model":
         store.save_model(model, _with_frontend(build_dvector_net(DVectorConfig(
             conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4), seed=1)))
     elif change == "side-file":
-        store.save_side_features(sides, frontend, digest, [r + 1.0 for r in rows])
+        store.save_side_features(sides, frontend, digest, count, [r + 1.0 for r in rows])
     elif change == "side-file-frontend":
-        store.save_side_features(sides, {**frontend, "dither": 0.01}, digest, rows)
+        store.save_side_features(sides, {**frontend, "dither": 0.01}, digest, count, rows)
     else:
         _drop_side(trials, segments)
     calls = _counting_vectors(monkeypatch)
@@ -1048,3 +1069,56 @@ def test_kept_vectors_that_do_not_fit_are_refused(tmp_path, score_models, missha
                                   "--out", scores])
     _rejected(result, f"{path}: 'enroll'")
     assert not os.path.exists(scores)
+
+
+@pytest.mark.parametrize("system", ["dvector-cosine", "e2e"])
+def test_score_refuses_a_side_file_cut_short(tmp_path, score_models, monkeypatch, system):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    sides = pipeline.side_file(segments)
+    with open(sides, "rb") as f:
+        data = f.read()
+    with open(sides, "wb") as f:
+        f.write(data[:len(data) * 2 // 3])
+    calls = _counting_vectors(monkeypatch)
+    scores = str(tmp_path / "scores.tsv")
+    result = runner.invoke(main, ["--config", config, "--out-dir", out, "score",
+                                  "--system", system, "--trials", trials, "--segments", segments,
+                                  *score_models[system], "--out", scores])
+    _rejected(result, f"{sides}: truncated container file")
+    # the rows before the cut were read and embedded, and nothing was written
+    assert calls and not os.path.exists(scores) and _vectors_files(out) == []
+
+
+MEMORY_CONFIG = """
+[datagen]
+num_speakers = 8
+utterances_per_speaker = 50
+utterance_secs = 1,1.5
+
+[eval]
+enroll_secs = 1
+test_secs = 1
+"""
+
+
+def test_trials_and_score_hold_one_side_at_a_time(tmp_path):
+    # 400 one-second sides make a side file of about 12.5 MB, while featurizing or
+    # embedding one side allocates about 2 MB at its peak, however many sides there are
+    runner, out = CliRunner(), str(tmp_path / "out")
+    config = _write(tmp_path / "memory.ini", MEMORY_CONFIG)
+    _invoke(runner, config, out, "gen-data")
+    model = _model(str(tmp_path / "dvector.svbf"), "dvector-cosine", "per-utterance")
+    trials, segments = (os.path.join(out, f"{name}_C1_1.tsv") for name in ("trials", "segments"))
+    peaks = {}
+    for args in (["trials", "--manifest", os.path.join(out, "corpus", "manifest.tsv")],
+                 ["score", "--system", "dvector-cosine", "--trials", trials,
+                  "--segments", segments, "--model", model, "--out", str(tmp_path / "s.tsv")]):
+        tracemalloc.start()
+        try:
+            _invoke(runner, config, out, *args)
+            peaks[args[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = os.path.getsize(pipeline.side_file(segments))
+    assert size > 10e6 and _vectors_files(out) == ["segments_C1_1.dvector.vectors.svbf"]
+    assert max(peaks.values()) < size / 4, (peaks, size)

@@ -365,6 +365,12 @@ SEGMENTS_SHA = hashlib.sha256(b"#condition\tC(4-2)\t4\t2\n").hexdigest()
 SIDE_VECTORS_STAMP = {"model": "0" * 64, "segments": SEGMENTS_SHA, "sides": "1" * 64}
 
 
+def _load_sides(path):
+    """store.load_side_features with every row read: (frontend, segments, count, rows)."""
+    frontend, segments, count, rows = store.load_side_features(path)
+    return frontend, segments, count, list(rows)
+
+
 def _saved_artifacts(tmp_path):
     """{name: (path, loader)} for saved features, a vector set, LDA, PLDA, e2e model,
     trial-side features and trial-side vectors."""
@@ -380,12 +386,12 @@ def _saved_artifacts(tmp_path):
     store.save_plda(paths["plda"], PldaModel(np.zeros(3), np.eye(3), np.eye(3)), np.zeros(3))
     store.save_model(paths["e2e"], *_e2e_net())
     store.save_side_features(paths["sides"], FrontendConfig(num_mel_bins=3).record(), SEGMENTS_SHA,
-                             [rng.standard_normal((t, 3)) for t in (2, 3, 4)])
+                             3, [rng.standard_normal((t, 3)) for t in (2, 3, 4)])
     store.save_side_vectors(paths["side_vectors"], SIDE_VECTORS_STAMP,
                             rng.standard_normal((1, 3)), rng.standard_normal((2, 3)))
     loaders = {"features": store.load_features, "vectors": store.load_vectors,
                "lda": store.load_backend, "plda": store.load_backend, "e2e": store.load_model,
-               "sides": store.load_side_features,
+               "sides": _load_sides,
                "side_vectors": lambda p: store.load_side_vectors(p, SIDE_VECTORS_STAMP, 1, 2, 3)}
     return {name: (paths[name], loaders[name]) for name in paths}
 
@@ -506,7 +512,8 @@ def test_save_model_takes_kind_from_the_net(tmp_path):
 
 def test_side_features_round_trip(tmp_path):
     path, load = _saved_artifacts(tmp_path)["sides"]
-    frontend, segments, rows = load(path)
+    frontend, segments, count, rows = load(path)
+    assert count == 3
     assert frontend == FrontendConfig(num_mel_bins=3).record()
     assert segments == SEGMENTS_SHA
     assert [r.shape for r in rows] == [(2, 3), (3, 3), (4, 3)]
@@ -520,9 +527,9 @@ def test_side_features_names_rows_in_row_order(tmp_path):
     # eleven rows are named 00..10, so that the container's sorted order is row order
     path = str(tmp_path / "sides.svbf")
     rows = [np.full((t, 3), float(t)) for t in range(1, 12)]
-    store.save_side_features(path, FrontendConfig(num_mel_bins=3).record(), SEGMENTS_SHA, rows)
+    store.save_side_features(path, FrontendConfig(num_mel_bins=3).record(), SEGMENTS_SHA, 11, rows)
     assert list(read_container(path)[2]) == [f"{i:02d}" for i in range(11)]
-    assert [len(r) for r in store.load_side_features(path)[2]] == list(range(1, 12))
+    assert [len(r) for r in store.load_side_features(path)[3]] == list(range(1, 12))
 
 
 def _drop_row(header, arrays):
