@@ -29,6 +29,16 @@ def _cmvn_mode(raw):
     return raw
 
 
+def _positive(parse):
+    """`parse`, refusing a value that is not above zero."""
+    def check(raw):
+        value = parse(raw)
+        if not value > 0:
+            raise ValueError("must be positive")
+        return value
+    return check
+
+
 def _fields(cls, *derived):
     """key -> (parser, default) of every field of dataclass `cls` but `derived`,
     the fields that the CLI fills in itself."""
@@ -65,12 +75,12 @@ SCHEMA = {
     },
     "trainer": _fields(TrainerConfig, "seed"),
     "backends": {
-        "lda_dim": (int, 150),
-        "plda_iterations": (int, 10),
+        "lda_dim": (_positive(int), 150),
+        "plda_iterations": (_positive(int), 10),
     },
     "eval": {
-        "enroll_secs": (float, 4.0),
-        "test_secs": (float, 4.0),
+        "enroll_secs": (_positive(float), 4.0),
+        "test_secs": (_positive(float), 4.0),
     },
 }
 

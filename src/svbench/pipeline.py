@@ -1,5 +1,4 @@
-"""Glue between corpus files and the models: featurization, vector
-extraction, and trial scoring. Used by the CLI and the acceptance suite."""
+"""Featurization, vector extraction and trial scoring for the stages of the CLI."""
 
 import hashlib
 import os
@@ -33,15 +32,16 @@ def featurize_entries(entries, fcfg, feats_dir):
 
 
 def load_feature_dir(entries, feats_dir, cmvn_mode):
-    """(utt_id -> frames under CMVN `cmvn_mode`, rounded to float32; frontend record) for the
-    entries; FormatError if there are none or they were not all made with one frontend."""
+    """(utt_id -> float64 frames under CMVN `cmvn_mode`; frontend record) for the entries;
+    FormatError if there are none or they were not all made with one frontend."""
     feats, first = {}, None
     for e in entries:
         path = os.path.join(feats_dir, f"{e.utt_id}.svbf")
         feat, record = store.load_features(path)
         first = first or (path, record)
         store.same_frontend(path, record, *first)
-        feats[e.utt_id] = normalize(feat, cmvn_mode).frames.astype(np.float32).astype(np.float64)
+        # a copy: arrays kept as read sit among freed read buffers and fragment the heap
+        feats[e.utt_id] = normalize(feat, cmvn_mode).frames.copy()
     if first is None:
         raise FormatError(f"{feats_dir}: no features to load, the manifest is empty")
     return feats, first[1]

@@ -116,19 +116,19 @@ def _vector_rows(path, arrays, name, rows, width=None, dtype=None):
 
 
 def save_vectors(path, kind, ids, speakers, matrix):
-    """A vector set (one row per utterance) with its id/speaker tables."""
+    """A vector set (one float64 row per utterance) with its id/speaker tables."""
     write_container(path, kind, {"ids": list(ids), "speakers": list(speakers)},
-                    {"vectors": np.asarray(matrix, dtype=np.float32)})
+                    {"vectors": np.asarray(matrix, dtype=np.float64)})
 
 
 def load_vectors(path, kind=None):
-    """(ids, speakers, float64 vectors) of a vector set; FormatError naming `path` unless
-    there are as many ids as speakers and the vectors are a matrix with a row for each."""
+    """(ids, speakers, vectors) of a vector set; FormatError naming `path` unless there are
+    as many ids as speakers and the vectors are a float64 matrix with a row for each."""
     _, header, arrays = read_container(path, expect_kind=kind)
     ids, speakers = _entry(path, header, "ids"), _entry(path, header, "speakers")
     if len(ids) != len(speakers):
         raise FormatError(f"{path}: {len(ids)} ids but {len(speakers)} speakers")
-    return ids, speakers, _vector_rows(path, arrays, "vectors", len(ids)).astype(np.float64)
+    return ids, speakers, _vector_rows(path, arrays, "vectors", len(ids), dtype="float64")
 
 
 def save_side_vectors(path, stamp, enroll, test):

@@ -21,8 +21,9 @@ def small_corpus(tmp_path_factory):
 @pytest.fixture
 def rank_deficient_vectors():
     """(200 x 24 vectors of rank 6, labels of 20 classes), integer-valued so that
-    float32 storage keeps them exact. At LDA target_dim 12, rounding makes some
-    w' Sw w of the rescale negative, so its square root is NaN."""
+    their rank is exactly 6 and every float storage keeps them exact. At LDA target_dim
+    12, floating-point rounding makes some w' Sw w of the rescale negative, so its
+    square root is NaN."""
     rng = np.random.default_rng(0)
     labels = np.repeat(np.arange(20), 10)
     z = rng.integers(-4, 5, (20, 6))[labels] + rng.integers(-2, 3, (200, 6))

@@ -2,8 +2,9 @@
 
 Each test here pins one contract-level property of the system; module-level
 unit tests live in the per-module test files. The desk-scale pipeline test
-(criterion 8) trains both verification systems on a 70-speaker synthetic
-corpus and takes several minutes; it is marked `slow`.
+(criterion 8) runs recipes/desk.ini through every CLI stage, training both
+verification systems on a 70-speaker synthetic corpus; it takes several
+minutes and is marked `slow`.
 
 Scale note: the published comparison these pipelines reproduce was run on a
 licensed conversational-speech corpus with thousands of training speakers.
@@ -14,29 +15,24 @@ outcome on a corpus this machine can generate: trained systems separate
 speakers by a wide margin while the random baseline sits at 50% EER.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg
+from click.testing import CliRunner
 
 from svbench import dvector, e2e, gradcheck, store
-from svbench.backends import (PldaModel, center_and_length_normalize, fit_lda,
-                              fit_plda)
-from svbench.corpus import split_train_eval
-from svbench.datagen import SyntheticSpec, generate_corpus
+from svbench.backends import PldaModel, fit_lda, fit_plda
 from svbench.dvector import (DVectorConfig, build_dvector_net, dvector_specs,
                              extract_frame_features, train_dvector)
 from svbench.e2e import (BilinearScorer, E2EConfig, build_e2e_net, e2e_specs,
                          pair_loss, sample_pair_batch, train_e2e)
-from svbench.evaluation import build_conditions, compute_eer, write_segments_file
-from svbench.frontend import FrontendConfig, cmvn, compute_fbank
+from svbench.evaluation import compute_eer
 from svbench.nn import TrainerConfig, context_window, effective_context
-from svbench.pipeline import (corpus_by_speaker, dvector_of, labelled_utterances,
-                              load_trial_sides, save_trial_sides, score_trials,
-                              utterance_vector)
-from svbench.audio import read_wav
 
+from cli_pipeline import DESK_RECIPE, run_pipeline
 from oracles import brute_force_eer
 
 
@@ -318,81 +314,21 @@ TIME_BUDGET_SECS = 1800.0
 
 @pytest.fixture(scope="module")
 def desk_pipeline(tmp_path_factory):
-    """Train and evaluate every system once on a 70-speaker corpus.
+    """Run every CLI stage once on recipes/desk.ini (seed 11).
 
     50 training speakers x 20 utterances, 20 held-out evaluation speakers,
-    separability 0.8, everything seeded. Returns per-system EERs plus the
-    wall-clock time of the whole run.
+    separability 0.8, C(4-2) trials. Returns the per-system EERs and the trial
+    count of its report.tsv, plus the wall-clock time of the whole run.
     """
     start = time.monotonic()
-    out = tmp_path_factory.mktemp("desk")
-    spec = SyntheticSpec(num_speakers=70, utterances_per_speaker=20,
-                         utterance_secs=(2.0, 4.0), separability=0.8, seed=11)
-    entries = generate_corpus(spec, str(out / "corpus"))
-    train, evals = split_train_eval(entries, 50, 20, seed=11)
-
-    # each utterance featurized once: raw fbank, and its per-utterance CMVN copy
-    fcfg = FrontendConfig()
-    feats_cmvn, feats_raw = {}, {}
-    for e in train:
-        raw = compute_fbank(read_wav(e.path), fcfg)
-        feats_raw[e.utt_id] = raw.frames
-        feats_cmvn[e.utt_id] = cmvn(raw).frames
-
-    # d-vector system (reduced widths; training the published 256/400-wide
-    # net on this corpus would blow the time budget without changing ranks)
-    utts, _ = labelled_utterances(train, feats_cmvn)
-    dnet = train_dvector(
-        utts,
-        DVectorConfig(conv_dim=64, bottleneck_dim=48, td_dim=64,
-                      feature_dim=64, num_speakers=50),
-        TrainerConfig(learning_rate=0.02, lr_decay=0.7, lr_decay_interval=5,
-                      max_epochs=30, seed=11))
-
-    # pairwise end-to-end system, trained on raw (non-CMVN) features
-    enet, scorer = train_e2e(
-        corpus_by_speaker(train, feats_raw),
-        E2EConfig(lift_dim=48, nin_hidden=64, nin_out=32, pre_pool_dim=32,
-                  embedding_dim=24, pair_batch_n=8, iterations=1500, loss_k=1.0 / 7.0),
-        TrainerConfig(learning_rate=0.003, lr_decay=0.5, lr_decay_interval=400,
-                      seed=11))
-
-    # back-ends on training-speaker d-vectors
-    by_id = sorted(train, key=lambda e: e.utt_id)
-    train_vecs = np.array([dvector_of(dnet, feats_cmvn[e.utt_id]) for e in by_id])
-    train_labels = [e.speaker_id for e in by_id]
-    lda = fit_lda(train_vecs, train_labels, target_dim=24)
-    center = train_vecs.mean(axis=0)
-    plda = fit_plda(center_and_length_normalize(train_vecs, center),
-                    train_labels, iterations=10)
-
-    # enrollment from 4 s of speech, 2 s test cuts (utterances are 2-4 s,
-    # so longer test cuts would exclude most of the corpus)
-    # trial sides featurized once, raw, as `trials` does, then normalized per
-    # model as `score` does
-    trial_list = build_conditions(evals, 4.0, 2.0)
-    segments = str(out / "segments_C4_2.tsv")
-    write_segments_file(segments, trial_list)
-    save_trial_sides(segments, evals, fcfg)
-    side_frames = {mode: load_trial_sides(segments, fcfg.record(), mode, lambda frames: frames)
-                   for mode in ("per-utterance", "none")}
-
-    def eer(system, **kwargs):
-        frames = side_frames["none" if system == "e2e" else "per-utterance"]
-        vectors = lambda: tuple({sid: utterance_vector(kwargs["net"], f) for sid, f in s.items()}
-                                for s in frames)
-        records = score_trials(system, trial_list.trials, vectors, **kwargs)
-        return compute_eer([r[2] for r in records], [r[3] for r in records]).eer
-
-    eers = {
-        "dvector-cosine": eer("dvector-cosine", net=dnet),
-        "dvector-lda": eer("dvector-lda", net=dnet, lda=lda),
-        "dvector-plda": eer("dvector-plda", net=dnet, plda=plda, plda_center=center),
-        "e2e": eer("e2e", net=enet, scorer=scorer),
-        "random": eer("random", seed=11),
-    }
-    return {"eers": eers, "elapsed": time.monotonic() - start,
-            "num_trials": len(trial_list.trials)}
+    out = str(tmp_path_factory.mktemp("desk"))
+    run_pipeline(CliRunner(), DESK_RECIPE, out)
+    with open(os.path.join(out, "report.tsv")) as f:
+        rows = [line.split("\t") for line in f.read().splitlines()[1:]]
+    counts = {int(targets) + int(nontargets) for *_, targets, nontargets in rows}
+    assert len(counts) == 1, rows
+    return {"eers": {row[0]: float(row[2]) for row in rows},
+            "elapsed": time.monotonic() - start, "num_trials": counts.pop()}
 
 
 slow = pytest.mark.slow

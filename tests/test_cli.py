@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
+from cli_pipeline import invoke, run_pipeline
 
 from svbench import cli, e2e, pipeline, store
 from svbench.audio import read_wav
@@ -58,51 +59,6 @@ test_secs = 2.0
 """
 
 
-def _invoke(runner, config, out_dir, *args):
-    result = runner.invoke(main, ["--config", config, "--out-dir", out_dir, *args],
-                           catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    return result
-
-
-def _run_pipeline(runner, config, out):
-    _invoke(runner, config, out, "gen-data")
-    train = os.path.join(out, "train.tsv")
-    evals = os.path.join(out, "eval.tsv")
-    _invoke(runner, config, out, "featurize", "--manifest", train)
-    _invoke(runner, config, out, "train-dvector", "--manifest", train,
-            "--features", os.path.join(out, "feats"))
-    _invoke(runner, config, out, "train-e2e", "--manifest", train,
-            "--features", os.path.join(out, "feats"))
-    _invoke(runner, config, out, "extract",
-            "--model", os.path.join(out, "dvector.svbf"),
-            "--manifest", train, "--features", os.path.join(out, "feats"),
-            "--out", os.path.join(out, "dvectors.svbf"))
-    _invoke(runner, config, out, "fit-backend",
-            "--vectors", os.path.join(out, "dvectors.svbf"),
-            "--kind", "lda", "--out", os.path.join(out, "lda.svbf"))
-    _invoke(runner, config, out, "trials", "--manifest", evals)
-    trials = os.path.join(out, "trials_C4_2.tsv")
-    segments = os.path.join(out, "segments_C4_2.tsv")
-    for system, extra in [
-        ("dvector-cosine", ["--model", os.path.join(out, "dvector.svbf")]),
-        ("dvector-lda", ["--model", os.path.join(out, "dvector.svbf"),
-                         "--backend", os.path.join(out, "lda.svbf")]),
-        ("e2e", ["--model", os.path.join(out, "e2e.svbf")]),
-        ("random", []),
-    ]:
-        _invoke(runner, config, out, "score", "--system", system,
-                "--trials", trials, "--segments", segments,
-                "--manifest", evals, *extra,
-                "--out", os.path.join(out, f"scores_{system}.tsv"))
-    _invoke(runner, config, out, "eval",
-            *[f"{system}:{scoring}:C(4-2)={os.path.join(out, f'scores_{system}.tsv')}"
-              for system, scoring in [("dvector-cosine", "cosine"),
-                                      ("dvector-lda", "lda"),
-                                      ("e2e", "bilinear"),
-                                      ("random", "uniform")]])
-
-
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory):
     """The same miniature CLI pipeline executed twice with identical seed."""
@@ -114,7 +70,7 @@ def pipeline_runs(tmp_path_factory):
     runs = []
     for name in ("a", "b"):
         out = str(base / name)
-        _run_pipeline(runner, config, out)
+        run_pipeline(runner, config, out)
         runs.append(out)
     return runs
 
@@ -122,7 +78,7 @@ def pipeline_runs(tmp_path_factory):
 def test_pipeline_artifacts_exist(pipeline_runs):
     out = pipeline_runs[0]
     for artifact in ("config.resolved.ini", "train.tsv", "eval.tsv",
-                     "dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf",
+                     "dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf", "plda.svbf",
                      "dvector_train.log", "e2e_train.log",
                      "trials_C4_2.tsv", "segments_C4_2.tsv",
                      "report.txt", "report.tsv"):
@@ -133,10 +89,9 @@ def test_run_twice_byte_identical(pipeline_runs):
     a, b = pipeline_runs
     # the side vectors `score` kept under each model, named by the model's family
     vectors = [pipeline.vectors_file("segments_C4_2.tsv", family) for family in ("dvector", "e2e")]
-    for artifact in ("dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf",
+    for artifact in ("dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf", "plda.svbf",
                      "trials_C4_2.tsv", "segments_C4_2.tsv", *vectors,
-                     "scores_dvector-cosine.tsv", "scores_dvector-lda.tsv",
-                     "scores_e2e.tsv", "scores_random.tsv",
+                     *[f"scores_{system}.tsv" for system in pipeline.SYSTEMS],
                      "report.txt", "report.tsv"):
         with open(os.path.join(a, artifact), "rb") as fa, \
                 open(os.path.join(b, artifact), "rb") as fb:
@@ -149,7 +104,7 @@ def test_report_has_all_rows(pipeline_runs):
     assert lines[0].split("\t") == ["System", "Scoring", "C(4-2)", "C(4-2):threshold",
                                     "C(4-2):targets", "C(4-2):nontargets"]
     systems = {line.split("\t")[0] for line in lines[1:]}
-    assert systems == {"dvector-cosine", "dvector-lda", "e2e", "random"}
+    assert systems == set(pipeline.SYSTEMS)
     with open(os.path.join(pipeline_runs[0], "trials_C4_2.tsv")) as f:
         labels = [line.split("\t")[2] for line in f.read().splitlines()]
     for line in lines[1:]:
@@ -222,16 +177,16 @@ def tiny_run(tmp_path_factory):
         f.write(TINY_CONFIG)
     runner = CliRunner()
     out = str(base / "out")
-    _invoke(runner, config, out, "gen-data")
-    _invoke(runner, config, out, "featurize", "--manifest",
-            os.path.join(out, "corpus", "manifest.tsv"))
+    invoke(runner, config, out, "gen-data")
+    invoke(runner, config, out, "featurize", "--manifest",
+           os.path.join(out, "corpus", "manifest.tsv"))
     return runner, config, out
 
 
 def test_featurize_fbank(tiny_run):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
-    _invoke(runner, config, out, "featurize", "--manifest", manifest, "--name", "fbank")
+    invoke(runner, config, out, "featurize", "--manifest", manifest, "--name", "fbank")
     for e in read_manifest(manifest):
         raw = compute_fbank(read_wav(e.path))
         path = os.path.join(out, "fbank", f"{e.utt_id}.svbf")
@@ -251,10 +206,10 @@ def test_featurize_no_cmvn_has_no_effect(tiny_run, tmp_path):
     # kept only so that old command lines still run; it is not in --help
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
-    _invoke(runner, config, str(tmp_path), "featurize", "--manifest", manifest,
-            "--no-cmvn", "--name", "fbank_raw")
+    invoke(runner, config, str(tmp_path), "featurize", "--manifest", manifest,
+           "--no-cmvn", "--name", "fbank_raw")
     assert _dir_bytes(str(tmp_path / "fbank_raw")) == _dir_bytes(os.path.join(out, "feats"))
-    assert "--no-cmvn" not in _invoke(runner, config, str(tmp_path), "featurize", "--help").output
+    assert "--no-cmvn" not in invoke(runner, config, str(tmp_path), "featurize", "--help").output
 
 
 def test_featurize_rejects_removed_option(tiny_run):
@@ -288,9 +243,9 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
                         base + "".join(f"{key} = {value}\n" for key, value in keys.items()))
         run = tmp_path / name
         batches.clear()
-        _invoke(runner, config, str(run), "train-e2e", "--manifest",
-                os.path.join(out, "corpus", "manifest.tsv"),
-                "--features", os.path.join(out, "feats"))
+        invoke(runner, config, str(run), "train-e2e", "--manifest",
+               os.path.join(out, "corpus", "manifest.tsv"),
+               "--features", os.path.join(out, "feats"))
         return (run / "e2e.svbf").read_bytes(), len((run / "e2e_train.log").read_text().splitlines()) - 1
 
     default, rows = train("default")
@@ -322,17 +277,31 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
       for key in ("conv_dim", "bottleneck_dim", "td_dim", "feature_dim")],
     *[("e2e", f"{key} = 0", key, "train-e2e")
       for key in ("lift_dim", "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim")],
+    ("backends", "lda_dim = -1", "lda_dim", "fit-backend --kind lda"),
+    ("backends", "lda_dim = 0", "lda_dim", "fit-backend --kind lda"),
+    ("backends", "plda_iterations = 0", "plda_iterations", "fit-backend --kind plda"),
+    ("backends", "plda_iterations = -3", "plda_iterations", "fit-backend --kind plda"),
+    ("eval", "enroll_secs = 0", "enroll_secs", "trials"),
+    ("eval", "test_secs = -1", "test_secs", "trials"),
 ], ids=["pair_batch_n", "chunk_min", "chunk_order", "loss_k", "e2e_lr_decay_interval",
         "lr_decay_interval", "clip_norm", "iterations", "max_epochs", "lr_decay",
         "e2e_lr_decay", "conv_dim", "bottleneck_dim", "td_dim", "feature_dim", "lift_dim",
-        "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim"])
+        "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim", "lda_dim_negative",
+        "lda_dim_zero", "plda_iterations_zero", "plda_iterations_negative", "enroll_secs",
+        "test_secs"])
 def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
                                                    command):
     runner, _, out = tiny_run
     config = _write(tmp_path / "bad.ini", f"[{section}]\n{keys}\n")
-    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"), command,
-                                  "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                                  "--features", os.path.join(out, "feats")])
+    manifest, vectors = os.path.join(out, "corpus", "manifest.tsv"), str(tmp_path / "v.svbf")
+    store.save_vectors(vectors, "dvector", [f"u{i}" for i in range(8)],
+                       [f"s{i % 4}" for i in range(8)],
+                       np.random.default_rng(0).standard_normal((8, 6)))
+    inputs = {"fit-backend": ["--vectors", vectors, "--out", str(tmp_path / "out" / "b.svbf")],
+              "trials": ["--manifest", manifest]}.get(
+        command.split()[0], ["--manifest", manifest, "--features", os.path.join(out, "feats")])
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"),
+                                  *command.split(), *inputs])
     _rejected(result, named)
     assert not list((tmp_path / "out").glob("*.svbf"))
 
@@ -369,9 +338,9 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
         monkeypatch.setattr(module, reader, counting)
     for name in ("dvector", "e2e"):
         model = str(tmp_path / f"{name}.svbf")
-        _invoke(runner, config, out, "extract", "--model", model,
-                "--manifest", manifest, "--features", os.path.join(out, "feats"),
-                "--out", str(tmp_path / f"{name}_vectors.svbf"))
+        invoke(runner, config, out, "extract", "--model", model,
+               "--manifest", manifest, "--features", os.path.join(out, "feats"),
+               "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
         assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
     # score reads its --model and --backend once each and, for a trained system, the
@@ -381,9 +350,9 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
     embedded = set()
     for system, args in score_models.items():
         reads.clear()
-        _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
-                "--segments", segments, "--manifest", manifest, *args,
-                "--out", str(tmp_path / f"scores_{system}.tsv"))
+        invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+               "--segments", segments, "--manifest", manifest, *args,
+               "--out", str(tmp_path / f"scores_{system}.tsv"))
         model = args[1] if args else None
         family = "e2e" if system == "e2e" else "dvector"
         sides = [] if model is None else [
@@ -536,9 +505,9 @@ def raw_models(tiny_run, tmp_path_factory):
     base = tmp_path_factory.mktemp("raw_models")
     config = _write(base / "run.ini", TINY_CONFIG + TINY_DVECTOR)
     for command in ("train-dvector", "train-e2e"):
-        _invoke(runner, config, str(base), command,
-                "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
-                "--features", os.path.join(out, "feats"))
+        invoke(runner, config, str(base), command,
+               "--manifest", os.path.join(out, "corpus", "manifest.tsv"),
+               "--features", os.path.join(out, "feats"))
     return {"dvector": str(base / "dvector.svbf"), "e2e": str(base / "e2e.svbf")}
 
 
@@ -562,12 +531,12 @@ def test_extract_rejects_features_of_another_frontend(tiny_run, raw_models, tmp_
                                                       frontend, settings):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
-    _invoke(runner, _write(tmp_path / "run.ini", TINY_CONFIG + "[frontend]\n" + frontend),
-            str(tmp_path), "featurize", "--manifest", manifest)
+    invoke(runner, _write(tmp_path / "run.ini", TINY_CONFIG + "[frontend]\n" + frontend),
+           str(tmp_path), "featurize", "--manifest", manifest)
     feats, vectors = str(tmp_path / "feats"), str(tmp_path / "vectors.svbf")
     for model in raw_models.values():
-        _invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
-                manifest, "--features", os.path.join(out, "feats"), "--out", vectors)
+        invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
+               manifest, "--features", os.path.join(out, "feats"), "--out", vectors)
         os.remove(vectors)
         result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "extract",
                                       "--model", model, "--manifest", manifest,
@@ -593,15 +562,15 @@ def test_scoring_applies_the_models_cmvn(tiny_run, raw_models, tmp_path, monkeyp
                                       ("e2e", raw_models["e2e"], 0),
                                       ("dvector-cosine", cmvn_model, 2)):
         normalized.clear()
-        _invoke(runner, config, str(tmp_path), "score", "--system", system, "--model", model,
-                "--trials", trials, "--segments", segments, "--manifest", manifest,
-                "--out", str(tmp_path / "scores.tsv"))
+        invoke(runner, config, str(tmp_path), "score", "--system", system, "--model", model,
+               "--trials", trials, "--segments", segments, "--manifest", manifest,
+               "--out", str(tmp_path / "scores.tsv"))
         assert len(normalized) == cmvn_calls, (system, model)
         # extract normalizes all 8 utterances by the same mode, or none of them
         normalized.clear()
-        _invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
-                manifest, "--features", os.path.join(out, "feats"),
-                "--out", str(tmp_path / "vectors.svbf"))
+        invoke(runner, config, str(tmp_path), "extract", "--model", model, "--manifest",
+               manifest, "--features", os.path.join(out, "feats"),
+               "--out", str(tmp_path / "vectors.svbf"))
         assert len(normalized) == (8 if cmvn_calls else 0), (system, model)
 
 
@@ -749,7 +718,7 @@ def test_fit_backend_rejects_e2e_embeddings(tmp_path):
 def test_resolved_config_with_percent_in_out_dir_loads_back(tmp_path):
     out = str(tmp_path / "runs" / "50%")
     scores = _write(tmp_path / "scores.tsv", "e1\tt1\t0.9\ttarget\ne1\tt2\t0.1\tnontarget\n")
-    _invoke(CliRunner(), _write(tmp_path / "run.ini", "[run]\nseed = 3\n"), out, "eval", scores)
+    invoke(CliRunner(), _write(tmp_path / "run.ini", "[run]\nseed = 3\n"), out, "eval", scores)
     resolved = os.path.join(out, "config.resolved.ini")
     cfg = load_config(resolved)
     assert cfg["run"]["out_dir"] == out
@@ -780,9 +749,9 @@ def _trials_run(base, dither=0.0):
     more utterances; (runner, config, out dir, manifest, trials, segments)."""
     runner, out = CliRunner(), str(base / "sides")
     config = _write(base / "sides.ini", SIDES_CONFIG.format(dither=dither))
-    _invoke(runner, config, out, "gen-data")
+    invoke(runner, config, out, "gen-data")
     manifest = os.path.join(out, "corpus", "manifest.tsv")
-    _invoke(runner, config, out, "trials", "--manifest", manifest)
+    invoke(runner, config, out, "trials", "--manifest", manifest)
     return (runner, config, out, manifest, os.path.join(out, "trials_C2.5_1.tsv"),
             os.path.join(out, "segments_C2.5_1.tsv"))
 
@@ -819,9 +788,9 @@ def test_scored_sides_match_the_audio_reference(tmp_path, monkeypatch, dither):
                          ("e2e", "per-utterance"), ("e2e", "none")):
         scored.clear()
         model = _model(str(tmp_path / f"{system}_{cmvn}.svbf"), system, cmvn, dither=dither)
-        _invoke(runner, config, out, "score", "--system", system, "--model", model,
-                "--trials", trials, "--segments", segments, "--manifest", manifest,
-                "--out", str(tmp_path / "scores.tsv"))
+        invoke(runner, config, out, "score", "--system", system, "--model", model,
+               "--trials", trials, "--segments", segments, "--manifest", manifest,
+               "--out", str(tmp_path / "scores.tsv"))
         fcfg = FrontendConfig(dither=dither, dither_seed=5)
         reference = oracles.side_features(enroll_segments, test_segments, entries, fcfg, cmvn)
         (sides,) = scored
@@ -840,8 +809,8 @@ def test_score_reads_no_audio(tmp_path, score_models, monkeypatch):
     monkeypatch.setattr(pipeline, "read_wav", no_audio)
     for system, args in score_models.items():
         scores = str(tmp_path / f"scores_{system}.tsv")
-        _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
-                "--segments", segments, "--manifest", manifest, *args, "--out", scores)
+        invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+               "--segments", segments, "--manifest", manifest, *args, "--out", scores)
         assert len(read_score_file(scores)) == len(read_trial_file(trials)), system
 
 
@@ -851,8 +820,8 @@ def test_score_manifest_is_optional(tmp_path, score_models):
         written = []
         for given in (["--manifest", manifest], []):
             scores = str(tmp_path / f"scores_{system}_{len(given)}.tsv")
-            _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
-                    "--segments", segments, *given, *args, "--out", scores)
+            invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+                   "--segments", segments, *given, *args, "--out", scores)
             with open(scores, "rb") as f:
                 written.append(f.read())
         assert written[0] == written[1] and written[0], system
@@ -920,7 +889,7 @@ def test_score_rejects_side_features_that_do_not_fit(tmp_path, score_models, pro
 def test_fit_backend_rejects_inconsistent_vector_sets(tmp_path, kind, speakers, vectors):
     path, out = str(tmp_path / "vectors.svbf"), str(tmp_path / "backend.svbf")
     write_container(path, "dvector", {"ids": ["u1", "u2", "u3", "u4"], "speakers": speakers},
-                    {"vectors": vectors.astype(np.float32)})
+                    {"vectors": vectors})
     result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "fit-backend",
                                        "--vectors", path, "--kind", kind, "--out", out])
     _rejected(result, f"{path}: ")
@@ -930,8 +899,8 @@ def test_fit_backend_rejects_inconsistent_vector_sets(tmp_path, kind, speakers, 
 # -- side vectors: `score` keeps each trial side's vector under a model ------
 
 def _score(runner, config, out, trials, segments, system, args, scores):
-    _invoke(runner, config, out, "score", "--system", system, "--trials", trials,
-            "--segments", segments, *args, "--out", scores)
+    invoke(runner, config, out, "score", "--system", system, "--trials", trials,
+           "--segments", segments, *args, "--out", scores)
     with open(scores, "rb") as f:
         return f.read()
 
@@ -1045,7 +1014,7 @@ def test_trials_deletes_kept_vectors(tmp_path, score_models):
                str(tmp_path / f"{system}.tsv"))
     assert len(_vectors_files(out)) == 2
     other = _write(tmp_path / "sides" / "segments_C2.5_10.dvector.vectors.svbf", "")
-    _invoke(runner, config, out, "trials", "--manifest", manifest)
+    invoke(runner, config, out, "trials", "--manifest", manifest)
     assert _vectors_files(out) == [os.path.basename(other)]
 
 
@@ -1106,7 +1075,7 @@ def test_trials_and_score_hold_one_side_at_a_time(tmp_path):
     # embedding one side allocates about 2 MB at its peak, however many sides there are
     runner, out = CliRunner(), str(tmp_path / "out")
     config = _write(tmp_path / "memory.ini", MEMORY_CONFIG)
-    _invoke(runner, config, out, "gen-data")
+    invoke(runner, config, out, "gen-data")
     model = _model(str(tmp_path / "dvector.svbf"), "dvector-cosine", "per-utterance")
     trials, segments = (os.path.join(out, f"{name}_C1_1.tsv") for name in ("trials", "segments"))
     peaks = {}
@@ -1115,7 +1084,7 @@ def test_trials_and_score_hold_one_side_at_a_time(tmp_path):
                   "--segments", segments, "--model", model, "--out", str(tmp_path / "s.tsv")]):
         tracemalloc.start()
         try:
-            _invoke(runner, config, out, *args)
+            invoke(runner, config, out, *args)
             peaks[args[0]] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

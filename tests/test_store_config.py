@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from cli_pipeline import DESK_RECIPE
 from svbench import pipeline, store
 from svbench.backends import LdaTransform, PldaModel
 from svbench.container import read_container, write_container
@@ -61,13 +62,13 @@ def test_load_feature_dir_needs_one_frontend(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["per-utterance", "none"])
-def test_load_feature_dir_normalizes_then_rounds_to_float32(tmp_path, mode):
-    # the input that CMVN at featurize time, then float32 storage, gave the trainers
+def test_load_feature_dir_normalizes(tmp_path, mode):
+    # the trainers and `extract` see the float64 frames that `score` normalizes its sides to
     feat = FeatureMatrix(np.random.default_rng(1).standard_normal((12, 40)) * 3.0 + 1.0)
     entry = ManifestEntry("u1", "s1", "female", "u1.wav", 1.0)
     store.save_features(str(tmp_path / "u1.svbf"), feat, FrontendConfig().record())
     feats, _ = pipeline.load_feature_dir([entry], str(tmp_path), mode)
-    expect = pipeline.normalize(feat, mode).frames.astype(np.float32).astype(np.float64)
+    expect = pipeline.normalize(feat, mode).frames
     assert feats["u1"].dtype == np.float64 and feats["u1"].tobytes() == expect.tobytes()
 
 
@@ -79,7 +80,7 @@ def test_vectors_round_trip(tmp_path):
     ids, speakers, got = store.load_vectors(str(path), kind="dvector")
     assert ids == ["u1", "u2", "u3"]
     assert speakers == ["s1", "s1", "s2"]
-    np.testing.assert_array_equal(got, mat.astype(np.float32))
+    assert got.dtype == np.float64 and got.tobytes() == mat.tobytes()
 
 
 def _with_frontend(net):
@@ -315,13 +316,15 @@ def test_config_values_with_percent_round_trip(tmp_path):
 
 
 def test_dump_config_round_trip(tmp_path):
-    cfg = load_config(None, overrides={("datagen", "num_speakers"): 33})
-    text = dump_config(cfg)
-    path = tmp_path / "dump.ini"
-    path.write_text(text)
-    again = load_config(str(path))
-    assert again == cfg
-    assert dump_config(again) == text
+    # the defaults with one override, and the checked-in desk recipe
+    for cfg in (load_config(None, overrides={("datagen", "num_speakers"): 33}),
+                load_config(DESK_RECIPE)):
+        text = dump_config(cfg)
+        path = tmp_path / "dump.ini"
+        path.write_text(text)
+        again = load_config(str(path))
+        assert again == cfg
+        assert dump_config(again) == text
 
 
 def _small_models(tmp_path):
@@ -578,11 +581,11 @@ def test_side_features_loader_names_a_missing_file(tmp_path):
     (["u1", "u2", "u3", "u4"], ["s1", "s1", "s2"], np.zeros((4, 3))),
     (["u1", "u2", "u3"], ["s1", "s1", "s2"], np.zeros((4, 3))),
     (["u1", "u2", "u3"], ["s1", "s1", "s2"], np.zeros(3)),
-], ids=["speakers-short", "rows-long", "one-dimensional"])
+    (["u1", "u2", "u3"], ["s1", "s1", "s2"], np.zeros((3, 3), np.float32)),
+], ids=["speakers-short", "rows-long", "one-dimensional", "float32"])
 def test_vectors_loader_rejects_inconsistent_sets(tmp_path, ids, speakers, vectors):
     path = str(tmp_path / "vectors.svbf")
-    write_container(path, "dvector", {"ids": ids, "speakers": speakers},
-                    {"vectors": vectors.astype(np.float32)})
+    write_container(path, "dvector", {"ids": ids, "speakers": speakers}, {"vectors": vectors})
     with pytest.raises(FormatError, match=rf"^{re.escape(path)}: "):
         store.load_vectors(path, kind="dvector")
 
