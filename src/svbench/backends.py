@@ -8,39 +8,27 @@ import scipy.linalg
 from .errors import UsageError
 
 
-def _unit_rows(x):
+def _unit_rows(x, refusal):
+    """`x` with each row scaled to unit norm; UsageError(`refusal`) if a row is zero."""
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
-        raise UsageError("cosine score undefined for zero vector")
+        raise UsageError(refusal)
     return x / norms[:, None]
 
 
 def cosine_score(a, b):
-    """Cosine similarity of two vectors; of two matrices (n x d, m x d), the
-    n x m grid over their rows, from row-normalized matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 2 and b.ndim == 2:
-        return _unit_rows(a) @ _unit_rows(b).T
-    a, b = a.reshape(-1), b.reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise UsageError("cosine score undefined for zero vector")
-    return float(a @ b / (na * nb))
+    """Cosine similarity of every row pair of two matrices (n x d, m x d): the
+    n x m grid, from row-normalized matrices."""
+    zero = "cosine score undefined for zero vector"
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return _unit_rows(a, zero) @ _unit_rows(b, zero).T
 
 
 def center_and_length_normalize(vectors, mean=None):
-    """Subtract the (training) mean, then scale each vector to unit norm."""
+    """Subtract the (training) mean from each row, then scale each row to unit norm."""
     x = np.asarray(vectors, dtype=np.float64)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
     mean = x.mean(axis=0) if mean is None else np.asarray(mean, dtype=np.float64)
-    centered = x - mean
-    norms = np.linalg.norm(centered, axis=1)
-    if np.any(norms == 0.0):
-        raise UsageError("vector equal to the centering mean cannot be length normalized")
-    out = centered / norms[:, None]
-    return out[0] if squeeze else out
+    return _unit_rows(x - mean, "vector equal to the centering mean cannot be length normalized")
 
 
 def _scatter_matrices(x, labels):
@@ -125,24 +113,17 @@ class PldaModel:
         return self._score_cache
 
     def score(self, enroll, test):
-        """Log-likelihood ratio ln p(pair | same) - ln p(pair | different).
-
-        Two vectors give a float; two matrices (n x d, m x d) give the n x m
-        grid over their rows.
-        """
+        """Log-likelihood ratio ln p(pair | same) - ln p(pair | different) of every
+        row pair of two matrices (n x d, m x d): the n x m grid."""
         x = np.asarray(enroll, dtype=np.float64)
         y = np.asarray(test, dtype=np.float64)
-        grid = x.ndim == 2 and y.ndim == 2
-        if not grid:
-            x, y = x.reshape(1, -1), y.reshape(1, -1)
-        if x.shape[1] != self.dim or y.shape[1] != self.dim:
+        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
             raise UsageError(f"vector dim mismatch: model dim {self.dim}")
         x, y = x - self.mean, y - self.mean
         q_enroll, q_test, cross, logdet = self._score_terms()
         quad = (np.sum((x @ q_enroll) * x, axis=1)[:, None]
                 + np.sum((y @ q_test) * y, axis=1)[None, :] + x @ cross @ y.T)
-        llr = -0.5 * (quad + logdet)
-        return llr if grid else float(llr[0, 0])
+        return -0.5 * (quad + logdet)
 
 
 def _group_stats(x, labels):

@@ -123,7 +123,8 @@ def load_config(path=None, overrides=None):
                 try:
                     cfg[section][key] = parse(raw)
                 except ValueError as e:
-                    raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r}") from e
+                    raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r} "
+                                      f"({e})") from e
     for (section, key), value in (overrides or {}).items():
         cfg[section][key] = value
     return cfg

@@ -22,6 +22,7 @@ from .errors import UsageError
 
 FEMALE_PITCH = (170.0, 260.0)
 MALE_PITCH = (85.0, 155.0)
+MAX_FORMANT_HZ = 3400.0        # resonances are drawn below this; sample_rate must exceed twice it
 
 
 @dataclass
@@ -37,8 +38,16 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_speakers < 2:
             raise UsageError("need at least 2 speakers")
+        if self.utterances_per_speaker < 1:
+            raise UsageError("utterances_per_speaker must be at least 1")
+        if not self.sample_rate > 2 * MAX_FORMANT_HZ:
+            raise UsageError(f"sample_rate must be above {2 * MAX_FORMANT_HZ:g} Hz")
+        if not 1.0 / self.sample_rate <= self.utterance_secs[0] <= self.utterance_secs[1]:
+            raise UsageError("utterance_secs (low, high) must satisfy 1/sample_rate <= low <= high")
         if not 0.0 < self.separability <= 1.0:
             raise UsageError("separability must be in (0, 1]")
+        if self.noise_level < 0:
+            raise UsageError("noise_level must be non-negative")
 
 
 @dataclass
@@ -61,7 +70,7 @@ def draw_voice_model(spec, speaker_idx):
     rng = _speaker_rng(spec, speaker_idx)
     gender = "female" if speaker_idx < (spec.num_speakers + 1) // 2 else "male"
     n_formants = int(rng.integers(3, 6))
-    draw = np.sort(np.exp(rng.uniform(np.log(300.0), np.log(3400.0), size=n_formants)))
+    draw = np.sort(np.exp(rng.uniform(np.log(300.0), np.log(MAX_FORMANT_HZ), size=n_formants)))
     neutral = np.exp(np.linspace(np.log(500.0), np.log(2500.0), n_formants))
     freqs = neutral * (draw / neutral) ** spec.separability
     bandwidths = rng.uniform(60.0, 140.0, size=n_formants)

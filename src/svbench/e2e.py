@@ -97,32 +97,19 @@ class BilinearScorer:
     def symmetrize(self):
         self.S[...] = 0.5 * (self.S + self.S.T)
 
-    def score(self, x, y):
-        """Logit of two embeddings; of two matrices, the grid of score_matrix(x, y)."""
+    def score(self, x, y=None):
+        """Logits of every row pair of two matrices (n x dim, m x dim), `y`
+        defaulting to `x`: the n x m grid L[i, j] = L(x_i, y_j).
+
+        L = X Y' - q 1' - 1 r' + b with q_i = x_i' S x_i and r_j = y_j' S y_j.
+        """
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        grid = x.ndim == 2 and y.ndim == 2
-        if not grid:
-            x, y = x.reshape(-1), y.reshape(-1)
+        y = x if y is None else np.asarray(y, dtype=np.float64)
         if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
             raise UsageError(f"embedding dim mismatch: scorer expects {self.dim}")
-        if grid:
-            return self.score_matrix(x, y)
-        # quadratic terms grouped so score(x, y) == score(y, x) bit-exactly
-        return float(x @ y - (x @ self.S @ x + y @ self.S @ y) + self.b[0])
-
-    def score_matrix(self, emb, other=None):
-        """Logits of every row pair: L[i, j] = score(emb[i], other[j]), `other`
-        defaulting to `emb`.
-
-        L = E F' - q 1' - 1 r' + b with q_i = e_i' S e_i and r_j = f_j' S f_j.
-        """
-        q = np.sum((emb @ self.S) * emb, axis=1)
-        if other is None:
-            other, r = emb, q
-        else:
-            r = np.sum((other @ self.S) * other, axis=1)
-        return emb @ other.T - (q[:, None] + r[None, :]) + self.b[0]
+        q = np.sum((x @ self.S) * x, axis=1)
+        r = q if y is x else np.sum((y @ self.S) * y, axis=1)
+        return x @ y.T - (q[:, None] + r[None, :]) + self.b[0]
 
     def grads(self, emb, w):
         """(dE, dS, db) of sum_ij w[i, j] L[i, j] over the logit matrix of `emb`.
@@ -205,35 +192,12 @@ def pair_loss(same_logits, diff_logits, k):
     loss = float(np.sum(np.logaddexp(0.0, -same)) + k * np.sum(np.logaddexp(0.0, diff)))
     g_same = pair_probability(same) - 1.0
     g_diff = k * pair_probability(diff)
-    return loss, np.atleast_1d(g_same), np.atleast_1d(g_diff)
+    return loss, g_same, g_diff
 
 
 def sample_chunk_length(rng, lo=E2EConfig.chunk_min, hi=E2EConfig.chunk_max):
     """Log-uniform chunk length in [lo, hi] frames."""
     return min(int(np.exp(rng.uniform(np.log(lo), np.log(hi + 1)))), hi)
-
-
-@dataclass
-class PairBatch:
-    chunks: list                    # 2N feature chunks (T x D); chunk 2i, 2i+1 belong to speaker i
-    speakers: list                  # speaker id per chunk
-    same_pairs: list                # N (i, j) index pairs, same speaker
-    diff_pairs: list                # N(N-1) ordered (i, j) index pairs, different speakers
-
-    def __post_init__(self):
-        n = len(self.same_pairs)
-        if len(self.diff_pairs) != n * (n - 1):
-            raise UsageError("diff pair count must be N(N-1)")
-        for i, j in self.same_pairs:
-            if self.speakers[i] != self.speakers[j]:
-                raise UsageError("same pair spans two speakers")
-        for i, j in self.diff_pairs:
-            if self.speakers[i] == self.speakers[j]:
-                raise UsageError("diff pair shares a speaker")
-
-    @property
-    def n(self):
-        return len(self.same_pairs)
 
 
 def _cut_chunk(frames, length, rng):
@@ -245,17 +209,19 @@ def _cut_chunk(frames, length, rng):
 
 
 def sample_pair_batch(corpus, n, rng, chunk_bounds=(E2EConfig.chunk_min, E2EConfig.chunk_max)):
-    """Draw N same-speaker pairs plus the N(N-1) cross pairs of their first chunks.
+    """Draw N speakers and two chunks of each: returns (chunks, speakers).
 
-    `corpus` maps speaker id -> list of utterance feature matrices. Each
-    speaker contributes two chunks cut from distinct utterances when it
-    has more than one.
+    `corpus` maps speaker id -> list of utterance feature matrices. Speaker
+    `speakers[i]` owns chunks 2i and 2i+1, cut from distinct utterances
+    when it has more than one. Those two chunks are the batch's i-th
+    same-speaker pair, and the first chunks of every two speakers its
+    N(N-1) different-speaker pairs.
     """
     speakers = sorted(corpus)
     if len(speakers) < n:
         raise SamplingError(f"need at least {n} speakers, corpus has {len(speakers)}")
     chosen = [speakers[i] for i in rng.choice(len(speakers), size=n, replace=False)]
-    chunks, chunk_speakers = [], []
+    chunks = []
     for spk in chosen:
         utts = corpus[spk]
         if len(utts) >= 2:
@@ -265,10 +231,7 @@ def sample_pair_batch(corpus, n, rng, chunk_bounds=(E2EConfig.chunk_min, E2EConf
         for ui in (ia, ib):
             length = sample_chunk_length(rng, *chunk_bounds)
             chunks.append(_cut_chunk(utts[int(ui)], length, rng))
-            chunk_speakers.append(spk)
-    same_pairs = [(2 * i, 2 * i + 1) for i in range(n)]
-    diff_pairs = [(2 * i, 2 * j) for i in range(n) for j in range(n) if j != i]
-    return PairBatch(chunks, chunk_speakers, same_pairs, diff_pairs)
+    return chunks, chosen
 
 
 def embed(net, chunk):
@@ -280,29 +243,27 @@ def embed(net, chunk):
     return out[0]
 
 
-def _pair_index(pairs):
-    """(rows, columns) index arrays of a list of (i, j) pairs."""
-    return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+def _batch_step(net, scorer, chunks, k):
+    """Loss and full gradient map (network + scorer) for the 2N chunks of
+    sample_pair_batch; also returns the same- and different-speaker logits.
 
-
-def _batch_step(net, scorer, batch, k):
-    """Loss and full gradient map (network + scorer) for one pair batch.
-
-    One forward pass embeds all 2N chunks; the logits of the batch's pairs
-    are read off the scorer's logit matrix, and their loss gradients, placed
-    in a 2N x 2N matrix, give the scorer and embedding gradients in closed
-    form for one backward pass.
+    One forward pass embeds all chunks, and the pairs' logits are read off
+    the scorer's logit matrix L: the same-speaker ones off the diagonal of
+    L[0::2, 1::2], the different-speaker ones off the off-diagonal of
+    L[0::2, 0::2] in row-major order. Their loss gradients, written back
+    through the same views into a 2N x 2N matrix, give the scorer and
+    embedding gradients in closed form for one backward pass.
     """
-    frames = np.concatenate(batch.chunks)
-    emb, caches = net.forward(frames, lengths=[len(chunk) for chunk in batch.chunks])
-    logits = scorer.score_matrix(emb)
-    same, diff = _pair_index(batch.same_pairs), _pair_index(batch.diff_pairs)
-    same_logits, diff_logits = logits[same], logits[diff]
+    emb, caches = net.forward(np.concatenate(chunks), lengths=[len(chunk) for chunk in chunks])
+    logits = scorer.score(emb)
+    n = len(chunks) // 2
+    pairs, cross = np.arange(n), ~np.eye(n, dtype=bool)
+    same_logits, diff_logits = logits[0::2, 1::2][pairs, pairs], logits[0::2, 0::2][cross]
     loss, g_same, g_diff = pair_loss(same_logits, diff_logits, k)
 
     w = np.zeros_like(logits)
-    np.add.at(w, same, g_same)
-    np.add.at(w, diff, g_diff)
+    w[0::2, 1::2][pairs, pairs] = g_same
+    w[0::2, 0::2][cross] = g_diff
     d_emb, grad_s, grad_b = scorer.grads(emb, w)
     grads = net.backward(d_emb, caches)
     grads["scorer.S"] = grad_s
@@ -322,16 +283,16 @@ def train_e2e(corpus, cfg, tcfg, log=None):
     k = cfg.loss_k or 1.0 / (n - 1)
     net, scorer = build_e2e_net(cfg, seed=tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 2)
-    warmup = sample_pair_batch(corpus, min(max(n, CALIBRATION_SPEAKERS), len(corpus)),
-                               rng, bounds)
-    calibrate_network(net, warmup.chunks)
+    warmup, _ = sample_pair_batch(corpus, min(max(n, CALIBRATION_SPEAKERS), len(corpus)),
+                                  rng, bounds)
+    calibrate_network(net, warmup)
     opt = SgdOptimizer(tcfg)
     params = dict(net.param_map())
     params.update(scorer.param_map())
     history = []
     for it in range(cfg.iterations):
-        batch = sample_pair_batch(corpus, n, rng, bounds)
-        loss, grads, same_logits, diff_logits = _batch_step(net, scorer, batch, k)
+        chunks, _ = sample_pair_batch(corpus, n, rng, bounds)
+        loss, grads, same_logits, diff_logits = _batch_step(net, scorer, chunks, k)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at iteration {it}", where=it)
         grad_norm, clip_scale = opt.step(params, grads, lr=tcfg.lr_at(it))

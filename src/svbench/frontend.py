@@ -29,6 +29,12 @@ class FrontendConfig:
     def __post_init__(self):
         if not self.frame_length_ms >= self.frame_shift_ms > 0:
             raise UsageError("require frame_length_ms >= frame_shift_ms > 0")
+        if self.num_mel_bins < 1:
+            raise UsageError("num_mel_bins must be at least 1")
+        if self.pre_emphasis < 0:
+            raise UsageError("pre_emphasis must be non-negative (0 turns it off)")
+        if self.dither < 0:
+            raise UsageError("dither must be non-negative (0 turns it off)")
 
     def record(self):
         """Every field but dither_seed, keys sorted: the [frontend] that artifacts store."""
@@ -100,6 +106,9 @@ def compute_fbank(clip, cfg=None):
         samples = samples + cfg.dither * rng.standard_normal(len(samples))
     flen = int(round(cfg.frame_length_ms * clip.sample_rate / 1000.0))
     fshift = int(round(cfg.frame_shift_ms * clip.sample_rate / 1000.0))
+    if fshift < 1:     # covers a 0-sample frame too, as frame_length_ms >= frame_shift_ms
+        raise UsageError(f"frame_shift_ms = {cfg.frame_shift_ms:g} is under one sample "
+                         f"at {clip.sample_rate} Hz")
     if num_frames_for(len(samples), flen, fshift) < 1:
         raise UsageError(f"clip too short: {len(samples)} samples < one {flen}-sample frame")
     frames = np.lib.stride_tricks.sliding_window_view(samples, flen)[::fshift]

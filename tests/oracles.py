@@ -94,8 +94,18 @@ def fbank(clip, cfg):
 
 
 # -- reference trial scoring --------------------------------------------
-# One scorer call per trial on that trial's two vectors, re-applying every
-# per-side transform each time; grid scoring must match it to rounding.
+# Each trial scored on its own two vectors by the scorer's formula, re-applying
+# every per-side transform each time; grid scoring must match it to rounding.
+
+def cosine(a, b):
+    """Cosine similarity of two vectors."""
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def bilinear_logit(scorer, x, y):
+    """The bilinear scorer's same-speaker logit x.y - x'Sx - y'Sy + b of one pair."""
+    return float(x @ y - (x @ scorer.S @ x + y @ scorer.S @ y) + scorer.b[0])
+
 
 def plda_llr(model, a, b, solve=False):
     """PLDA log-likelihood ratio of one pair from the stacked pair covariances,
@@ -115,22 +125,24 @@ def plda_llr(model, a, b, solve=False):
 def score_trials(system, trials, enroll_frames, test_frames, *, net=None, scorer=None,
                  lda=None, plda=None, plda_center=None):
     """pipeline.score_trials for the trained systems, one pair at a time."""
-    from svbench.backends import center_and_length_normalize, cosine_score
     from svbench.e2e import embed
     from svbench.pipeline import dvector_of
 
+    def normalize(v):
+        centered = v - plda_center
+        return centered / np.linalg.norm(centered)
+
     if system == "e2e":
         vec = lambda f: embed(net, f)
-        score = scorer.score
+        score = lambda a, b: bilinear_logit(scorer, a, b)
     else:
         vec = lambda f: dvector_of(net, f)
         if system == "dvector-cosine":
-            score = cosine_score
+            score = cosine
         elif system == "dvector-lda":
-            score = lambda a, b: cosine_score(lda.transform(a), lda.transform(b))
+            score = lambda a, b: cosine(lda.transform(a), lda.transform(b))
         else:
-            score = lambda a, b: plda_llr(plda, center_and_length_normalize(a, plda_center),
-                                          center_and_length_normalize(b, plda_center))
+            score = lambda a, b: plda_llr(plda, normalize(a), normalize(b))
     enroll = {k: vec(f) for k, f in enroll_frames.items()}
     test = {k: vec(f) for k, f in test_frames.items()}
     return [(t.enroll_id, t.test_id, score(enroll[t.enroll_id], test[t.test_id]), t.label)
@@ -201,25 +213,30 @@ def _pair_grads(scorer, x, y):
     return y - s2 @ x, x - s2 @ y, -(np.outer(x, x) + np.outer(y, y)), np.ones(1)
 
 
-def batch_step(net, scorer, batch, k):
-    """e2e._batch_step with one forward/backward per chunk and one scorer call per pair."""
+def batch_step(net, scorer, chunks, k):
+    """e2e._batch_step with one forward/backward per chunk and one logit per pair:
+    of the 2N chunks, 2i and 2i+1 form the i-th same-speaker pair, and 2i, 2j
+    (j != i) the different-speaker ones, in that order."""
     from svbench.e2e import pair_loss       # here, so that importing this module loads only NumPy
 
+    n = len(chunks) // 2
+    same_pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    diff_pairs = [(2 * i, 2 * j) for i in range(n) for j in range(n) if j != i]
     embeddings, caches = [], []
-    for chunk in batch.chunks:
+    for chunk in chunks:
         out, cache = net.forward(chunk)
         embeddings.append(out[0])
         caches.append(cache)
-    same_logits = np.array([scorer.score(embeddings[i], embeddings[j])
-                            for i, j in batch.same_pairs])
-    diff_logits = np.array([scorer.score(embeddings[i], embeddings[j])
-                            for i, j in batch.diff_pairs])
+    same_logits = np.array([bilinear_logit(scorer, embeddings[i], embeddings[j])
+                            for i, j in same_pairs])
+    diff_logits = np.array([bilinear_logit(scorer, embeddings[i], embeddings[j])
+                            for i, j in diff_pairs])
     loss, g_same, g_diff = pair_loss(same_logits, diff_logits, k)
 
     demb = [np.zeros_like(e) for e in embeddings]
     grad_s = np.zeros_like(scorer.S)
     grad_b = np.zeros(1)
-    for pairs, pair_g in ((batch.same_pairs, g_same), (batch.diff_pairs, g_diff)):
+    for pairs, pair_g in ((same_pairs, g_same), (diff_pairs, g_diff)):
         for (i, j), g in zip(pairs, pair_g):
             gx, gy, gs, gb = _pair_grads(scorer, embeddings[i], embeddings[j])
             demb[i] += g * gx

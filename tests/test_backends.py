@@ -8,20 +8,20 @@ from svbench.errors import UsageError
 
 
 def test_cosine_self():
-    v = np.array([1.0, 2.0, -3.0])
-    assert cosine_score(v, v) == pytest.approx(1.0)
-    assert cosine_score(v, -v) == pytest.approx(-1.0)
+    v = np.array([[1.0, 2.0, -3.0]])
+    assert cosine_score(v, v)[0, 0] == pytest.approx(1.0)
+    assert cosine_score(v, -v)[0, 0] == pytest.approx(-1.0)
 
 
 def test_cosine_scale_invariant():
     rng = np.random.default_rng(0)
-    a, b = rng.standard_normal(5), rng.standard_normal(5)
-    assert cosine_score(3.7 * a, b) == pytest.approx(cosine_score(a, b))
+    a, b = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
+    assert cosine_score(3.7 * a, b)[0, 0] == pytest.approx(cosine_score(a, b)[0, 0])
 
 
 def test_cosine_zero_vector_rejected():
     with pytest.raises(UsageError):
-        cosine_score(np.zeros(3), np.ones(3))
+        cosine_score(np.zeros((1, 3)), np.ones((1, 3)))
 
 
 def test_normalize_unit_norms():
@@ -41,10 +41,10 @@ def test_normalize_idempotent_on_sphere():
 
 def test_normalize_preserves_cosine_under_joint_scaling():
     rng = np.random.default_rng(3)
-    a, b = rng.standard_normal(5), rng.standard_normal(5)
+    a, b = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
     na = center_and_length_normalize(2.5 * a, mean=np.zeros(5))
     nb = center_and_length_normalize(2.5 * b, mean=np.zeros(5))
-    assert cosine_score(na, nb) == pytest.approx(cosine_score(a, b))
+    assert cosine_score(na, nb)[0, 0] == pytest.approx(cosine_score(a, b)[0, 0])
 
 
 def _gaussian_classes(rng, num_classes=5, dim=8, per_class=30, spread=2.0):
@@ -170,16 +170,16 @@ def test_plda_zero_between_gives_zero_llr():
     model = PldaModel(np.zeros(3), np.zeros((3, 3)), np.eye(3))
     rng = np.random.default_rng(13)
     for _ in range(5):
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert model.score(a, b) == pytest.approx(0.0, abs=1e-12)
+        a, b = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+        assert model.score(a, b)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plda_score_symmetric():
     rng = np.random.default_rng(14)
     c = rng.standard_normal((2, 2))
     model = PldaModel(rng.standard_normal(2), c @ c.T + np.eye(2), np.eye(2))
-    a, b = rng.standard_normal(2), rng.standard_normal(2)
-    assert model.score(a, b) == pytest.approx(model.score(b, a), abs=1e-12)
+    a, b = rng.standard_normal((1, 2)), rng.standard_normal((1, 2))
+    assert model.score(a, b)[0, 0] == pytest.approx(model.score(b, a)[0, 0], abs=1e-12)
 
 
 def test_plda_score_matches_direct_densities():
@@ -200,4 +200,4 @@ def test_plda_score_matches_direct_densities():
         return -0.5 * (z @ np.linalg.inv(cov) @ z + logdet)
 
     expect = log_density(same_cov) - log_density(diff_cov)
-    assert model.score(a, b) == pytest.approx(expect, abs=1e-9)
+    assert model.score(a[None], b[None])[0, 0] == pytest.approx(expect, abs=1e-9)

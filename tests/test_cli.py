@@ -229,9 +229,9 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     sample = e2e.sample_pair_batch
 
     def recording_sample(*args, **kwargs):
-        batch = sample(*args, **kwargs)
-        batches.append([chunk.shape[0] for chunk in batch.chunks])
-        return batch
+        chunks, speakers = sample(*args, **kwargs)
+        batches.append([chunk.shape[0] for chunk in chunks])
+        return chunks, speakers
 
     monkeypatch.setattr(e2e, "sample_pair_batch", recording_sample)
 
@@ -261,36 +261,54 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     assert train("k_quarter", loss_k=0.25)[0] != default
 
 
-@pytest.mark.parametrize("section, keys, named, command", [
-    ("e2e", "pair_batch_n = 1", "pair_batch_n", "train-e2e"),
-    ("e2e", "chunk_min = 0", "chunk_min", "train-e2e"),
-    ("e2e", "chunk_min = 200\nchunk_max = 60", "chunk_min", "train-e2e"),
-    ("e2e", "loss_k = -5", "loss_k", "train-e2e"),
-    ("e2e", "lr_decay_interval = 0", "lr_decay_interval", "train-e2e"),
-    ("trainer", "lr_decay_interval = 0", "lr_decay_interval", "train-dvector"),
-    ("trainer", "clip_norm = -1", "clip_norm", "train-dvector"),
-    ("e2e", "iterations = 0", "iterations", "train-e2e"),
-    ("trainer", "max_epochs = 0", "max_epochs", "train-dvector"),
-    ("trainer", "lr_decay = -1", "lr_decay", "train-dvector"),
-    ("e2e", "lr_decay = 0", "lr_decay", "train-e2e"),
-    *[("dvector", f"{key} = 0", key, "train-dvector")
+@pytest.mark.parametrize("section, keys, named, reason, command", [
+    ("e2e", "pair_batch_n = 1", "pair_batch_n", "at least 2", "train-e2e"),
+    ("e2e", "chunk_min = 0", "chunk_min", "1 <= chunk_min", "train-e2e"),
+    ("e2e", "chunk_min = 200\nchunk_max = 60", "chunk_min", "1 <= chunk_min", "train-e2e"),
+    ("e2e", "loss_k = -5", "loss_k", "non-negative", "train-e2e"),
+    ("e2e", "lr_decay_interval = 0", "lr_decay_interval", "at least 1", "train-e2e"),
+    ("trainer", "lr_decay_interval = 0", "lr_decay_interval", "at least 1", "train-dvector"),
+    ("trainer", "clip_norm = -1", "clip_norm", "non-negative", "train-dvector"),
+    ("e2e", "iterations = 0", "iterations", "at least 1", "train-e2e"),
+    ("trainer", "max_epochs = 0", "max_epochs", "at least 1", "train-dvector"),
+    ("trainer", "lr_decay = -1", "lr_decay", "positive", "train-dvector"),
+    ("e2e", "lr_decay = 0", "lr_decay", "positive", "train-e2e"),
+    *[("dvector", f"{key} = 0", key, "at least 1", "train-dvector")
       for key in ("conv_dim", "bottleneck_dim", "td_dim", "feature_dim")],
-    *[("e2e", f"{key} = 0", key, "train-e2e")
+    *[("e2e", f"{key} = 0", key, "at least 1", "train-e2e")
       for key in ("lift_dim", "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim")],
-    ("backends", "lda_dim = -1", "lda_dim", "fit-backend --kind lda"),
-    ("backends", "lda_dim = 0", "lda_dim", "fit-backend --kind lda"),
-    ("backends", "plda_iterations = 0", "plda_iterations", "fit-backend --kind plda"),
-    ("backends", "plda_iterations = -3", "plda_iterations", "fit-backend --kind plda"),
-    ("eval", "enroll_secs = 0", "enroll_secs", "trials"),
-    ("eval", "test_secs = -1", "test_secs", "trials"),
+    ("backends", "lda_dim = -1", "lda_dim", "must be positive", "fit-backend --kind lda"),
+    ("backends", "lda_dim = 0", "lda_dim", "must be positive", "fit-backend --kind lda"),
+    ("backends", "plda_iterations = 0", "plda_iterations", "must be positive",
+     "fit-backend --kind plda"),
+    ("backends", "plda_iterations = -3", "plda_iterations", "must be positive",
+     "fit-backend --kind plda"),
+    ("eval", "enroll_secs = 0", "enroll_secs", "must be positive", "trials"),
+    ("eval", "test_secs = -1", "test_secs", "must be positive", "trials"),
+    ("dvector", "cmvn = global", "cmvn", "not one of", "train-dvector"),
+    ("datagen", "utterance_secs = -1,0", "utterance_secs", "low <= high", "gen-data"),
+    ("datagen", "utterance_secs = 1e-5,1e-5", "utterance_secs", "1/sample_rate", "gen-data"),
+    ("datagen", "utterance_secs = 4,2", "utterance_secs", "low <= high", "gen-data"),
+    ("datagen", "sample_rate = 0", "sample_rate", "above 6800 Hz", "gen-data"),
+    ("datagen", "noise_level = -1", "noise_level", "non-negative", "gen-data"),
+    ("datagen", "utterances_per_speaker = 0", "utterances_per_speaker", "at least 1",
+     "gen-data"),
+    ("frontend", "frame_shift_ms = 0.001", "frame_shift_ms", "under one sample", "featurize"),
+    ("frontend", "num_mel_bins = 0", "num_mel_bins", "at least 1", "featurize"),
+    ("frontend", "dither = -1", "dither", "non-negative", "featurize"),
+    ("frontend", "pre_emphasis = -1", "pre_emphasis", "non-negative", "featurize"),
 ], ids=["pair_batch_n", "chunk_min", "chunk_order", "loss_k", "e2e_lr_decay_interval",
         "lr_decay_interval", "clip_norm", "iterations", "max_epochs", "lr_decay",
         "e2e_lr_decay", "conv_dim", "bottleneck_dim", "td_dim", "feature_dim", "lift_dim",
         "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim", "lda_dim_negative",
         "lda_dim_zero", "plda_iterations_zero", "plda_iterations_negative", "enroll_secs",
-        "test_secs"])
+        "test_secs", "cmvn", "utterance_secs_negative", "utterance_secs_under_a_sample",
+        "utterance_secs_order", "sample_rate",
+        "noise_level", "utterances_per_speaker", "frame_shift_ms", "num_mel_bins", "dither",
+        "pre_emphasis"])
 def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
-                                                   command):
+                                                   reason, command):
+    # ... and the reason it is refused
     runner, _, out = tiny_run
     config = _write(tmp_path / "bad.ini", f"[{section}]\n{keys}\n")
     manifest, vectors = os.path.join(out, "corpus", "manifest.tsv"), str(tmp_path / "v.svbf")
@@ -298,11 +316,13 @@ def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, 
                        [f"s{i % 4}" for i in range(8)],
                        np.random.default_rng(0).standard_normal((8, 6)))
     inputs = {"fit-backend": ["--vectors", vectors, "--out", str(tmp_path / "out" / "b.svbf")],
-              "trials": ["--manifest", manifest]}.get(
+              "trials": ["--manifest", manifest], "featurize": ["--manifest", manifest],
+              "gen-data": []}.get(
         command.split()[0], ["--manifest", manifest, "--features", os.path.join(out, "feats")])
     result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"),
                                   *command.split(), *inputs])
     _rejected(result, named)
+    assert reason in result.output
     assert not list((tmp_path / "out").glob("*.svbf"))
 
 

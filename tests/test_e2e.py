@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from svbench.e2e import (BilinearScorer, E2EConfig, PairBatch,
-                         _batch_step, build_e2e_net, calibrate_network, e2e_specs,
-                         embed, pair_loss, pair_probability, sample_chunk_length,
-                         sample_pair_batch, train_e2e)
+from svbench.e2e import (BilinearScorer, E2EConfig, _batch_step, build_e2e_net,
+                         calibrate_network, e2e_specs, embed, pair_loss, pair_probability,
+                         sample_chunk_length, sample_pair_batch, train_e2e)
 from svbench.errors import SamplingError, UsageError
 from svbench.nn import TrainerConfig, effective_context, grad_check
 
@@ -27,14 +26,14 @@ def test_default_widths():
 def test_scorer_reduces_to_dot_product():
     scorer = BilinearScorer(4)
     rng = np.random.default_rng(0)
-    x, y = rng.standard_normal(4), rng.standard_normal(4)
-    assert scorer.score(x, y) == pytest.approx(float(x @ y), abs=1e-12)
+    x, y = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+    assert scorer.score(x, y)[0, 0] == pytest.approx(float(x[0] @ y[0]), abs=1e-12)
 
 
 def test_scorer_zero_embeddings_give_bias():
     scorer = BilinearScorer(4)
     scorer.b[...] = 1.25
-    assert scorer.score(np.zeros(4), np.zeros(4)) == pytest.approx(1.25)
+    assert scorer.score(np.zeros((1, 4)), np.zeros((1, 4)))[0, 0] == pytest.approx(1.25)
 
 
 def test_scorer_symmetric():
@@ -42,13 +41,13 @@ def test_scorer_symmetric():
     rng = np.random.default_rng(1)
     scorer.S[...] = rng.standard_normal((5, 5))
     scorer.symmetrize()
-    x, y = rng.standard_normal(5), rng.standard_normal(5)
-    assert scorer.score(x, y) == scorer.score(y, x)
+    x, y = rng.standard_normal((1, 5)), rng.standard_normal((1, 5))
+    assert scorer.score(x, y)[0, 0] == scorer.score(y, x)[0, 0]
 
 
 def test_scorer_dim_check():
     with pytest.raises(UsageError):
-        BilinearScorer(4).score(np.zeros(3), np.zeros(4))
+        BilinearScorer(4).score(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 def test_pair_probability_laws():
@@ -110,30 +109,21 @@ def _toy_corpus(num_speakers=6, utts=3, frames=320, dim=8, seed=0):
 @pytest.mark.parametrize("n", [2, 4])
 def test_pair_batch_counts(n):
     corpus = _toy_corpus()
-    batch = sample_pair_batch(corpus, n, np.random.default_rng(4))
-    assert len(batch.same_pairs) == n
-    assert len(batch.diff_pairs) == n * (n - 1)
-    assert len(batch.chunks) == 2 * n
+    chunks, speakers = sample_pair_batch(corpus, n, np.random.default_rng(4))
+    assert len(speakers) == len(set(speakers)) == n
+    assert len(chunks) == 2 * n
 
 
 def test_pair_batch_labels():
+    # speaker i owns chunks 2i and 2i+1, cut (as views) from two of its utterances
     corpus = _toy_corpus()
+    source = {id(utt): (spk, u) for spk, utts in corpus.items() for u, utt in enumerate(utts)}
     rng = np.random.default_rng(5)
     for _ in range(50):
-        batch = sample_pair_batch(corpus, 4, rng)
-        for i, j in batch.same_pairs:
-            assert batch.speakers[i] == batch.speakers[j]
-        for i, j in batch.diff_pairs:
-            assert batch.speakers[i] != batch.speakers[j]
-
-
-def test_pair_batch_validation():
-    with pytest.raises(UsageError):
-        PairBatch([None] * 4, ["a", "a", "b", "b"],
-                  same_pairs=[(0, 1), (2, 3)], diff_pairs=[(0, 2)])
-    with pytest.raises(UsageError):
-        PairBatch([None] * 4, ["a", "b", "b", "b"],
-                  same_pairs=[(0, 1), (2, 3)], diff_pairs=[(0, 2), (2, 0)])
+        chunks, speakers = sample_pair_batch(corpus, 4, rng)
+        sources = [source[id(chunk.base)] for chunk in chunks]
+        assert [spk for spk, _ in sources] == [spk for spk in speakers for _ in range(2)]
+        assert all(sources[2 * i] != sources[2 * i + 1] for i in range(4))
 
 
 def test_pair_batch_needs_enough_speakers():
@@ -172,8 +162,9 @@ def test_verify_pair_symmetric_and_finite():
     scorer.S[...] = 0.1 * rng.standard_normal(scorer.S.shape)
     scorer.symmetrize()
     a, b = rng.standard_normal((40, 8)), rng.standard_normal((60, 8))
-    ab = scorer.score(embed(net, a), embed(net, b))
-    assert ab == scorer.score(embed(net, b), embed(net, a))
+    ea, eb = embed(net, a)[None], embed(net, b)[None]
+    ab = scorer.score(ea, eb)[0, 0]
+    assert ab == scorer.score(eb, ea)[0, 0]
     assert np.isfinite(ab)
 
 
@@ -250,14 +241,10 @@ def test_training_matches_reference_engine(reference_engine):
 
 
 def _ragged_batch(n, seed):
-    """Pair batch of N speakers whose 2N chunks have ragged lengths, short ones included."""
+    """The 2N chunks of a pair batch of N speakers, of ragged lengths, short ones included."""
     rng = np.random.default_rng(seed)
     lengths = [1, 2, 3, 5] + [int(t) for t in rng.integers(1, 60, size=2 * n)]
-    chunks = [rng.standard_normal((lengths[i], 8)) + (i // 2) for i in range(2 * n)]
-    speakers = [f"s{i // 2}" for i in range(2 * n)]
-    same = [(2 * i, 2 * i + 1) for i in range(n)]
-    diff = [(2 * i, 2 * j) for i in range(n) for j in range(n) if j != i]
-    return PairBatch(chunks, speakers, same, diff)
+    return [rng.standard_normal((lengths[i], 8)) + (i // 2) for i in range(2 * n)]
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -267,11 +254,11 @@ def test_batch_step_matches_per_pair_reference(n):
     scorer.S[...] = 0.05 * rng.standard_normal(scorer.S.shape)
     scorer.symmetrize()
     scorer.b[...] = 0.3
-    batch = _ragged_batch(n, seed=n)
-    calibrate_network(net, batch.chunks)
+    chunks = _ragged_batch(n, seed=n)
+    calibrate_network(net, chunks)
     k = 1.0 / (n - 1)
-    loss, grads, same, diff = _batch_step(net, scorer, batch, k)
-    ref_loss, ref_grads, ref_same, ref_diff = oracles.batch_step(net, scorer, batch, k)
+    loss, grads, same, diff = _batch_step(net, scorer, chunks, k)
+    ref_loss, ref_grads, ref_same, ref_diff = oracles.batch_step(net, scorer, chunks, k)
     _assert_close(loss, ref_loss, "loss")
     _assert_close(np.concatenate([same, diff]), np.concatenate([ref_same, ref_diff]), "logits")
     assert sorted(grads) == sorted(ref_grads)
@@ -285,8 +272,10 @@ def test_score_matrix_matches_pairwise_scores():
     scorer.S[...] = rng.standard_normal((6, 6))
     scorer.b[...] = -0.4
     emb = rng.standard_normal((5, 6))
-    expected = [[scorer.score(x, y) for y in emb] for x in emb]
-    np.testing.assert_allclose(scorer.score_matrix(emb), expected, rtol=1e-12, atol=1e-12)
+    expected = [[oracles.bilinear_logit(scorer, x, y) for y in emb] for x in emb]
+    np.testing.assert_allclose(scorer.score(emb), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(scorer.score(emb, emb[:3]), np.array(expected)[:, :3],
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_scorer_grads_match_finite_differences():
@@ -297,7 +286,7 @@ def test_scorer_grads_match_finite_differences():
     emb = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 3))
     d_emb, d_s, d_b = scorer.grads(emb, w)
-    objective = lambda: float(np.sum(w * scorer.score_matrix(emb)))
+    objective = lambda: float(np.sum(w * scorer.score(emb)))
     report = grad_check({"emb": emb, "S": scorer.S, "b": scorer.b}, objective,
                         {"emb": d_emb, "S": d_s, "b": d_b}, step=1e-5)
     assert max(report.values()) < 1e-8

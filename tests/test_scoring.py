@@ -108,7 +108,7 @@ def test_plda_grid_scores_within_reference_error_when_sides_in_training_span(tri
     kwargs = {"net": dnet, "plda": plda, "plda_center": center}
     got, ref = _plda_scores(trial_set, kwargs)
     enroll, test, trials, _ = trial_set
-    side = lambda f: center_and_length_normalize(dvector_of(dnet, f), center)
+    side = lambda f: center_and_length_normalize(dvector_of(dnet, f)[None], center)[0]
     gap = max(abs(oracles.plda_llr(plda, side(enroll[t.enroll_id]), side(test[t.test_id]))
                   - oracles.plda_llr(plda, side(enroll[t.enroll_id]), side(test[t.test_id]),
                                      solve=True))

@@ -160,8 +160,8 @@ def test_plda_round_trip(tmp_path):
     backend = store.load_backend(str(path))
     again, got_center = backend["plda"], backend["plda_center"]
     np.testing.assert_array_equal(got_center, center)
-    a, b = rng.standard_normal(3), rng.standard_normal(3)
-    assert model.score(a, b) == again.score(a, b)
+    a, b = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+    np.testing.assert_array_equal(model.score(a, b), again.score(a, b))
 
 
 def test_config_defaults():
