@@ -31,6 +31,7 @@ def read_wav(path, id=""):
     """Read a mono 16-bit PCM WAV file into an AudioClip.
 
     Samples are scaled by 2^15 into [-1, 1]; `id` names the clip (it seeds its dither).
+    A file cut inside its header or its data is a FormatError naming `path`.
     """
     try:
         with wave.open(str(path), "rb") as w:
@@ -38,10 +39,15 @@ def read_wav(path, id=""):
                 raise FormatError(f"{path}: multi-channel WAV unsupported ({w.getnchannels()} channels)")
             if w.getsampwidth() != 2:
                 raise FormatError(f"{path}: only 16-bit PCM supported (sample width {w.getsampwidth()})")
-            rate = w.getframerate()
-            raw = w.readframes(w.getnframes())
+            rate, frames = w.getframerate(), w.getnframes()
+            raw = w.readframes(frames)
     except wave.Error as e:
         raise FormatError(f"{path}: malformed WAV ({e})") from e
+    except EOFError as e:
+        raise FormatError(f"{path}: malformed WAV (the file ends inside its header)") from e
+    if len(raw) < 2 * frames:
+        raise FormatError(f"{path}: WAV cut short: its header declares {frames} frames, "
+                          f"its data holds {len(raw) // 2}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples=samples, sample_rate=rate, id=id)
 

@@ -24,11 +24,10 @@ def cosine_score(a, b):
     return _unit_rows(a, zero) @ _unit_rows(b, zero).T
 
 
-def center_and_length_normalize(vectors, mean=None):
-    """Subtract the (training) mean from each row, then scale each row to unit norm."""
-    x = np.asarray(vectors, dtype=np.float64)
-    mean = x.mean(axis=0) if mean is None else np.asarray(mean, dtype=np.float64)
-    return _unit_rows(x - mean, "vector equal to the centering mean cannot be length normalized")
+def center_and_length_normalize(vectors, mean):
+    """Subtract the training mean from each row, then scale each row to unit norm."""
+    x = np.asarray(vectors, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
+    return _unit_rows(x, "vector equal to the centering mean cannot be length normalized")
 
 
 def _scatter_matrices(x, labels):
@@ -88,7 +87,6 @@ class PldaModel:
         self.mean = np.asarray(mean, dtype=np.float64)
         self.between = np.asarray(between, dtype=np.float64)
         self.within = np.asarray(within, dtype=np.float64)
-        self._score_cache = None
 
     @property
     def dim(self):
@@ -101,16 +99,13 @@ class PldaModel:
         The blocks come from the inverses of the stacked 2d x 2d same-speaker
         and different-speaker pair covariances, c from their log-determinants.
         """
-        if self._score_cache is None:
-            d = self.dim
-            total = self.between + self.within
-            same = np.block([[total, self.between], [self.between, total]])
-            diff = np.block([[total, np.zeros((d, d))], [np.zeros((d, d)), total]])
-            same_inv, diff_inv = np.linalg.inv(same), np.linalg.inv(diff)
-            q = same_inv - diff_inv
-            self._score_cache = (q[:d, :d], q[d:, d:], q[:d, d:] + q[d:, :d].T,
-                                 np.linalg.slogdet(same)[1] - np.linalg.slogdet(diff)[1])
-        return self._score_cache
+        d = self.dim
+        total = self.between + self.within
+        same = np.block([[total, self.between], [self.between, total]])
+        diff = np.block([[total, np.zeros((d, d))], [np.zeros((d, d)), total]])
+        q = np.linalg.inv(same) - np.linalg.inv(diff)
+        return (q[:d, :d], q[d:, d:], q[:d, d:] + q[d:, :d].T,
+                np.linalg.slogdet(same)[1] - np.linalg.slogdet(diff)[1])
 
     def score(self, enroll, test):
         """Log-likelihood ratio ln p(pair | same) - ln p(pair | different) of every
@@ -156,12 +151,10 @@ def plda_log_likelihood(model, x, labels):
     return float(total)
 
 
-def fit_plda(vectors, labels, iterations=20, check_normalized=True, track_likelihood=False):
-    """EM for the two-covariance model.
+def fit_plda(vectors, labels, iterations=20, check_normalized=True):
+    """EM for the two-covariance model; returns the PldaModel.
 
     Expects centered, length-normalized input (checked unless disabled).
-    Returns the model; with track_likelihood=True returns (model, per-
-    iteration marginal log-likelihoods).
     """
     x = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels)
@@ -182,7 +175,7 @@ def fit_plda(vectors, labels, iterations=20, check_normalized=True, track_likeli
 
     def regularize(mat):
         # only touch genuinely degenerate covariances; exact EM updates
-        # keep the tracked likelihood monotone
+        # keep plda_log_likelihood monotone
         floor = 1e-10 * max(np.trace(mat) / d, 1e-30)
         if np.linalg.eigvalsh(mat).min() < floor:
             return mat + floor * np.eye(d)
@@ -192,7 +185,6 @@ def fit_plda(vectors, labels, iterations=20, check_normalized=True, track_likeli
     within = regularize(sw)
     mu = mean
     groups = _group_stats(x, labels)
-    history = []
     for _ in range(iterations):
         b_inv = np.linalg.inv(between)
         w_inv = np.linalg.inv(within)
@@ -213,7 +205,4 @@ def fit_plda(vectors, labels, iterations=20, check_normalized=True, track_likeli
             within += dev.T @ dev + n * cov
         between = regularize(between / len(groups))
         within = regularize(within / len(x))
-        if track_likelihood:
-            history.append(plda_log_likelihood(PldaModel(mu, between, within), x, labels))
-    model = PldaModel(mu, between, within)
-    return (model, history) if track_likelihood else model
+    return PldaModel(mu, between, within)

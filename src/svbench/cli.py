@@ -44,12 +44,13 @@ class Workspace:
 
 
 class _Group(click.Group):
-    """Reports svbench errors as usage failures (message, exit 1), not tracebacks."""
+    """Reports svbench errors and OSErrors, whose message names the file, as usage
+    failures (message, exit 1), not tracebacks."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except SvbenchError as e:
+        except (SvbenchError, OSError) as e:
             raise click.ClickException(str(e)) from e
 
 
@@ -271,10 +272,11 @@ def cmd_eval(ws, score_specs):
     """Compute EERs and emit the report table.
 
     Each argument is LABEL=SCOREFILE where LABEL is system:scoring:condition
-    (a bare path evaluates one file under a generic label).
+    (a bare path evaluates one file under a generic label); a label given twice
+    is refused.
     """
     ws.prepare()
-    results = {}
+    results, paths = {}, {}
     for spec in score_specs:
         if "=" in spec:
             label, path = spec.split("=", 1)
@@ -284,6 +286,10 @@ def cmd_eval(ws, score_specs):
         while len(parts) < 3:
             parts.append("-")
         system, scoring, condition = parts[:3]
+        key = ":".join(parts[:3])
+        if key in paths:
+            raise click.ClickException(f"label {key} given twice: {paths[key]} and {path}")
+        paths[key] = path
         records = read_score_file(path)
         if not records:
             raise click.ClickException(f"{path}: no trials")

@@ -29,12 +29,12 @@ def _cmvn_mode(raw):
     return raw
 
 
-def _positive(parse):
-    """`parse`, refusing a value that is not above zero."""
+def _above(low, parse, reason):
+    """`parse`, refusing with `reason` a value that is not above `low`."""
     def check(raw):
         value = parse(raw)
-        if not value > 0:
-            raise ValueError("must be positive")
+        if not value > low:
+            raise ValueError(reason)
         return value
     return check
 
@@ -56,8 +56,8 @@ SCHEMA = {
     },
     "datagen": {
         **_fields(SyntheticSpec, "seed"),
-        "train_speakers": (int, 0),
-        "eval_speakers": (int, 0),
+        "train_speakers": (_above(-1, int, "must not be negative"), 0),
+        "eval_speakers": (_above(-1, int, "must not be negative"), 0),
     },
     "frontend": _fields(FrontendConfig, "dither_seed"),
     "dvector": {
@@ -75,12 +75,12 @@ SCHEMA = {
     },
     "trainer": _fields(TrainerConfig, "seed"),
     "backends": {
-        "lda_dim": (_positive(int), 150),
-        "plda_iterations": (_positive(int), 10),
+        "lda_dim": (_above(0, int, "must be positive"), 150),
+        "plda_iterations": (_above(0, int, "must be positive"), 10),
     },
     "eval": {
-        "enroll_secs": (_positive(float), 4.0),
-        "test_secs": (_positive(float), 4.0),
+        "enroll_secs": (_above(0, float, "must be positive"), 4.0),
+        "test_secs": (_above(0, float, "must be positive"), 4.0),
     },
 }
 

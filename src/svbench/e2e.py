@@ -178,7 +178,7 @@ def pair_probability(logit):
     out[pos] = 1.0 / (1.0 + np.exp(-logit[pos]))
     ez = np.exp(logit[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    return out
 
 
 def pair_loss(same_logits, diff_logits, k):

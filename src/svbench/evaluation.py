@@ -116,20 +116,18 @@ def trial_label(text):
 def compute_eer(scores, labels):
     """EER with linear interpolation at the false-accept / miss crossing.
 
-    `labels` holds "target"/"nontarget" strings (or booleans, True =
-    target); any other string raises UsageError. Scores >= threshold count
-    as accepts. The candidate thresholds are every distinct score plus one
-    past the top, so miss can reach 1. Targets and nontargets are sorted
-    once, and `searchsorted` gives the FA and miss counts at every candidate;
-    the report holds the EER in percent, the (interpolated) threshold and the
-    trial counts.
+    `labels` holds "target"/"nontarget" strings; any other label raises
+    UsageError. Scores >= threshold count as accepts. The candidate
+    thresholds are every distinct score plus one past the top, so miss can
+    reach 1. Targets and nontargets are sorted once, and `searchsorted` gives
+    the FA and miss counts at every candidate; the report holds the EER in
+    percent, the (interpolated) threshold and the trial counts.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise UsageError("scores must be finite")
     try:
-        is_target = np.array([trial_label(l) == "target" if isinstance(l, str) else bool(l)
-                              for l in labels], dtype=bool)
+        is_target = np.array([trial_label(l) == "target" for l in labels], dtype=bool)
     except ValueError as e:
         raise UsageError(str(e)) from None
     target = np.sort(scores[is_target])

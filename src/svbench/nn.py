@@ -72,6 +72,13 @@ class ReLU:
         return {"kind": self.kind}
 
 
+def _edges(t, o):
+    """(lo, hi) of a t-frame segment under offset o: output rows [0, lo) read its
+    first frame, rows [lo, hi) read row + o, and rows [hi, t) its last frame."""
+    lo = min(max(-o, 0), t)
+    return lo, min(max(t - o, lo), t)
+
+
 class TimeDelay:
     """Frame concatenation at fixed offsets, with edge replication.
 
@@ -99,8 +106,7 @@ class TimeDelay:
             seg, dst = x[start:start + t], out[start:start + t]
             for j, o in enumerate(self.offsets):
                 col = dst[:, j * d:(j + 1) * d]
-                lo = min(max(-o, 0), t)                  # rows [0, lo) read frame 0,
-                hi = min(max(t - o, lo), t)              # rows [hi, T) read frame T-1
+                lo, hi = _edges(t, o)
                 if lo:
                     col[:lo] = seg[0]
                 col[lo:hi] = seg[lo + o:hi + o]
@@ -109,26 +115,21 @@ class TimeDelay:
         return out, (lengths, d)
 
     def backward(self, g, cache):
-        """Adjoint of the edge-replicating gather, one segment at a time.
-
-        Each input row sums its gradient contributions offset by offset and,
-        within an offset, in time order; interior rows get one contribution
-        per offset (one slice add), edge rows take the clipped ones a row at
-        a time. Summing the clipped rows first would round differently.
-        """
+        """Adjoint of the edge-replicating gather, one segment at a time: each input
+        row sums its contributions offset by offset and, within an offset, in time
+        order over forward's three regions (another order would round differently)."""
         lengths, d = cache
         gx = np.zeros((g.shape[0], d))
         for start, t in zip(segment_starts(lengths), lengths):
             gs, gxs = g[start:start + t], gx[start:start + t]
             for j, o in enumerate(self.offsets):
                 gj = gs[:, j * d:(j + 1) * d]
-                lo, hi = max(1, o), min(t - 1, t + o)        # interior target rows [lo, hi)
-                if lo < hi:
-                    gxs[lo:hi] += gj[lo - o:hi - o]
-                for i in range(min(t, 1 - o)):               # rows mapped to frame 0
+                lo, hi = _edges(t, o)
+                for i in range(lo):
                     gxs[0] += gj[i]
-                for i in range(max(0, 1 - o, t - 1 - o), t):  # rows mapped to frame T-1, and
-                    gxs[t - 1] += gj[i]                      # not counted above when T = 1
+                gxs[lo + o:hi + o] += gj[lo:hi]
+                for i in range(hi, t):
+                    gxs[t - 1] += gj[i]
         return gx, {}
 
     def spec(self):
@@ -236,8 +237,6 @@ class Network:
         `lengths` are the segment frame counts (one segment by default).
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         lengths = segment_lengths(x, lengths)
         caches = []
         for layer in self.layers[:up_to]:
@@ -315,15 +314,10 @@ def effective_context(net_or_specs):
 
 
 def softmax_xent(logits, labels):
-    """Row-wise softmax cross-entropy.
-
-    Returns (mean loss, gradient w.r.t. logits). `labels` is an int array
-    of class indices, one per row (a scalar for a single-row input).
-    """
+    """(mean row-wise softmax cross-entropy, its gradient w.r.t. the logits) of
+    T x C logits and `labels`, an int array of one class index per row."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim == 1:
-        logits = logits[None, :]
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     t, c = logits.shape
     if labels.shape[0] != t:
         raise UsageError("one label per logit row required")

@@ -177,16 +177,21 @@ def score_trials(system, trials, sides, *, net=None, scorer=None,
 
     A system of SYSTEMS needs a trained net of its family (e2e: with its
     bilinear `scorer`), then dvector-lda or dvector-plda its back-end, fitted on
-    vectors of the net's d-vector width; a UsageError names what is missing or
-    does not fit before `sides()` is called for the (enroll, test) dicts of
-    side id -> vector under the net, as side_vectors gives them. Each per-side
-    transform runs once on the enroll and once on the test matrix, and one
-    scorer call fills the (enroll x test) grid that each trial reads its score from.
+    vectors of the net's d-vector width, and `random` neither; a UsageError names
+    what is missing, does not fit or would go unread before `sides()` is called for
+    the (enroll, test) dicts of side id -> vector under the net, as side_vectors
+    gives them. Each per-side transform runs once on the enroll and once on the
+    test matrix, and one scorer call fills the (enroll x test) grid that each
+    trial reads its score from.
     `random` draws one uniform score per trial.
     """
     if system not in SYSTEMS:
         raise UsageError(f"unknown system {system!r}")
+    if (lda is not None or plda is not None) and system not in ("dvector-lda", "dvector-plda"):
+        raise UsageError(f"system {system!r} reads no --backend")
     if system == "random":
+        if net is not None:
+            raise UsageError("system 'random' reads no --model")
         scores = np.random.default_rng(seed).uniform(-1, 1, len(trials))
         return [(t.enroll_id, t.test_id, float(s), t.label) for t, s in zip(trials, scores)]
 

@@ -11,8 +11,7 @@ def brute_force_eer(scores, labels):
     Returns percent.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    is_target = np.asarray([l == "target" if isinstance(l, str) else bool(l)
-                            for l in labels])
+    is_target = np.asarray([l == "target" for l in labels])
     target, nontarget = scores[is_target], scores[~is_target]
     cands = np.unique(scores)
     cands = np.append(cands, cands[-1] + 1.0)
@@ -40,8 +39,7 @@ def sweep_eer(scores, labels):
     from svbench.evaluation import EvalReport
 
     scores = np.asarray(scores, dtype=np.float64)
-    is_target = np.array([l == "target" if isinstance(l, str) else bool(l) for l in labels],
-                         dtype=bool)
+    is_target = np.array([l == "target" for l in labels], dtype=bool)
     target = scores[is_target]
     nontarget = scores[~is_target]
     cands = np.unique(scores)

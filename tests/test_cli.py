@@ -293,6 +293,10 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     ("datagen", "noise_level = -1", "noise_level", "non-negative", "gen-data"),
     ("datagen", "utterances_per_speaker = 0", "utterances_per_speaker", "at least 1",
      "gen-data"),
+    ("datagen", "num_speakers = 6\nutterances_per_speaker = 2\ntrain_speakers = -1\n"
+     "eval_speakers = 2", "train_speakers", "must not be negative", "gen-data"),
+    ("datagen", "num_speakers = 6\nutterances_per_speaker = 2\neval_speakers = -1",
+     "eval_speakers", "must not be negative", "gen-data"),
     ("frontend", "frame_shift_ms = 0.001", "frame_shift_ms", "under one sample", "featurize"),
     ("frontend", "num_mel_bins = 0", "num_mel_bins", "at least 1", "featurize"),
     ("frontend", "dither = -1", "dither", "non-negative", "featurize"),
@@ -304,8 +308,8 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
         "lda_dim_zero", "plda_iterations_zero", "plda_iterations_negative", "enroll_secs",
         "test_secs", "cmvn", "utterance_secs_negative", "utterance_secs_under_a_sample",
         "utterance_secs_order", "sample_rate",
-        "noise_level", "utterances_per_speaker", "frame_shift_ms", "num_mel_bins", "dither",
-        "pre_emphasis"])
+        "noise_level", "utterances_per_speaker", "train_speakers", "eval_speakers",
+        "frame_shift_ms", "num_mel_bins", "dither", "pre_emphasis"])
 def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
                                                    reason, command):
     # ... and the reason it is refused
@@ -627,16 +631,22 @@ def _rejected(result, *named):
     ("dvector-plda", ["dvector", "lda"], ["--backend", "lda"]),
     ("dvector-lda", ["dvector", "lda12"], ["--backend"]),
     ("dvector-plda", ["dvector", "plda12"], ["--backend"]),
+    ("dvector-cosine", ["dvector", "lda"], ["--backend"]),
+    ("e2e", ["e2e", "plda"], ["--backend"]),
+    ("random", ["lda"], ["--backend"]),
+    ("random", ["e2e"], ["--model"]),
 ], ids=["cosine-without-model", "lda-without-backend", "e2e-with-dvector-model",
         "cosine-with-e2e-model", "plda-with-lda-backend", "lda-of-another-width",
-        "plda-of-another-width"])
+        "plda-of-another-width", "cosine-with-backend", "e2e-with-backend",
+        "random-with-backend", "random-with-model"])
 def test_score_rejects_system_model_mismatch_before_reading_audio(
         tiny_run, score_models, tmp_path, monkeypatch, system, given, named):
     runner, config, out = tiny_run
     manifest = os.path.join(out, "corpus", "manifest.tsv")
     trials, segments = _one_trial(tmp_path, manifest)
     files = {"dvector": score_models["dvector-cosine"][1], "e2e": score_models["e2e"][1],
-             "lda": score_models["dvector-lda"][3], "lda12": str(tmp_path / "lda12.svbf"),
+             "lda": score_models["dvector-lda"][3], "plda": score_models["dvector-plda"][3],
+             "lda12": str(tmp_path / "lda12.svbf"),
              "plda12": str(tmp_path / "plda12.svbf")}
     # back-ends fitted on 12-dim vectors, against the d-vector model's 8
     store.save_lda(files["lda12"], LdaTransform(mean=np.zeros(12), projection=np.eye(12)[:, :3]))
@@ -654,6 +664,52 @@ def test_score_rejects_system_model_mismatch_before_reading_audio(
                                   "--manifest", manifest, *args, "--out", scores])
     _rejected(result, *[files.get(name, name) for name in named])
     assert wavs == [] and loads == [] and not os.path.exists(scores)
+
+
+@pytest.mark.parametrize("damage, reason", [
+    ("missing", "No such file"),
+    ("empty", "ends inside its header"),
+    ("header-cut", "ends inside its header"),
+    ("data-cut", "cut short"),
+], ids=["missing", "empty", "header-cut", "data-cut"])
+def test_featurize_names_a_wav_it_cannot_read(tiny_run, tmp_path, damage, reason):
+    runner, config, out = tiny_run
+    entry = read_manifest(os.path.join(out, "corpus", "manifest.tsv"))[0]
+    wav = tmp_path / "bad.wav"
+    if damage != "missing":
+        data = pathlib.Path(entry.path).read_bytes()
+        wav.write_bytes({"empty": b"", "header-cut": data[:30], "data-cut": data[:2000]}[damage])
+    manifest = _write(tmp_path / "manifest.tsv", f"{entry.utt_id}\t{entry.speaker_id}\t"
+                      f"{entry.gender}\t{wav}\t{entry.duration:.6f}\n")
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"),
+                                  "featurize", "--manifest", manifest])
+    _rejected(result, str(wav))
+    assert reason in result.output
+
+
+def test_score_into_a_missing_directory_is_reported(tiny_run, tmp_path):
+    runner, config, out = tiny_run
+    trials, segments = _one_trial(tmp_path, os.path.join(out, "corpus", "manifest.tsv"))
+    scores = str(tmp_path / "no-such-dir" / "scores.tsv")
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path), "score",
+                                  "--system", "random", "--trials", trials,
+                                  "--segments", segments, "--out", scores])
+    _rejected(result, scores)
+
+
+def test_config_naming_a_directory_is_reported(tmp_path):
+    result = CliRunner().invoke(main, ["--config", str(tmp_path), "--out-dir",
+                                       str(tmp_path / "out"), "gradcheck"])
+    _rejected(result, str(tmp_path))
+
+
+def test_eval_refuses_a_label_given_twice(tmp_path):
+    first = _write(tmp_path / "first.tsv", "e1\tt1\t0.9\ttarget\ne1\tt2\t0.1\tnontarget\n")
+    second = _write(tmp_path / "second.tsv", "e1\tt1\t0.1\ttarget\ne1\tt2\t0.9\tnontarget\n")
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "eval",
+                                       f"a:b:C={first}", f"a:b:C={second}"])
+    _rejected(result, first)
+    assert second in result.output and not (tmp_path / "out" / "report.tsv").exists()
 
 
 def test_extract_rejects_a_file_that_is_not_a_model(tiny_run, score_models, tmp_path):

@@ -83,7 +83,7 @@ def _eer_cases():
     scores = rng.normal(size=20000)
     labels = np.where(rng.random(20000) < 0.1, "target", "nontarget").tolist()
     yield scores + 0.8 * (np.array(labels) == "target"), labels
-    yield scores, [l == "target" for l in labels]
+    yield scores, labels
 
 
 def test_eer_report_equals_threshold_sweep():
