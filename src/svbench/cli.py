@@ -78,6 +78,9 @@ def gen_data(ws):
     ws.prepare()
     d = ws.cfg["datagen"]
     spec = from_sections(SyntheticSpec, ws.cfg, "datagen", seed=ws.seed)
+    need = d["train_speakers"] + d["eval_speakers"]
+    if need > spec.num_speakers:   # refused before any file of the corpus is written
+        raise click.ClickException(f"split needs {need} speakers, corpus has {spec.num_speakers}")
     corpus_dir = ws.path("corpus")
     entries = generate_corpus(spec, corpus_dir)
     click.echo(f"wrote {len(entries)} utterances to {corpus_dir}")
@@ -272,8 +275,8 @@ def cmd_eval(ws, score_specs):
     """Compute EERs and emit the report table.
 
     Each argument is LABEL=SCOREFILE where LABEL is system:scoring:condition
-    (a bare path evaluates one file under a generic label); a label given twice
-    is refused.
+    (a bare path evaluates one file under a generic label); a label given twice,
+    or one of more than three parts, is refused.
     """
     ws.prepare()
     results, paths = {}, {}
@@ -283,10 +286,13 @@ def cmd_eval(ws, score_specs):
         else:
             label, path = os.path.splitext(os.path.basename(spec))[0], spec
         parts = label.split(":")
+        if len(parts) > 3:
+            raise click.ClickException(f"label {label}: more than three ':'-separated parts "
+                                       "(system:scoring:condition)")
         while len(parts) < 3:
             parts.append("-")
-        system, scoring, condition = parts[:3]
-        key = ":".join(parts[:3])
+        system, scoring, condition = parts
+        key = ":".join(parts)
         if key in paths:
             raise click.ClickException(f"label {key} given twice: {paths[key]} and {path}")
         paths[key] = path

@@ -712,6 +712,23 @@ def test_eval_refuses_a_label_given_twice(tmp_path):
     assert second in result.output and not (tmp_path / "out" / "report.tsv").exists()
 
 
+def test_eval_refuses_a_label_of_more_than_three_parts(tmp_path):
+    scores = _write(tmp_path / "s.tsv", "e1\tt1\t0.9\ttarget\ne1\tt2\t0.1\tnontarget\n")
+    result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "eval",
+                                       f"a:b:C:extra={scores}"])
+    _rejected(result, "a:b:C:extra")
+    assert not (tmp_path / "out" / "report.tsv").exists()
+
+
+def test_gen_data_refuses_a_split_larger_than_the_corpus_before_writing(tmp_path):
+    config = _write(tmp_path / "run.ini", "[datagen]\nnum_speakers = 6\n"
+                    "utterances_per_speaker = 2\ntrain_speakers = 5\neval_speakers = 5\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["--config", config, "--out-dir", str(out), "gen-data"])
+    _rejected(result, "split needs 10 speakers, corpus has 6")
+    assert not (out / "corpus").exists() and not (out / "train.tsv").exists()
+
+
 def test_extract_rejects_a_file_that_is_not_a_model(tiny_run, score_models, tmp_path):
     runner, config, out = tiny_run
     lda, vectors = score_models["dvector-lda"][3], str(tmp_path / "vectors.svbf")

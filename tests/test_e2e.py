@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from svbench.e2e import (BilinearScorer, E2EConfig, _batch_step, build_e2e_net,
+from svbench.e2e import (BLOCK_FRAMES, BilinearScorer, E2EConfig, _batch_step, build_e2e_net,
                          calibrate_network, e2e_specs, embed, pair_loss, pair_probability,
                          sample_chunk_length, sample_pair_batch, train_e2e)
 from svbench.errors import SamplingError, UsageError
@@ -261,6 +261,41 @@ def test_batch_step_matches_per_pair_reference(n):
     ref_loss, ref_grads, ref_same, ref_diff = oracles.batch_step(net, scorer, chunks, k)
     _assert_close(loss, ref_loss, "loss")
     _assert_close(np.concatenate([same, diff]), np.concatenate([ref_same, ref_diff]), "logits")
+    assert sorted(grads) == sorted(ref_grads)
+    for name in ref_grads:
+        _assert_close(grads[name], ref_grads[name], name)
+
+
+def test_batch_step_in_blocks_matches_one_packed_pass():
+    # the chunks fill four blocks, the first a chunk longer than the budget
+    b = BLOCK_FRAMES
+    lengths = [b + 100, b // 3, b // 3, b // 2, b // 2, 2, 3, b // 4]
+    rng = np.random.default_rng(20)
+    chunks = [rng.standard_normal((t, 8)) + (i // 2) for i, t in enumerate(lengths)]
+    net, scorer = build_e2e_net(E2EConfig(**SMALL), seed=20)
+    scorer.S[...] = 0.05 * rng.standard_normal(scorer.S.shape)
+    scorer.symmetrize()
+    calibrate_network(net, chunks)
+    packed, _ = net.forward(np.concatenate(chunks), lengths=lengths)
+
+    forward, blocks = net.forward, []
+    def recording_forward(x, *args, **kwargs):
+        out = forward(x, *args, **kwargs)
+        blocks.append(out[0])
+        return out
+    net.forward = recording_forward
+    loss, grads, same, diff = _batch_step(net, scorer, chunks, 1.0 / 3.0)
+    del net.forward
+    assert len(blocks) >= 3
+    _assert_close(np.concatenate(blocks), packed, "embeddings", rtol=1e-12)
+    logits = scorer.score(packed)
+    _assert_close(np.concatenate([same, diff]),
+                  np.concatenate([logits[0::2, 1::2].diagonal(),
+                                  logits[0::2, 0::2][~np.eye(4, dtype=bool)]]),
+                  "logits", rtol=1e-12)
+
+    ref_loss, ref_grads, _, _ = oracles.batch_step(net, scorer, chunks, 1.0 / 3.0)
+    _assert_close(loss, ref_loss, "loss")
     assert sorted(grads) == sorted(ref_grads)
     for name in ref_grads:
         _assert_close(grads[name], ref_grads[name], name)
