@@ -188,12 +188,11 @@ def fit_plda(vectors, labels, iterations=20, check_normalized=True):
     for _ in range(iterations):
         b_inv = np.linalg.inv(between)
         w_inv = np.linalg.inv(within)
-        post_means, post_covs, ns = [], [], []
+        post_means, post_covs = [], []
         for n, s, _xc in groups:
             cov = np.linalg.inv(b_inv + n * w_inv)
             post_means.append(cov @ (b_inv @ mu + w_inv @ s))
             post_covs.append(cov)
-            ns.append(n)
         post_means = np.array(post_means)
         mu = post_means.mean(axis=0)
         between = np.zeros((d, d))

@@ -28,7 +28,7 @@ def write_manifest(path, entries):
 
 
 def read_rows(path, layout):
-    """Rows of a tab-separated file as tuples, one per non-empty line.
+    """(line number, row tuple) of each non-empty line of a tab-separated file.
 
     `layout` holds one converter per field (e.g. (str, float)), or maps a
     row's first field to its converters when rows differ in kind. A wrong
@@ -48,14 +48,27 @@ def read_rows(path, layout):
                 raise FormatError(f"{path}:{lineno}: expected {len(types)} "
                                   f"tab-separated fields, got {len(parts)}")
             try:
-                rows.append(tuple(convert(p) for convert, p in zip(types, parts)))
+                rows.append((lineno, tuple(convert(p) for convert, p in zip(types, parts))))
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
     return rows
 
 
 def read_manifest(path):
-    return [ManifestEntry(*row) for row in read_rows(path, (str, str, str, str, float))]
+    """Manifest entries; FormatError naming path:line and the earlier line for a
+    repeated utterance id or a speaker listed under two genders."""
+    entries, utt_lines, speakers = [], {}, {}
+    for lineno, row in read_rows(path, (str, str, str, str, float)):
+        e = ManifestEntry(*row)
+        first = utt_lines.setdefault(e.utt_id, lineno)
+        if first != lineno:
+            raise FormatError(f"{path}:{lineno}: utterance {e.utt_id!r} repeats line {first}")
+        first, gender = speakers.setdefault(e.speaker_id, (lineno, e.gender))
+        if gender != e.gender:
+            raise FormatError(f"{path}:{lineno}: speaker {e.speaker_id!r} is {e.gender!r} "
+                              f"here but {gender!r} on line {first}")
+        entries.append(e)
+    return entries
 
 
 def split_train_eval(entries, train_speakers, eval_speakers, seed=0):

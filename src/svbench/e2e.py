@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplingError, TrainingDivergedError, UsageError
-from .nn import Affine, Network, SgdOptimizer, effective_context, run_layer, splice
+from .nn import Affine, Network, SgdOptimizer, effective_context, splice
 
 # The layer recipe: a +-1 frame input splice, then three time-delay NIN blocks;
 # 3 + 6 + 4 + 4 = 17 frames of receptive field.
@@ -177,7 +177,7 @@ def calibrate_network(net, sample_chunks):
             h -= mean
             h /= std
         else:
-            h, _, lengths = run_layer(layer, h, lengths)
+            h, _, lengths = layer.forward(h, lengths)
     net.layers[last].W *= EMBEDDING_SCALE
     net.layers[last].b *= EMBEDDING_SCALE
     return net

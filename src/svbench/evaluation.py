@@ -165,7 +165,7 @@ def write_score_file(path, records):
 
 
 def read_score_file(path):
-    return read_rows(path, (str, str, float, trial_label))
+    return [row for _, row in read_rows(path, (str, str, float, trial_label))]
 
 
 def write_trial_file(path, trials):
@@ -175,7 +175,7 @@ def write_trial_file(path, trials):
 
 
 def read_trial_file(path):
-    return [Trial(*row) for row in read_rows(path, (str, str, trial_label))]
+    return [Trial(*row) for _, row in read_rows(path, (str, str, trial_label))]
 
 
 def write_segments_file(path, trial_list):
@@ -200,7 +200,7 @@ def read_segments_file(path):
     test_segments = {}
     segment = (str, str, str, str, str, float, float)
     layout = {"#condition": (str, str, float, float), "enroll": segment, "test": segment}
-    for kind, *fields in read_rows(path, layout):
+    for _, (kind, *fields) in read_rows(path, layout):
         if kind == "#condition":
             condition = fields[0]
         elif kind == "enroll":

@@ -95,10 +95,9 @@ def mel_filterbank(num_bins, fft_size, sample_rate):
     return _frozen(fb)
 
 
-def compute_fbank(clip, cfg=None):
+def compute_fbank(clip, cfg):
     """40-d (num_mel_bins) log mel filterbank energies of the clip's (dithered),
     pre-emphasized, Hamming-windowed frames."""
-    cfg = cfg or FrontendConfig()
     samples = clip.samples
     if cfg.dither > 0:
         # each clip gets its own noise, and the same noise on every rerun

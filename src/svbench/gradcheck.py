@@ -4,7 +4,7 @@ import numpy as np
 
 from .dvector import DVectorConfig, build_dvector_net
 from .e2e import E2EConfig, _batch_step, build_e2e_net, pair_loss
-from .nn import ReLU, grad_check, run_layer, segment_lengths, softmax_xent
+from .nn import ReLU, grad_check, segment_lengths, softmax_xent
 
 TOLERANCE = 1e-4
 DVECTOR_FRAMES = 25            # frames of the one utterance the d-vector check runs
@@ -25,7 +25,7 @@ def _frozen_forward(net, x, caches, lengths=None):
         if isinstance(layer, ReLU):
             h = h * cache
         else:
-            h, _, lengths = run_layer(layer, h, lengths)
+            h, _, lengths = layer.forward(h, lengths)
     return h
 
 

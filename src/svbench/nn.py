@@ -8,10 +8,12 @@ checks meaningful.
 
 A forward pass may carry several sequences at once: the input is their
 frames stacked into one packed (sum T x D) matrix, and `lengths` gives
-each segment's frame count. Affine and relu act row by row; time-delay
-layers replicate edge frames per segment and mean pooling reduces each
-segment to one row, so every segment's result has the same bytes as a pass
-over that segment alone. Without `lengths` the input is one segment.
+each segment's frame count, validated once by `Network.forward` (one
+segment without it). Every layer kind has one forward protocol,
+`forward(x, lengths) -> (out, cache, out_lengths)`: mean pooling reduces
+each segment to one row, so its `out_lengths` are ones, and every other
+kind returns `lengths`. Each segment's result has the bytes of a pass over
+that segment alone, except an affine's, which BLAS may round differently.
 
 Backward computes parameter gradients only: it stops at the lowest layer
 that has parameters and never forms the gradient with respect to the
@@ -44,8 +46,8 @@ class Affine:
     def params(self):
         return {"W": self.W, "b": self.b}
 
-    def forward(self, x):
-        return x @ self.W + self.b, x
+    def forward(self, x, lengths):
+        return x @ self.W + self.b, x, lengths
 
     def backward(self, g, cache, input_grad=True):
         """(dL/dx, or None without `input_grad`; parameter gradients)."""
@@ -61,9 +63,9 @@ class ReLU:
     kind = "relu"
     params = {}
 
-    def forward(self, x):
+    def forward(self, x, lengths):
         mask = x > 0
-        return x * mask, mask
+        return x * mask, mask, lengths
 
     def backward(self, g, cache):
         return g * cache, {}
@@ -98,8 +100,7 @@ class TimeDelay:
             raise ConfigError("time_delay offsets must be strictly increasing")
         self.offsets = offsets
 
-    def forward(self, x, lengths=None):
-        lengths = segment_lengths(x, lengths)
+    def forward(self, x, lengths):
         d = x.shape[1]
         out = np.empty((x.shape[0], d * len(self.offsets)), dtype=x.dtype)
         for start, t in zip(segment_starts(lengths), lengths):
@@ -112,7 +113,7 @@ class TimeDelay:
                 col[lo:hi] = seg[lo + o:hi + o]
                 if hi < t:
                     col[hi:] = seg[t - 1]
-        return out, (lengths, d)
+        return out, (lengths, d), lengths
 
     def backward(self, g, cache):
         """Adjoint of the edge-replicating gather, one segment at a time: each input
@@ -142,12 +143,11 @@ class MeanPool:
     kind = "temporal_mean_pool"
     params = {}
 
-    def forward(self, x, lengths=None):
-        lengths = segment_lengths(x, lengths)
+    def forward(self, x, lengths):
         out = np.empty((len(lengths), x.shape[1]))
         for row, start, t in zip(out, segment_starts(lengths), lengths):
             x[start:start + t].mean(axis=0, out=row)
-        return out, lengths
+        return out, lengths, (1,) * len(lengths)
 
     def backward(self, g, cache):
         t = np.asarray(cache)
@@ -173,17 +173,6 @@ def segment_lengths(x, lengths=None):
 def segment_starts(lengths):
     """First row of each segment of a packed matrix."""
     return list(accumulate(lengths[:-1], initial=0))
-
-
-def run_layer(layer, x, lengths):
-    """One layer over packed segments: (output, cache, output segment lengths)."""
-    if isinstance(layer, (TimeDelay, MeanPool)):
-        out, cache = layer.forward(x, lengths)
-    else:
-        out, cache = layer.forward(x)
-    if isinstance(layer, MeanPool):
-        lengths = (1,) * len(lengths)
-    return out, cache, lengths
 
 
 def layer_from_spec(spec, rng=None, index=0):
@@ -240,7 +229,7 @@ class Network:
         lengths = segment_lengths(x, lengths)
         caches = []
         for layer in self.layers[:up_to]:
-            x, cache, lengths = run_layer(layer, x, lengths)
+            x, cache, lengths = layer.forward(x, lengths)
             caches.append(cache)
         return x, caches
 
@@ -290,13 +279,12 @@ def splice(k):
     return {"kind": "time_delay", "offsets": list(range(-k, k + 1))}
 
 
-def context_window(net_or_specs):
-    """(left, right) frame extents of the receptive field around t.
+def context_window(specs):
+    """(left, right) frame extents of the receptive field around t of a spec list.
 
     Computed from the time-delay offsets: the output at frame t depends on
     input frames [t + sum(min offsets), t + sum(max offsets)].
     """
-    specs = net_or_specs.specs() if isinstance(net_or_specs, Network) else list(net_or_specs)
     left = right = 0
     for s in specs:
         if s["kind"] == "time_delay":
@@ -307,9 +295,9 @@ def context_window(net_or_specs):
     return left, right
 
 
-def effective_context(net_or_specs):
-    """Temporal receptive field (frame count) of a layer stack."""
-    left, right = context_window(net_or_specs)
+def effective_context(specs):
+    """Temporal receptive field (frame count) of a spec list."""
+    left, right = context_window(specs)
     return right - left + 1
 
 
@@ -367,9 +355,8 @@ class SgdOptimizer:
         self.cfg = cfg
         self.velocity = {}
 
-    def step(self, params, grads, lr=None):
-        """Apply one update; returns (global gradient norm, clip scale applied)."""
-        lr = self.cfg.learning_rate if lr is None else lr
+    def step(self, params, grads, lr):
+        """Apply one update at rate `lr`; returns (global gradient norm, clip scale applied)."""
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise TrainingDivergedError(f"non-finite gradient for {name}", where=name)

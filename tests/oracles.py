@@ -161,11 +161,10 @@ def _gather_index(lengths, offset):
                            for start, t in zip(starts, lengths)])
 
 
-def time_delay_forward(layer, x, lengths=None):
+def time_delay_forward(layer, x, lengths):
     """TimeDelay.forward as one clipped-index gather per offset over all segments."""
-    lengths = (x.shape[0],) if lengths is None else tuple(int(t) for t in lengths)
     cols = [x[_gather_index(lengths, o)] for o in layer.offsets]
-    return np.concatenate(cols, axis=1), (lengths, x.shape[1])
+    return np.concatenate(cols, axis=1), (lengths, x.shape[1]), lengths
 
 
 def time_delay_backward(layer, g, cache):

@@ -188,7 +188,7 @@ def test_featurize_fbank(tiny_run):
     manifest = os.path.join(out, "corpus", "manifest.tsv")
     invoke(runner, config, out, "featurize", "--manifest", manifest, "--name", "fbank")
     for e in read_manifest(manifest):
-        raw = compute_fbank(read_wav(e.path))
+        raw = compute_fbank(read_wav(e.path), FrontendConfig())
         path = os.path.join(out, "fbank", f"{e.utt_id}.svbf")
         stored, frontend = store.load_features(path)
         assert frontend == FrontendConfig().record()
@@ -433,6 +433,18 @@ def _bad_manifest(tmp_path):
             _write(tmp_path / "bad.tsv", "u1\tspk1\tfemale\tu1.wav\tabc\n")]
 
 
+def _repeated_utterance(tmp_path):
+    # the blank line counts: the repeat is on line 3
+    return ["trials", "--manifest", _write(tmp_path / "bad.tsv", "u1\tspk1\tfemale\tu1.wav\t2.0\n"
+                                           "\nu1\tspk1\tfemale\tu1.wav\t2.0\n")]
+
+
+def _speaker_under_two_genders(tmp_path):
+    return ["trials", "--manifest", _write(tmp_path / "bad.tsv", "u1\tspk1\tfemale\tu1.wav\t2.0\n"
+                                           "u2\tspk2\tmale\tu2.wav\t2.0\n"
+                                           "u3\tspk1\tmale\tu3.wav\t2.0\n")]
+
+
 def _score_args(tmp_path, trials, segments):
     manifest = _write(tmp_path / "manifest.tsv", "u1\tspk1\tfemale\tu1.wav\t2.0\n")
     return ["score", "--system", "random", "--trials", trials, "--segments", segments,
@@ -450,15 +462,18 @@ def _bad_segments_file(tmp_path):
     return _score_args(tmp_path, trials, bad)
 
 
-@pytest.mark.parametrize("make_args", [_bad_score_file, _bad_manifest,
-                                       _bad_trial_file, _bad_segments_file])
-def test_malformed_tsv_fails_with_location(tmp_path, make_args):
+BAD_TSV = [(_bad_score_file, 1), (_bad_manifest, 1), (_bad_trial_file, 1),
+           (_bad_segments_file, 1), (_repeated_utterance, 3), (_speaker_under_two_genders, 3)]
+
+
+@pytest.mark.parametrize("make_args, line", BAD_TSV, ids=[make.__name__ for make, _ in BAD_TSV])
+def test_malformed_tsv_fails_with_location(tmp_path, make_args, line):
     args = make_args(tmp_path)
     result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), *args])
     assert result.exit_code != 0
     assert isinstance(result.exception, SystemExit)      # a reported error, not a crash
     assert "Traceback" not in result.output
-    assert f"{tmp_path / 'bad.tsv'}:1:" in result.output
+    assert f"{tmp_path / 'bad.tsv'}:{line}:" in result.output
 
 
 @pytest.fixture(scope="module")

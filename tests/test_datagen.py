@@ -5,7 +5,7 @@ from svbench.audio import read_wav
 from svbench.corpus import read_manifest, split_train_eval
 from svbench.datagen import SyntheticSpec, draw_voice_model, generate_corpus
 from svbench.errors import UsageError
-from svbench.frontend import compute_fbank
+from svbench.frontend import FrontendConfig, compute_fbank
 
 
 def test_regeneration_byte_identical(tmp_path):
@@ -41,7 +41,7 @@ def test_speaker_separability(small_corpus):
     entries, _ = small_corpus
     means = {}
     for e in entries:
-        feat = compute_fbank(read_wav(e.path))
+        feat = compute_fbank(read_wav(e.path), FrontendConfig())
         means.setdefault(e.speaker_id, []).append(feat.frames.mean(axis=0))
     speakers = sorted(means)
     intra, inter = [], []

@@ -29,7 +29,7 @@ def test_final_layer_width_is_speaker_count():
 
 def test_receptive_field_window():
     net = build_dvector_net(DVectorConfig(**SMALL, input_dim=8))
-    left, right = context_window(net)
+    left, right = context_window(net.specs())
     assert (left, right) == (-9, 10)
 
 

@@ -17,7 +17,7 @@ from svbench.frontend import (CMVN_MODES, FeatureMatrix, FrontendConfig, cmvn, c
 
 def test_frame_count_one_second(tone_clip):
     # 16000 samples, 400-sample frames, 160-sample shift -> 98 frames
-    feat = compute_fbank(tone_clip)
+    feat = compute_fbank(tone_clip, FrontendConfig())
     assert feat.frames.shape == (98, 40)
 
 
@@ -28,7 +28,7 @@ def test_num_frames_for_formula():
 
 
 def test_tone_peaks_in_matching_mel_bin(tone_clip):
-    feat = compute_fbank(tone_clip)
+    feat = compute_fbank(tone_clip, FrontendConfig())
     # 400-sample frames use a 512-point FFT; each filter peaks at its center bin
     centers = np.argmax(mel_filterbank(40, 512, 16000), axis=1) * 16000 / 512
     expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
@@ -36,7 +36,7 @@ def test_tone_peaks_in_matching_mel_bin(tone_clip):
 
 
 def test_silence_rows_identical(silence_clip):
-    feat = compute_fbank(silence_clip)
+    feat = compute_fbank(silence_clip, FrontendConfig())
     assert np.all(feat.frames == feat.frames[0])
 
 
@@ -64,7 +64,7 @@ def test_cmvn_idempotent():
 
 def test_too_short_clip_rejected():
     with pytest.raises(UsageError):
-        compute_fbank(AudioClip(np.zeros(100), 16000))
+        compute_fbank(AudioClip(np.zeros(100), 16000), FrontendConfig())
 
 
 def test_feature_matrix_validation():
@@ -132,7 +132,7 @@ def test_features_match_reference_front_end_byte_for_byte(num_samples, settings)
 
 
 def test_front_end_tables_built_once_and_read_only(tone_clip):
-    compute_fbank(tone_clip)
+    compute_fbank(tone_clip, FrontendConfig())
     window, bank = frontend._hamming(400), mel_filterbank(40, 512, 16000)
     assert window is frontend._hamming(400) and bank is mel_filterbank(40, 512, 16000)
     for table in (window, bank):

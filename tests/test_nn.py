@@ -11,35 +11,35 @@ from svbench.nn import (Affine, MeanPool, Network, ReLU, SgdOptimizer,
 
 
 def test_relu_example():
-    out, _ = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
+    out, _, _ = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]), (1,))
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
 def test_affine_zero_weights_outputs_bias():
     layer = Affine(3, 2)
     layer.b[...] = [1.5, -2.0]
-    out, _ = layer.forward(np.random.default_rng(0).standard_normal((5, 3)))
+    out, _, _ = layer.forward(np.random.default_rng(0).standard_normal((5, 3)), (5,))
     np.testing.assert_allclose(out, np.tile([1.5, -2.0], (5, 1)))
 
 
 def test_mean_pool_identical_rows():
     row = np.array([1.0, 2.0, 3.0])
-    out, _ = MeanPool().forward(np.tile(row, (7, 1)))
+    out, _, _ = MeanPool().forward(np.tile(row, (7, 1)), (7,))
     np.testing.assert_allclose(out, row[None, :])
 
 
 def test_mean_pool_permutation_invariant():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((20, 5))
-    out, _ = MeanPool().forward(x)
-    out_p, _ = MeanPool().forward(x[rng.permutation(20)])
+    out, _, _ = MeanPool().forward(x, (20,))
+    out_p, _, _ = MeanPool().forward(x[rng.permutation(20)], (20,))
     np.testing.assert_allclose(out, out_p, atol=1e-12)
 
 
 def test_affine_bias_gradient_is_ones():
     layer = Affine(4, 3, rng=np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((6, 4))
-    _, cache = layer.forward(x)
+    _, cache, _ = layer.forward(x, (6,))
     _, grads = layer.backward(np.ones((6, 3)), cache)
     np.testing.assert_allclose(grads["b"], 6.0 * np.ones(3))
 
@@ -47,7 +47,7 @@ def test_affine_bias_gradient_is_ones():
 def test_relu_gradient_mask():
     x = np.array([[-2.0, -0.1, 0.5, 3.0]])
     layer = ReLU()
-    _, cache = layer.forward(x)
+    _, cache, _ = layer.forward(x, (1,))
     gx, _ = layer.backward(np.ones_like(x), cache)
     np.testing.assert_array_equal(gx, [[0.0, 0.0, 1.0, 1.0]])
 
@@ -61,15 +61,18 @@ def test_time_delay_offsets_validation():
         TimeDelay([])
 
 
-@pytest.mark.parametrize("offsets", [range(-4, 5), (0, 1), (-3, 0, 3), (2, 5), (-6, -5)])
+OFFSETS = [range(-4, 5), (0, 1), (-3, 0, 3), (2, 5), (-6, -5)]
+
+
+@pytest.mark.parametrize("offsets", OFFSETS)
 @pytest.mark.parametrize("t", [1, 2, 3, 5, 50])
 def test_time_delay_matches_reference_bytes(t, offsets):
     # includes T <= |offset|, where whole columns replicate one edge frame
     td = TimeDelay(offsets)
     rng = np.random.default_rng(t)
     x = rng.standard_normal((t, 3))
-    out, cache = td.forward(x)
-    ref_out, ref_cache = oracles.time_delay_forward(td, x)
+    out, cache, _ = td.forward(x, (t,))
+    ref_out, ref_cache, _ = oracles.time_delay_forward(td, x, (t,))
     assert out.tobytes() == ref_out.tobytes() and cache == ref_cache
     g = rng.standard_normal(out.shape)
     assert td.backward(g, cache)[0].tobytes() == oracles.time_delay_backward(td, g, cache)[0].tobytes()
@@ -85,41 +88,52 @@ def _segments(lengths, seed):
     return x, [x[s:s + t].copy() for s, t in zip(starts, lengths)]
 
 
-@pytest.mark.parametrize("offsets", [range(-4, 5), (0, 1), (-3, 0, 3), (2, 5), (-6, -5)])
+# the layer kinds that keep one row per frame: time delays, then affine and relu
+ROW_LAYERS = {f"offsets{i}": TimeDelay(offsets) for i, offsets in enumerate(OFFSETS)}
+ROW_LAYERS.update(affine=Affine(3, 4, rng=np.random.default_rng(0)), relu=ReLU())
+
+
+@pytest.mark.parametrize("name", ROW_LAYERS)
 @pytest.mark.parametrize("lengths", RAGGED, ids=str)
-def test_packed_time_delay_matches_segments_alone(lengths, offsets):
+def test_packed_time_delay_matches_segments_alone(lengths, name):
     # ragged segments, many shorter than |offset|: each packed segment's rows
     # must have the bytes of that segment run alone, forward and backward
-    td = TimeDelay(offsets)
+    # (an affine's to rounding), and the output keeps the input's lengths
+    layer = ROW_LAYERS[name]
     x, segments = _segments(lengths, seed=len(lengths))
-    out, cache = td.forward(x, lengths)
-    assert cache == (lengths, 3)
+    out, cache, out_lengths = layer.forward(x, lengths)
+    assert out_lengths == lengths
     g = np.random.default_rng(sum(lengths)).standard_normal(out.shape)
-    gx, _ = td.backward(g, cache)
+    gx, _ = layer.backward(g, cache)
     start = 0
     for seg in segments:
         t = seg.shape[0]
-        seg_out, seg_cache = td.forward(seg)
-        assert out[start:start + t].tobytes() == seg_out.tobytes()
-        assert gx[start:start + t].tobytes() == td.backward(g[start:start + t], seg_cache)[0].tobytes()
+        seg_out, seg_cache, _ = layer.forward(seg, (t,))
+        seg_gx, _ = layer.backward(g[start:start + t], seg_cache)
+        for packed, alone in ((out[start:start + t], seg_out), (gx[start:start + t], seg_gx)):
+            if isinstance(layer, Affine):   # BLAS may order a lone segment's sums differently
+                np.testing.assert_allclose(packed, alone, rtol=1e-12, atol=1e-12)
+            else:
+                assert packed.tobytes() == alone.tobytes()
         start += t
-    ref_out, ref_cache = oracles.time_delay_forward(td, x, lengths)
-    assert out.tobytes() == ref_out.tobytes() and cache == ref_cache
-    assert gx.tobytes() == oracles.time_delay_backward(td, g, cache)[0].tobytes()
+    if isinstance(layer, TimeDelay):
+        ref_out, ref_cache, _ = oracles.time_delay_forward(layer, x, lengths)
+        assert out.tobytes() == ref_out.tobytes() and cache == ref_cache == (lengths, 3)
+        assert gx.tobytes() == oracles.time_delay_backward(layer, g, cache)[0].tobytes()
 
 
 @pytest.mark.parametrize("lengths", RAGGED, ids=str)
 def test_packed_mean_pool_matches_segments_alone(lengths):
     pool = MeanPool()
     x, segments = _segments(lengths, seed=len(lengths))
-    out, cache = pool.forward(x, lengths)
-    assert out.shape == (len(lengths), 3)
+    out, cache, out_lengths = pool.forward(x, lengths)
+    assert out.shape == (len(lengths), 3) and out_lengths == (1,) * len(lengths)
     g = np.random.default_rng(sum(lengths)).standard_normal(out.shape)
     gx, _ = pool.backward(g, cache)
     start = 0
     for i, seg in enumerate(segments):
         t = seg.shape[0]
-        seg_out, seg_cache = pool.forward(seg)
+        seg_out, seg_cache, _ = pool.forward(seg, (t,))
         assert out[i:i + 1].tobytes() == seg_out.tobytes()
         assert gx[start:start + t].tobytes() == pool.backward(g[i:i + 1], seg_cache)[0].tobytes()
         start += t
@@ -154,11 +168,11 @@ def test_time_delay_dependency_structure():
     td = TimeDelay([-2, 0, 2])
     rng = np.random.default_rng(2)
     x = rng.standard_normal((11, 3))
-    base, _ = td.forward(x)
+    base, _, _ = td.forward(x, (11,))
     # frame t depends exactly on frames t + offsets
     bumped = x.copy()
     bumped[7] += 1.0
-    out, _ = td.forward(bumped)
+    out, _, _ = td.forward(bumped, (11,))
     changed = np.where(np.any(out != base, axis=1))[0]
     np.testing.assert_array_equal(changed, [5, 7, 9])
 
@@ -228,62 +242,62 @@ def test_softmax_label_validation():
 
 def test_optimizer_zero_gradient_noop():
     p = np.array([1.0, 2.0])
-    opt = SgdOptimizer(TrainerConfig(learning_rate=0.1))
-    opt.step({"p": p}, {"p": np.zeros(2)})
+    opt = SgdOptimizer(TrainerConfig())
+    opt.step({"p": p}, {"p": np.zeros(2)}, lr=0.1)
     np.testing.assert_array_equal(p, [1.0, 2.0])
 
 
 def test_optimizer_single_step_definition():
     p = np.array([1.0])
-    opt = SgdOptimizer(TrainerConfig(learning_rate=0.1, momentum=0.0, clip_norm=0.0))
-    opt.step({"p": p}, {"p": np.array([2.0])})
+    opt = SgdOptimizer(TrainerConfig(momentum=0.0, clip_norm=0.0))
+    opt.step({"p": p}, {"p": np.array([2.0])}, lr=0.1)
     np.testing.assert_allclose(p, [1.0 - 0.1 * 2.0])
 
 
 def test_optimizer_quadratic_bowl_descent():
     p = np.array([5.0, -3.0])
     start = float(np.sum(p ** 2))
-    opt = SgdOptimizer(TrainerConfig(learning_rate=0.1, momentum=0.5, clip_norm=0.0))
+    opt = SgdOptimizer(TrainerConfig(momentum=0.5, clip_norm=0.0))
     losses = []
     for _ in range(100):
         losses.append(float(np.sum(p ** 2)))
-        opt.step({"p": p}, {"p": 2.0 * p})
+        opt.step({"p": p}, {"p": 2.0 * p}, lr=0.1)
     assert losses[-1] < 1e-6 * start
 
 
 def test_optimizer_rejects_nonfinite_gradient():
-    opt = SgdOptimizer(TrainerConfig(learning_rate=0.1))
+    opt = SgdOptimizer(TrainerConfig())
     with pytest.raises(TrainingDivergedError):
-        opt.step({"p": np.zeros(1)}, {"p": np.array([np.nan])})
+        opt.step({"p": np.zeros(1)}, {"p": np.array([np.nan])}, lr=0.1)
 
 
 def test_clipping_bounds_update_norm():
     p = np.zeros(4)
-    opt = SgdOptimizer(TrainerConfig(learning_rate=1.0, momentum=0.0, clip_norm=1.0))
-    opt.step({"p": p}, {"p": np.full(4, 100.0)})
+    opt = SgdOptimizer(TrainerConfig(momentum=0.0, clip_norm=1.0))
+    opt.step({"p": p}, {"p": np.full(4, 100.0)}, lr=1.0)
     assert np.linalg.norm(p) == pytest.approx(1.0)
 
 
 def test_optimizer_step_reports_norm_and_clip_scale():
-    opt = SgdOptimizer(TrainerConfig(learning_rate=0.1, clip_norm=5.0))
+    opt = SgdOptimizer(TrainerConfig(clip_norm=5.0))
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-    assert opt.step({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads) == (5.0, 1.0)
+    assert opt.step({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads, lr=0.1) == (5.0, 1.0)
     grads = {"a": np.array([6.0, 0.0]), "b": np.array([[8.0]])}
-    norm, scale = opt.step({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads)
+    norm, scale = opt.step({"a": np.zeros(2), "b": np.zeros((1, 1))}, grads, lr=0.1)
     assert (norm, scale) == (10.0, 0.5) and type(norm) is float and type(scale) is float
 
 
 def test_splice_widths():
     x = np.zeros((7, 40))
-    assert TimeDelay(range(-4, 5)).forward(x)[0].shape == (7, 360)   # 9 frames total
-    assert TimeDelay(range(-1, 2)).forward(x)[0].shape == (7, 120)   # 3 frames total
+    assert TimeDelay(range(-4, 5)).forward(x, (7,))[0].shape == (7, 360)   # 9 frames total
+    assert TimeDelay(range(-1, 2)).forward(x, (7,))[0].shape == (7, 120)   # 3 frames total
     x = np.random.default_rng(3).standard_normal((7, 40))
-    np.testing.assert_array_equal(TimeDelay([0]).forward(x)[0], x)  # context 0: unchanged
+    np.testing.assert_array_equal(TimeDelay([0]).forward(x, (7,))[0], x)  # context 0: unchanged
 
 
 def test_splice_edge_replication():
     x = np.arange(5, dtype=np.float64)[:, None]
-    out, _ = TimeDelay([-1, 0, 1]).forward(x)
+    out, _, _ = TimeDelay([-1, 0, 1]).forward(x, (5,))
     np.testing.assert_array_equal(out[0], [0, 0, 1])   # left edge replicated
     np.testing.assert_array_equal(out[-1], [3, 4, 4])  # right edge replicated
 

@@ -43,16 +43,28 @@ def test_benchmark_workloads_import(monkeypatch):
     assert sorted(workloads.WORKLOADS) == WORKLOAD_NAMES
 
 
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_tiny_unit_passes_the_benchmark_checks(monkeypatch, tmp_path, name):
+@pytest.mark.parametrize("name, traced", [(n, t) for t in (False, True) for n in WORKLOAD_NAMES],
+                         ids=WORKLOAD_NAMES + [f"{n}-traced" for n in WORKLOAD_NAMES])
+def test_tiny_unit_passes_the_benchmark_checks(monkeypatch, tmp_path, name, traced):
     # the benchmark's own set-up and output checks on two units, at its tiny size;
-    # the second must reproduce the first unit's output bytes
+    # the second must reproduce the first unit's output bytes. Traced, the span
+    # notes read the patched calls' arguments, so a layer signature they no
+    # longer fit fails here.
     monkeypatch.syspath_prepend(PERFBENCH)
+    from tracing import Tracer
     from workloads import TINY, WORKLOADS, Bench
 
-    bench, workload = Bench(seed=5), WORKLOADS[name](TINY)
-    workload.setup(bench, str(tmp_path))
-    workload.after_setup(str(tmp_path))
-    for _ in range(2):
-        assert workload.unit(bench, str(tmp_path)) is not None
+    tracer = Tracer()
+    bench, workload = Bench(seed=5, tracer=tracer if traced else None), WORKLOADS[name](TINY)
+    if traced:
+        tracer.install()
+    try:
+        workload.setup(bench, str(tmp_path))
+        workload.after_setup(str(tmp_path))
+        for _ in range(2):
+            assert workload.unit(bench, str(tmp_path)) is not None
+    finally:
+        tracer.uninstall()
     assert bench.failures == [] and bench.failed == 0
+    if traced:
+        assert tracer.layer_metrics(0.0)[0]["nn.Affine.gflop"] > 0
