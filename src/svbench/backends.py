@@ -151,7 +151,7 @@ def plda_log_likelihood(model, x, labels):
     return float(total)
 
 
-def fit_plda(vectors, labels, iterations=20, check_normalized=True):
+def fit_plda(vectors, labels, iterations, check_normalized=True):
     """EM for the two-covariance model; returns the PldaModel.
 
     Expects centered, length-normalized input (checked unless disabled).

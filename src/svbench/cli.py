@@ -190,8 +190,7 @@ def fit_backend(ws, vectors, kind, out_path):
     else:
         center = x.mean(axis=0)
         normalized = center_and_length_normalize(x, center)
-        model = fit_plda(normalized, labels,
-                         iterations=ws.cfg["backends"]["plda_iterations"])
+        model = fit_plda(normalized, labels, ws.cfg["backends"]["plda_iterations"])
         store.save_plda(out_path, model, center)
     click.echo(f"fitted {kind} back-end -> {out_path}")
 
@@ -255,13 +254,12 @@ def score(ws, system, trials_path, segments_path, manifest, model, backend, out_
     and read by every later `score` with the same model, sides and segments files."""
     ws.prepare()
     trial_items = read_trial_file(trials_path)
-    _, enroll_segments, test_segments = read_segments_file(segments_path)
-    _check_sides(trial_items, enroll_segments, test_segments,
-                 trials_path, segments_path, manifest)
+    _, enroll, test = read_segments_file(segments_path)
+    _check_sides(trial_items, enroll, test, trials_path, segments_path, manifest)
     net, scorer = store.load_model(model) if model else (None, None)
     backend_args = store.load_backend(backend) if backend else {}
 
-    sides = lambda: pipeline.side_vectors(segments_path, model, net)
+    sides = lambda: pipeline.side_vectors(segments_path, enroll, test, model, net)
     records = pipeline.score_trials(system, trial_items, sides, net=net, scorer=scorer,
                                     seed=ws.seed, **backend_args)
     write_score_file(out_path, records)

@@ -208,7 +208,7 @@ def pair_loss(same_logits, diff_logits, k):
     return loss, g_same, g_diff
 
 
-def sample_chunk_length(rng, lo=E2EConfig.chunk_min, hi=E2EConfig.chunk_max):
+def sample_chunk_length(rng, lo, hi):
     """Log-uniform chunk length in [lo, hi] frames."""
     return min(int(np.exp(rng.uniform(np.log(lo), np.log(hi + 1)))), hi)
 
@@ -221,7 +221,7 @@ def _cut_chunk(frames, length, rng):
     return frames[start:start + length]
 
 
-def sample_pair_batch(corpus, n, rng, chunk_bounds=(E2EConfig.chunk_min, E2EConfig.chunk_max)):
+def sample_pair_batch(corpus, n, rng, chunk_bounds):
     """Draw N speakers and two chunks of each: returns (chunks, speakers).
 
     `corpus` maps speaker id -> list of utterance feature matrices. Speaker

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import read_rows
-from .errors import UsageError
+from .errors import FormatError, UsageError
 
 MIN_SEGMENT_SECS = 0.1             # shortest cut worth featurizing
 LABELS = ("target", "nontarget")
@@ -194,19 +194,27 @@ def write_segments_file(path, trial_list):
 
 
 def read_segments_file(path):
-    """Returns (condition, enroll_segments, test_segments)."""
-    condition = ""
-    enroll_segments = {}
-    test_segments = {}
+    """Returns (condition, enroll_segments, test_segments); FormatError naming path:line
+    and the earlier line for a repeated test id or an enroll id under two speakers."""
+    condition, enroll_segments, test_segments = "", {}, {}
+    first = {}   # (kind, id) -> (line, speaker) of the id's first row
     segment = (str, str, str, str, str, float, float)
     layout = {"#condition": (str, str, float, float), "enroll": segment, "test": segment}
-    for _, (kind, *fields) in read_rows(path, layout):
+    for lineno, (kind, *fields) in read_rows(path, layout):
         if kind == "#condition":
             condition = fields[0]
-        elif kind == "enroll":
-            enroll_segments.setdefault(fields[0], []).append(Segment(*fields))
+            continue
+        seg = Segment(*fields)
+        line, speaker = first.setdefault((kind, seg.seg_id), (lineno, seg.speaker_id))
+        if kind == "test" and line != lineno:
+            raise FormatError(f"{path}:{lineno}: test side {seg.seg_id!r} repeats line {line}")
+        if speaker != seg.speaker_id:
+            raise FormatError(f"{path}:{lineno}: enroll side {seg.seg_id!r} is of speaker "
+                              f"{seg.speaker_id!r} here but {speaker!r} on line {line}")
+        if kind == "enroll":
+            enroll_segments.setdefault(seg.seg_id, []).append(seg)
         else:
-            test_segments[fields[0]] = Segment(*fields)
+            test_segments[seg.seg_id] = seg
     return condition, enroll_segments, test_segments
 
 

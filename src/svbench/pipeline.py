@@ -112,27 +112,13 @@ def save_trial_sides(segments_path, entries, fcfg):
                              sum(map(len, sides)), rows)
 
 
-def load_trial_sides(segments_path, frontend, cmvn_mode, vector_of):
-    """(enroll, test) dicts of side id -> vector_of(frames), in segments-file order, where
-    `frames` are the side's raw rows from side_file(segments_path), normalized by
-    `cmvn_mode`; each side is read and passed to vector_of before the next is read.
-    FormatError naming the side file, before any row is read, if its frontend record
-    differs from `frontend`, or its sha256 or row count from the segments file's."""
-    path = side_file(segments_path)
-    made_with, digest, count, rows = store.load_side_features(path)
-    if made_with != frontend:
-        raise FormatError(f"{path}: trial sides made with frontend {made_with}, but the model "
-                          f"with {frontend}; rerun `svbench trials` with the model's [frontend]")
-    _, enroll, test = read_segments_file(segments_path)
-    if digest != sha256_of(segments_path) or count != sum(map(len, enroll.values())) + len(test):
-        raise FormatError(f"{path}: not made from {segments_path} as it is now; "
-                          f"rerun `svbench trials`")
-    side = lambda n: vector_of(np.concatenate(
-        [normalize(FeatureMatrix(next(rows)), cmvn_mode).frames for _ in range(n)], axis=0))
-    return {sid: side(len(segs)) for sid, segs in enroll.items()}, {tid: side(1) for tid in test}
-
-
-SYSTEMS = ("dvector-cosine", "dvector-lda", "dvector-plda", "e2e", "random")
+SYSTEMS = {  # system -> (family of the trained net it reads, back-end kind it reads)
+    "dvector-cosine": ("dvector", None),
+    "dvector-lda": ("dvector", "lda"),
+    "dvector-plda": ("dvector", "plda"),
+    "e2e": ("e2e", None),
+    "random": (None, None),
+}
 
 
 def utterance_vector(net, frames):
@@ -146,75 +132,80 @@ def vector_width(net):
     return net.layers[-1].d_out if net.meta["model"] == "e2e" else net.layers[-1].d_in
 
 
-def side_vectors(segments_path, model_path, net):
+def side_vectors(segments_path, enroll, test, model_path, net):
     """(enroll, test) dicts of side id -> utterance_vector under `net`, the model read
-    from `model_path`, of the sides of a segments file, in segments-file order.
+    from `model_path`, of the sides that read_segments_file(segments_path) gave as
+    `enroll` and `test`, in their order.
 
     They are read from vectors_file(segments_path, the model's family) if its stamp holds
-    the sha256 of the model, side and segments files as they are now. Otherwise each side of
-    load_trial_sides, which refuses what does not fit the model or the segments file, is
-    embedded as it is read, and the vectors are written there as float64 matrices, so that
-    scores keep their bytes."""
+    the sha256 of the model, side and segments files as they are now. Otherwise each side's
+    rows of side_file(segments_path), normalized by the net's CMVN mode, are embedded as
+    they are read, and the vectors are written there as float64 matrices, so that scores
+    keep their bytes. FormatError naming the side file, before any row is read, if its
+    frontend record differs from the net's, or its sha256 or row count from the segments
+    file's."""
     sides, path = side_file(segments_path), vectors_file(segments_path, net.meta["model"])
-    stamp = {"model": sha256_of(model_path), "segments": sha256_of(segments_path),
+    digest, width = sha256_of(segments_path), vector_width(net)
+    stamp = {"model": sha256_of(model_path), "segments": digest,
              "sides": sha256_of(sides) if os.path.exists(sides) else None}
     if os.path.exists(path):
-        _, enroll, test = read_segments_file(segments_path)
-        found = store.load_side_vectors(path, stamp, len(enroll), len(test), vector_width(net))
+        found = store.load_side_vectors(path, stamp, len(enroll), len(test), width)
         if found is not None:
             return tuple(dict(zip(ids, matrix)) for ids, matrix in zip((enroll, test), found))
-    enroll, test = load_trial_sides(segments_path, net.meta["frontend"], net.meta["cmvn"],
-                                    lambda frames: utterance_vector(net, frames))
-    width = vector_width(net)
+    made_with, made_from, count, rows = store.load_side_features(sides)
+    if made_with != net.meta["frontend"]:
+        raise FormatError(f"{sides}: trial sides made with frontend {made_with}, but the model "
+                          f"with {net.meta['frontend']}; rerun `svbench trials` with the "
+                          f"model's [frontend]")
+    if made_from != digest or count != sum(map(len, enroll.values())) + len(test):
+        raise FormatError(f"{sides}: not made from {segments_path} as it is now; "
+                          f"rerun `svbench trials`")
+    side = lambda n: utterance_vector(net, np.concatenate(
+        [normalize(FeatureMatrix(next(rows)), net.meta["cmvn"]).frames for _ in range(n)], axis=0))
+    vectors = ({sid: side(len(segs)) for sid, segs in enroll.items()},
+               {tid: side(1) for tid in test})
     store.save_side_vectors(path, stamp, *(np.reshape(list(v.values()), (len(v), width))
-                                           for v in (enroll, test)))
-    return enroll, test
+                                           for v in vectors))
+    return vectors
 
 
 def score_trials(system, trials, sides, *, net=None, scorer=None,
                  lda=None, plda=None, plda_center=None, seed=0):
     """Score every trial with one system; returns (enroll, test, score, label) records.
 
-    A system of SYSTEMS needs a trained net of its family (e2e: with its
-    bilinear `scorer`), then dvector-lda or dvector-plda its back-end, fitted on
-    vectors of the net's d-vector width, and `random` neither; a UsageError names
-    what is missing, does not fit or would go unread before `sides()` is called for
-    the (enroll, test) dicts of side id -> vector under the net, as side_vectors
-    gives them. Each per-side transform runs once on the enroll and once on the
-    test matrix, and one scorer call fills the (enroll x test) grid that each
-    trial reads its score from.
-    `random` draws one uniform score per trial.
-    """
+    The system's row of SYSTEMS names what it reads: a trained net of its family (only
+    an e2e net with its bilinear `scorer`) and a back-end of its kind, fitted on vectors
+    of the net's width; `random` reads neither and draws one uniform score per trial. A
+    UsageError names what is missing, does not fit or would go unread before `sides()`
+    is called for the (enroll, test) dicts of side id -> vector under the net, as
+    side_vectors gives them. Each per-side transform runs once on the enroll and once
+    on the test matrix, and one scorer call fills the (enroll x test) grid that each
+    trial reads its score from."""
     if system not in SYSTEMS:
         raise UsageError(f"unknown system {system!r}")
-    if (lda is not None or plda is not None) and system not in ("dvector-lda", "dvector-plda"):
+    family, kind = SYSTEMS[system]
+    if (lda is not None or plda is not None) and kind is None:
         raise UsageError(f"system {system!r} reads no --backend")
-    if system == "random":
+    if family is None:
         if net is not None:
-            raise UsageError("system 'random' reads no --model")
+            raise UsageError(f"system {system!r} reads no --model")
         scores = np.random.default_rng(seed).uniform(-1, 1, len(trials))
         return [(t.enroll_id, t.test_id, float(s), t.label) for t, s in zip(trials, scores)]
-
-    family = "e2e" if system == "e2e" else "dvector"
-    if net is None or net.meta["model"] != family or (family == "e2e" and scorer is None):
+    if net is None or net.meta["model"] != family or (scorer is None) == (family == "e2e"):
         raise UsageError(f"system {system!r} needs a trained {family} model as --model")
-    if system == "e2e":
-        grid_of = scorer.score
-    elif system == "dvector-cosine":
-        grid_of = cosine_score
-    elif system == "dvector-lda":
-        if lda is None:
-            raise UsageError("system 'dvector-lda' needs a fitted LDA back-end as --backend")
-        backend_width = len(lda.mean)
+    if kind is None:   # the model's own scorer if it has one (e2e), else cosine
+        width, grid_of = vector_width(net), cosine_score if scorer is None else scorer.score
+    elif kind == "lda" and lda is not None:
+        width = len(lda.mean)
         grid_of = lambda e, t: cosine_score(lda.transform(e), lda.transform(t))
-    else:
-        if plda is None or plda_center is None:
-            raise UsageError("system 'dvector-plda' needs a fitted PLDA back-end as --backend")
-        backend_width = len(plda_center)
+    elif kind == "plda" and plda is not None and plda_center is not None:
+        width = len(plda_center)
         grid_of = lambda e, t: plda.score(center_and_length_normalize(e, plda_center),
                                           center_and_length_normalize(t, plda_center))
-    if system in ("dvector-lda", "dvector-plda") and backend_width != vector_width(net):
-        raise UsageError(f"--backend was fitted on {backend_width}-dim vectors, but the "
+    else:
+        raise UsageError(f"system {system!r} needs a fitted {kind.upper()} back-end as --backend")
+    if width != vector_width(net):
+        raise UsageError(f"--backend was fitted on {width}-dim vectors, but the "
                          f"model's d-vectors have {vector_width(net)} dims")
     if not trials:
         return []

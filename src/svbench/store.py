@@ -121,7 +121,7 @@ def save_vectors(path, kind, ids, speakers, matrix):
                     {"vectors": np.asarray(matrix, dtype=np.float64)})
 
 
-def load_vectors(path, kind=None):
+def load_vectors(path, kind):
     """(ids, speakers, vectors) of a vector set; FormatError naming `path` unless there are
     as many ids as speakers and the vectors are a float64 matrix with a row for each."""
     _, header, arrays = read_container(path, expect_kind=kind)

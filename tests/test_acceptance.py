@@ -93,7 +93,7 @@ def test_pair_batch_law(n):
     source = {id(utt): spk for spk, utts in corpus.items() for utt in utts}
     rng = np.random.default_rng(100 + n)
     for _ in range(1000):
-        chunks, speakers = sample_pair_batch(corpus, n, rng)
+        chunks, speakers = sample_pair_batch(corpus, n, rng, (50, 300))
         assert len(chunks) == 2 * n
         assert len(speakers) == len(set(speakers)) == n
         owners = [source[id(c.base)] for c in chunks]

@@ -155,7 +155,7 @@ def test_plda_likelihood_monotone():
 def test_plda_single_class_rejected():
     with pytest.raises(UsageError):
         fit_plda(np.random.default_rng(11).standard_normal((10, 3)),
-                 np.zeros(10), check_normalized=False)
+                 np.zeros(10), iterations=20, check_normalized=False)
 
 
 def test_plda_requires_normalized_input():
@@ -163,7 +163,7 @@ def test_plda_requires_normalized_input():
     x = 5.0 + rng.standard_normal((40, 3))
     labels = np.repeat(np.arange(4), 10)
     with pytest.raises(UsageError):
-        fit_plda(x, labels)
+        fit_plda(x, labels, iterations=20)
 
 
 def test_plda_zero_between_gives_zero_llr():

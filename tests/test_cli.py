@@ -366,7 +366,8 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
                "--manifest", manifest, "--features", os.path.join(out, "feats"),
                "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
-        assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"))[0]) == 8
+        kind = "dvector" if name == "dvector" else "embedding"
+        assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"), kind)[0]) == 8
     # score reads its --model and --backend once each and, for a trained system, the
     # side features the first time under a model, then the side vectors it kept of
     # them; no other container
@@ -462,8 +463,26 @@ def _bad_segments_file(tmp_path):
     return _score_args(tmp_path, trials, bad)
 
 
+def _segments_with_third_row(tmp_path, row):
+    """score args over one trial e1-t1 whose segments file adds `row` after the two sides."""
+    trials = _write(tmp_path / "trials.tsv", "e1\tt1\ttarget\n")
+    bad = _write(tmp_path / "bad.tsv", "enroll\te1\tspkA\tfemale\tu1\t0.0\t1.0\n"
+                 f"test\tt1\tspkA\tfemale\tu1\t1.0\t1.0\n{row}\n")
+    return _score_args(tmp_path, trials, bad)
+
+
+def _enroll_side_of_two_speakers(tmp_path):
+    # enroll rows repeat an id by design, but must name one speaker
+    return _segments_with_third_row(tmp_path, "enroll\te1\tspkB\tfemale\tu1\t1.0\t1.0")
+
+
+def _repeated_test_side(tmp_path):
+    return _segments_with_third_row(tmp_path, "test\tt1\tspkB\tfemale\tu1\t0.0\t1.0")
+
+
 BAD_TSV = [(_bad_score_file, 1), (_bad_manifest, 1), (_bad_trial_file, 1),
-           (_bad_segments_file, 1), (_repeated_utterance, 3), (_speaker_under_two_genders, 3)]
+           (_bad_segments_file, 1), (_repeated_utterance, 3), (_speaker_under_two_genders, 3),
+           (_enroll_side_of_two_speakers, 3), (_repeated_test_side, 3)]
 
 
 @pytest.mark.parametrize("make_args, line", BAD_TSV, ids=[make.__name__ for make, _ in BAD_TSV])
@@ -650,10 +669,14 @@ def _rejected(result, *named):
     ("e2e", ["e2e", "plda"], ["--backend"]),
     ("random", ["lda"], ["--backend"]),
     ("random", ["e2e"], ["--model"]),
+    ("dvector-lda", ["dvector", "plda"], ["--backend", "plda"]),
+    ("dvector-plda", ["dvector"], ["--backend"]),
+    ("e2e", [], ["--model"]),
 ], ids=["cosine-without-model", "lda-without-backend", "e2e-with-dvector-model",
         "cosine-with-e2e-model", "plda-with-lda-backend", "lda-of-another-width",
         "plda-of-another-width", "cosine-with-backend", "e2e-with-backend",
-        "random-with-backend", "random-with-model"])
+        "random-with-backend", "random-with-model", "lda-with-plda-backend",
+        "plda-without-backend", "e2e-without-model"])
 def test_score_rejects_system_model_mismatch_before_reading_audio(
         tiny_run, score_models, tmp_path, monkeypatch, system, given, named):
     runner, config, out = tiny_run
@@ -880,18 +903,10 @@ def test_scored_sides_match_the_audio_reference(tmp_path, monkeypatch, dither):
     _, enroll_segments, test_segments = read_segments_file(segments)
     assert max(len(segs) for segs in enroll_segments.values()) >= 2
     entries = {e.utt_id: e for e in read_manifest(manifest)}
-    scored = []
-    load = pipeline.load_trial_sides
-
-    def capture(segments, frontend, cmvn_mode, vector_of):
-        # each side's normalized frames, as load_trial_sides hands them to vector_of
-        frames = []
-        sides = load(segments, frontend, cmvn_mode, lambda f: frames.append(f) or vector_of(f))
-        read = iter(frames)
-        scored.append(tuple({sid: next(read) for sid in side} for side in sides))
-        return sides
-
-    monkeypatch.setattr(cli.pipeline, "load_trial_sides", capture)
+    # each side's normalized frames, as side_vectors hands them to utterance_vector
+    scored, vector = [], pipeline.utterance_vector
+    monkeypatch.setattr(pipeline, "utterance_vector",
+                        lambda net, frames: scored.append(frames) or vector(net, frames))
     for system, cmvn in (("dvector-cosine", "per-utterance"), ("dvector-cosine", "none"),
                          ("e2e", "per-utterance"), ("e2e", "none")):
         scored.clear()
@@ -901,11 +916,11 @@ def test_scored_sides_match_the_audio_reference(tmp_path, monkeypatch, dither):
                "--out", str(tmp_path / "scores.tsv"))
         fcfg = FrontendConfig(dither=dither, dither_seed=5)
         reference = oracles.side_features(enroll_segments, test_segments, entries, fcfg, cmvn)
-        (sides,) = scored
-        for got, expect in zip(sides, reference):
-            assert list(got) == list(expect), (system, cmvn)
-            for sid in expect:
-                assert got[sid].tobytes() == expect[sid].tobytes(), (system, cmvn, sid)
+        # in segments order: the enroll sides, then the test sides
+        expect = [(sid, side[sid]) for side in reference for sid in side]
+        assert len(scored) == len(expect), (system, cmvn)
+        for got, (sid, frames) in zip(scored, expect):
+            assert got.tobytes() == frames.tobytes(), (system, cmvn, sid)
 
 
 def test_score_reads_no_audio(tmp_path, score_models, monkeypatch):
@@ -1042,6 +1057,25 @@ def test_score_embeds_each_side_once_per_model(tmp_path, score_models, monkeypat
         scores = str(tmp_path / f"{system}.tsv")
         _score(runner, config, out, trials, segments, system, score_models[system], scores)
         assert len(read_score_file(scores)) == len(read_trial_file(trials)), system
+
+
+def test_score_parses_and_hashes_the_segments_file_once(tmp_path, score_models, monkeypatch):
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
+    parses, hashes = [], []
+    for module, name, calls in ((cli, "read_segments_file", parses),
+                                (pipeline, "read_segments_file", parses),
+                                (pipeline, "sha256_of", hashes)):
+        def counting(path, *args, _call=getattr(module, name), _calls=calls):
+            _calls.append(path)
+            return _call(path, *args)
+        monkeypatch.setattr(module, name, counting)
+    for kept in (False, True):   # first with no vectors file, then with the one it wrote
+        parses.clear()
+        hashes.clear()
+        _score(runner, config, out, trials, segments, "dvector-cosine",
+               score_models["dvector-cosine"], str(tmp_path / f"scores_{kept}.tsv"))
+        assert len(_vectors_files(out)) == 1
+        assert parses == [segments] and hashes.count(segments) == 1, kept
 
 
 def test_scores_from_kept_vectors_match_embedded_ones(tmp_path, score_models):

@@ -85,14 +85,14 @@ def test_pair_loss_saturated_logits_stay_finite():
 
 def test_chunk_length_range_and_median():
     rng = np.random.default_rng(2)
-    draws = np.array([sample_chunk_length(rng) for _ in range(100_000)])
+    draws = np.array([sample_chunk_length(rng, 50, 300) for _ in range(100_000)])
     assert draws.min() >= 50 and draws.max() <= 300
     assert abs(np.median(draws) - np.sqrt(50 * 300)) <= 3
 
 
 def test_chunk_length_deterministic():
-    a = [sample_chunk_length(np.random.default_rng(3)) for _ in range(20)]
-    b = [sample_chunk_length(np.random.default_rng(3)) for _ in range(20)]
+    a = [sample_chunk_length(np.random.default_rng(3), 50, 300) for _ in range(20)]
+    b = [sample_chunk_length(np.random.default_rng(3), 50, 300) for _ in range(20)]
     assert a == b
 
 
@@ -109,7 +109,7 @@ def _toy_corpus(num_speakers=6, utts=3, frames=320, dim=8, seed=0):
 @pytest.mark.parametrize("n", [2, 4])
 def test_pair_batch_counts(n):
     corpus = _toy_corpus()
-    chunks, speakers = sample_pair_batch(corpus, n, np.random.default_rng(4))
+    chunks, speakers = sample_pair_batch(corpus, n, np.random.default_rng(4), (50, 300))
     assert len(speakers) == len(set(speakers)) == n
     assert len(chunks) == 2 * n
 
@@ -120,7 +120,7 @@ def test_pair_batch_labels():
     source = {id(utt): (spk, u) for spk, utts in corpus.items() for u, utt in enumerate(utts)}
     rng = np.random.default_rng(5)
     for _ in range(50):
-        chunks, speakers = sample_pair_batch(corpus, 4, rng)
+        chunks, speakers = sample_pair_batch(corpus, 4, rng, (50, 300))
         sources = [source[id(chunk.base)] for chunk in chunks]
         assert [spk for spk, _ in sources] == [spk for spk in speakers for _ in range(2)]
         assert all(sources[2 * i] != sources[2 * i + 1] for i in range(4))
@@ -128,7 +128,7 @@ def test_pair_batch_labels():
 
 def test_pair_batch_needs_enough_speakers():
     with pytest.raises(SamplingError):
-        sample_pair_batch(_toy_corpus(num_speakers=3), 4, np.random.default_rng(6))
+        sample_pair_batch(_toy_corpus(num_speakers=3), 4, np.random.default_rng(6), (50, 300))
 
 
 def test_embedding_of_constant_chunk_is_length_invariant():

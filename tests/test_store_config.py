@@ -392,7 +392,8 @@ def _saved_artifacts(tmp_path):
                              3, [rng.standard_normal((t, 3)) for t in (2, 3, 4)])
     store.save_side_vectors(paths["side_vectors"], SIDE_VECTORS_STAMP,
                             rng.standard_normal((1, 3)), rng.standard_normal((2, 3)))
-    loaders = {"features": store.load_features, "vectors": store.load_vectors,
+    loaders = {"features": store.load_features,
+               "vectors": lambda p: store.load_vectors(p, "dvector"),
                "lda": store.load_backend, "plda": store.load_backend, "e2e": store.load_model,
                "sides": _load_sides,
                "side_vectors": lambda p: store.load_side_vectors(p, SIDE_VECTORS_STAMP, 1, 2, 3)}

@@ -31,6 +31,19 @@ def test_tracer_patch_table_resolves_and_restores(monkeypatch):
     assert [getattr(owner, attr) for owner, attr in names] == originals
 
 
+def test_benchmark_systems_follow_the_system_table(monkeypatch):
+    # the benchmark drives one `score` call per system, with the model and back-end
+    # files that the system's row of pipeline.SYSTEMS names
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    assert sorted(s[0] for s in workloads.SYSTEMS) == sorted(pipeline.SYSTEMS)
+    for system, _, dvector, backend in workloads.SYSTEMS:
+        family, kind = pipeline.SYSTEMS[system]
+        assert dvector == (family == "dvector"), system
+        assert backend == (f"{kind}.svbf" if kind else None), system
+
+
 # every workload of perfbench/workloads.py WORKLOADS, checked against it below
 WORKLOAD_NAMES = ["dvector-train", "e2e-train", "score-eval"]
 
