@@ -13,8 +13,6 @@ class AudioClip:
     samples: np.ndarray            # float in [-1, 1]
     sample_rate: int
     id: str = ""
-    speaker_id: str = ""
-    gender: str = ""               # "female" | "male" | ""
     start: int = 0                 # first sample's offset in the recording `id`
 
     def __post_init__(self):

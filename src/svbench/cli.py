@@ -107,6 +107,11 @@ def featurize(ws, manifest, no_cmvn, dir_name):
     click.echo(f"featurized {len(entries)} utterances into {feats_dir}")
 
 
+def _row(record):
+    """One line of a training log: the reprs of a trainer's record values, tab-separated."""
+    return "\t".join(map(repr, record.values())) + "\n"
+
+
 @main.command("train-dvector")
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.option("--features", "feats_dir", required=True, type=click.Path(exists=True))
@@ -123,8 +128,7 @@ def cmd_train_dvector(ws, manifest, feats_dir):
     log_path = ws.path("dvector_train.log")
     with open(log_path, "w") as log:
         log.write("epoch\tloss\taccuracy\tgrad_norm\tclipped_frac\n")
-        net = train_dvector(utts, cfg, tcfg, log=lambda h: log.write(
-            f"{h['epoch']}\t{h['loss']!r}\t{h['accuracy']!r}\t{h['grad_norm']!r}\t{h['clipped_frac']!r}\n"))
+        net = train_dvector(utts, cfg, tcfg, log=lambda record: log.write(_row(record)))
     net.meta.update(speakers=speakers, frontend=frontend, cmvn=ws.cfg["dvector"]["cmvn"])
     store.save_model(ws.path("dvector.svbf"), net)
     click.echo(f"trained d-vector model on {len(speakers)} speakers -> {ws.path('dvector.svbf')}")
@@ -146,9 +150,7 @@ def cmd_train_e2e(ws, manifest, feats_dir):
     log_path = ws.path("e2e_train.log")
     with open(log_path, "w") as log:
         log.write("iteration\tloss\tpair_accuracy\tgrad_norm\tclip_scale\n")
-        net, scorer = train_e2e(corpus, cfg, tcfg, log=lambda h: log.write(
-            f"{h['iteration']}\t{h['loss']!r}\t{h['pair_accuracy']!r}"
-            f"\t{h['grad_norm']!r}\t{h['clip_scale']!r}\n"))
+        net, scorer = train_e2e(corpus, cfg, tcfg, log=lambda record: log.write(_row(record)))
     net.meta.update(frontend=frontend, cmvn=cmvn_mode)
     store.save_model(ws.path("e2e.svbf"), net, scorer)
     click.echo(f"trained e2e model -> {ws.path('e2e.svbf')}")
@@ -169,8 +171,8 @@ def extract(ws, model, manifest, feats_dir, out_path):
     store.same_frontend(feats_dir, frontend, model, net.meta["frontend"])
     ids = [e.utt_id for e in entries]
     vecs = [pipeline.utterance_vector(net, feats[u]) for u in ids]
-    store.save_vectors(out_path, "embedding" if net.meta["model"] == "e2e" else "dvector",
-                       ids, [e.speaker_id for e in entries], np.array(vecs))
+    store.save_vectors(out_path, net.meta["model"], ids, [e.speaker_id for e in entries],
+                       np.array(vecs))
     click.echo(f"extracted {len(ids)} vectors -> {out_path}")
 
 

@@ -71,7 +71,7 @@ def read_manifest(path):
     return entries
 
 
-def split_train_eval(entries, train_speakers, eval_speakers, seed=0):
+def split_train_eval(entries, train_speakers, eval_speakers, seed):
     """Speaker-disjoint train/eval split, deterministic by seed."""
     speakers = sorted({e.speaker_id for e in entries})
     if train_speakers + eval_speakers > len(speakers):

@@ -112,8 +112,7 @@ def synthesize_utterance(voice, spec, speaker_idx, utt_idx):
     peak = np.max(np.abs(out))
     if peak > 0:
         out *= 0.5 / peak
-    return AudioClip(out, sr, id=f"{voice.speaker_id}-utt{utt_idx:03d}",
-                     speaker_id=voice.speaker_id, gender=voice.gender)
+    return AudioClip(out, sr, id=f"{voice.speaker_id}-utt{utt_idx:03d}")
 
 
 def generate_corpus(spec, out_dir):
@@ -126,7 +125,7 @@ def generate_corpus(spec, out_dir):
             clip = synthesize_utterance(voice, spec, si, ui)
             path = os.path.join(out_dir, f"{clip.id}.wav")
             write_wav(path, clip)
-            entries.append(ManifestEntry(clip.id, clip.speaker_id, clip.gender,
+            entries.append(ManifestEntry(clip.id, voice.speaker_id, voice.gender,
                                          path, clip.duration))
     write_manifest(os.path.join(out_dir, "manifest.tsv"), entries)
     return entries

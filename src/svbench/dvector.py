@@ -62,7 +62,7 @@ def dvector_specs(cfg):
     return specs
 
 
-def build_dvector_net(cfg, seed=0):
+def build_dvector_net(cfg, seed):
     specs = dvector_specs(cfg)
     return Network.from_specs(specs, meta={
         "model": "dvector",
@@ -74,14 +74,14 @@ def build_dvector_net(cfg, seed=0):
     }, rng=np.random.default_rng(seed))
 
 
-def train_dvector(utterances, cfg, tcfg, log=None):
+def train_dvector(utterances, cfg, tcfg, log):
     """Train the speaker classifier on per-frame labels.
 
     `utterances` is a list of (frames T x input_dim, speaker_index) pairs;
     every frame of an utterance carries its speaker's label. Returns the
-    trained Network; the per-epoch (loss, frame accuracy) history lands in
-    net.meta["history"]. `log` receives each history record together with
-    the epoch's mean gradient norm and its share of clipped steps.
+    trained Network. `log` receives one record per epoch, the run's only
+    training record: the epoch, its mean loss and frame accuracy, its mean
+    gradient norm and its share of clipped steps.
     """
     if len({label for _, label in utterances}) < 2:
         raise UsageError("training corpus must contain at least 2 speakers")
@@ -89,7 +89,6 @@ def train_dvector(utterances, cfg, tcfg, log=None):
     opt = SgdOptimizer(tcfg)
     params = net.param_map()
     order_rng = np.random.default_rng(tcfg.seed + 1)
-    history = []
     for epoch in range(tcfg.max_epochs):
         order = order_rng.permutation(len(utterances))
         lr = tcfg.lr_at(epoch)
@@ -103,7 +102,7 @@ def train_dvector(utterances, cfg, tcfg, log=None):
             labels = np.full(logits.shape[0], label, dtype=np.int64)
             loss, grad = softmax_xent(logits, labels)
             if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", where=epoch)
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             grads = net.backward(grad, caches)
             grad_norm, clip_scale = opt.step(params, grads, lr=lr)
             grad_norms.append(grad_norm)
@@ -111,12 +110,8 @@ def train_dvector(utterances, cfg, tcfg, log=None):
             total_loss += loss * logits.shape[0]
             correct += int(np.sum(logits.argmax(axis=1) == label))
             frames += logits.shape[0]
-        history.append({"epoch": epoch, "loss": float(total_loss / frames),
-                        "accuracy": correct / frames})
-        if log:
-            log({**history[-1], "grad_norm": float(np.mean(grad_norms)),
-                 "clipped_frac": clipped / len(order)})
-    net.meta["history"] = history
+        log({"epoch": epoch, "loss": float(total_loss / frames), "accuracy": correct / frames,
+             "grad_norm": float(np.mean(grad_norms)), "clipped_frac": clipped / len(order)})
     return net
 
 

@@ -131,7 +131,7 @@ class BilinearScorer:
         return d_emb, -(emb.T * rc) @ emb, np.array([w.sum()])
 
 
-def build_e2e_net(cfg, seed=0):
+def build_e2e_net(cfg, seed):
     specs = e2e_specs(cfg)
     net = Network.from_specs(specs, meta={
         "model": "e2e",
@@ -309,13 +309,13 @@ def _batch_step(net, scorer, chunks, k):
     return loss, grads, same_logits, diff_logits
 
 
-def train_e2e(corpus, cfg, tcfg, log=None):
+def train_e2e(corpus, cfg, tcfg, log):
     """Train embedding network and scorer jointly for cfg.iterations batches of
     cfg.pair_batch_n speakers, weighing the different-speaker pairs by cfg.loss_k.
 
-    Returns (net, scorer); the per-iteration loss history lands in
-    net.meta["history"]. `log` receives each history record together with
-    the step's gradient norm and clip scale.
+    Returns (net, scorer). `log` receives one record per iteration, the run's
+    only training record: the iteration, its loss and pair accuracy, and the
+    step's gradient norm and clip scale.
     """
     n, bounds = cfg.pair_batch_n, (cfg.chunk_min, cfg.chunk_max)
     k = cfg.loss_k or 1.0 / (n - 1)
@@ -327,17 +327,14 @@ def train_e2e(corpus, cfg, tcfg, log=None):
     opt = SgdOptimizer(tcfg)
     params = dict(net.param_map())
     params.update(scorer.param_map())
-    history = []
     for it in range(cfg.iterations):
         chunks, _ = sample_pair_batch(corpus, n, rng, bounds)
         loss, grads, same_logits, diff_logits = _batch_step(net, scorer, chunks, k)
         if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at iteration {it}", where=it)
+            raise TrainingDivergedError(f"non-finite loss at iteration {it}")
         grad_norm, clip_scale = opt.step(params, grads, lr=tcfg.lr_at(it))
         scorer.symmetrize()
         acc = 0.5 * (np.mean(same_logits > 0) + np.mean(diff_logits <= 0))
-        history.append({"iteration": it, "loss": loss, "pair_accuracy": float(acc)})
-        if log:
-            log({**history[-1], "grad_norm": grad_norm, "clip_scale": clip_scale})
-    net.meta["history"] = history
+        log({"iteration": it, "loss": loss, "pair_accuracy": float(acc),
+             "grad_norm": grad_norm, "clip_scale": clip_scale})
     return net, scorer

@@ -20,10 +20,6 @@ class UsageError(SvbenchError):
 class TrainingDivergedError(SvbenchError):
     """Non-finite loss or gradient during training."""
 
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
-
 
 class SamplingError(SvbenchError):
     """Corpus too small for the requested sampling scheme."""

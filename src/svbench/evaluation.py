@@ -59,12 +59,10 @@ def build_conditions(entries, enroll_secs, test_secs):
         by_speaker.setdefault(e.speaker_id, []).append(e)
     enroll_segments = {}
     test_segments = {}
-    speaker_gender = {}
     for spk in sorted(by_speaker):
         utts = sorted(by_speaker[spk], key=lambda e: e.utt_id)
         segs = []
         remaining = enroll_secs
-        used = 0
         for e in utts:
             if remaining <= 0:
                 break
@@ -76,24 +74,21 @@ def build_conditions(entries, enroll_secs, test_secs):
                 take = remaining - MIN_SEGMENT_SECS
             segs.append(Segment(f"{spk}-enroll", spk, e.gender, e.utt_id, 0.0, take))
             remaining -= take
-            used += 1
-        tests = [e for e in utts[used:] if e.duration >= test_secs]
+        tests = [e for e in utts[len(segs):] if e.duration >= test_secs]
         if remaining > 1e-9 or not tests:
             warnings.warn(f"speaker {spk} lacks material for {condition}; excluded")
             continue
         enroll_segments[f"{spk}-enroll"] = segs
-        speaker_gender[spk] = utts[0].gender
         for e in tests:
             test_segments[e.utt_id] = Segment(e.utt_id, spk, e.gender, e.utt_id, 0.0, test_secs)
     trials = []
     for enroll_id in sorted(enroll_segments):
-        espk = enroll_segments[enroll_id][0].speaker_id
-        egender = speaker_gender[espk]
+        enrolled = enroll_segments[enroll_id][0]
         for test_id in sorted(test_segments):
             seg = test_segments[test_id]
-            if seg.gender != egender:
+            if seg.gender != enrolled.gender:
                 continue
-            label = "target" if seg.speaker_id == espk else "nontarget"
+            label = "target" if seg.speaker_id == enrolled.speaker_id else "nontarget"
             trials.append(Trial(enroll_id, test_id, label))
     return TrialList(condition, enroll_secs, test_secs, trials, enroll_segments, test_segments)
 
@@ -140,12 +135,9 @@ def compute_eer(scores, labels):
     fa = (len(nontarget) - np.searchsorted(nontarget, cands, side="left")) / len(nontarget)
     miss = np.searchsorted(target, cands, side="left") / len(target)
     diff = fa - miss               # monotone non-increasing in the threshold
+    # diff is 1 at the lowest candidate and -1 past the top, so 0 < idx < len(cands)
     idx = int(np.searchsorted(-diff, 0.0, side="left"))
-    if idx == 0:
-        eer, thr = 0.5 * (fa[0] + miss[0]), cands[0]
-    elif idx >= len(cands):
-        eer, thr = 0.5 * (fa[-1] + miss[-1]), cands[-1]
-    elif diff[idx] == 0.0:
+    if diff[idx] == 0.0:
         eer, thr = fa[idx], cands[idx]
     else:
         lo, hi = idx - 1, idx

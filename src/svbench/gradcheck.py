@@ -29,7 +29,7 @@ def _frozen_forward(net, x, caches, lengths=None):
     return h
 
 
-def gradcheck_dvector(seed=0):
+def gradcheck_dvector(seed):
     """Max relative FD error per parameter of the d-vector classifier."""
     cfg = DVectorConfig(**REDUCED_DVECTOR)
     net = build_dvector_net(cfg, seed=seed)
@@ -48,7 +48,7 @@ def gradcheck_dvector(seed=0):
     return grad_check(net.param_map(), loss, analytic, step=1e-5)
 
 
-def gradcheck_e2e(seed=0):
+def gradcheck_e2e(seed):
     """Max relative FD error per parameter of the e2e net plus bilinear scorer,
     on a batch of two speakers: same pairs (0, 1), (2, 3), different (0, 2), (2, 0)."""
     cfg = E2EConfig(**REDUCED_E2E)

@@ -359,7 +359,7 @@ class SgdOptimizer:
         """Apply one update at rate `lr`; returns (global gradient norm, clip scale applied)."""
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
-                raise TrainingDivergedError(f"non-finite gradient for {name}", where=name)
+                raise TrainingDivergedError(f"non-finite gradient for {name}")
         total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         scale = 1.0
         if self.cfg.clip_norm > 0 and total > self.cfg.clip_norm:
@@ -376,7 +376,7 @@ class SgdOptimizer:
         return total, scale
 
 
-def grad_check(params, compute_loss, analytic, step=1e-4):
+def grad_check(params, compute_loss, analytic, step):
     """Central finite-difference check of an analytic gradient map.
 
     `params` maps names to arrays that `compute_loss()` reads; each

@@ -205,14 +205,29 @@ def save_plda(path, model, center_mean):
                      "within": model.within, "center_mean": center_mean})
 
 
+# back-end kind -> the shape of each of its arrays, in d (the length of "mean") and k
+BACKEND_SHAPES = {"lda": {"mean": "d", "projection": "dk"},
+                  "plda": {"mean": "d", "between": "dd", "within": "dd", "center_mean": "d"}}
+
+
 def load_backend(path):
     """The scoring keywords of an lda file, {"lda": LdaTransform}, or of a plda file,
-    {"plda": PldaModel, "plda_center": the pre-normalization centering mean}."""
+    {"plda": PldaModel, "plda_center": the pre-normalization centering mean}. A missing,
+    extra, non-float64 or misshaped array is a FormatError naming `path` and the array."""
     kind, _, arrays = read_container(path)
-    get = lambda key: _entry(path, arrays, key)
+    if kind not in BACKEND_SHAPES:
+        raise FormatError(f"{path}: kind {kind!r}, expected a back-end ('lda' or 'plda')")
+    shapes, dims = BACKEND_SHAPES[kind], {}
+    for key, shape in shapes.items():
+        a = _entry(path, arrays, key)
+        expected = tuple(dims.setdefault(letter, n) for letter, n in zip(shape, a.shape))
+        if a.dtype != np.float64 or a.ndim != len(shape) or a.shape != expected:
+            raise FormatError(f"{path}: {key!r} needs a float64 {' x '.join(shape)} array "
+                              f"(d = the length of 'mean'), found {a.dtype} {a.shape}")
+    extra = sorted(set(arrays) - set(shapes))
+    if extra:
+        raise FormatError(f"{path}: {kind} back-end with an unexpected array {extra[0]!r}")
     if kind == "lda":
-        return {"lda": LdaTransform(mean=get("mean"), projection=get("projection"))}
-    if kind == "plda":
-        return {"plda": PldaModel(get("mean"), get("between"), get("within")),
-                "plda_center": get("center_mean")}
-    raise FormatError(f"{path}: kind {kind!r}, expected a back-end ('lda' or 'plda')")
+        return {"lda": LdaTransform(mean=arrays["mean"], projection=arrays["projection"])}
+    return {"plda": PldaModel(arrays["mean"], arrays["between"], arrays["within"]),
+            "plda_center": arrays["center_mean"]}

@@ -47,11 +47,11 @@ def test_default_architectures_are_published_scale():
     assert (d.input_dim, dvector.SPLICE_CONTEXT) == (40, 4)
     assert d.feature_dim == 400 and d.num_speakers == 5000
     assert dvector.TD_OFFSETS == ((-3, 0, 3), (-2, 0, 2))
-    assert build_dvector_net(DVectorConfig(num_speakers=2)).meta["effective_context"] == 20
+    assert build_dvector_net(DVectorConfig(num_speakers=2), seed=0).meta["effective_context"] == 20
     e = E2EConfig()
     assert (e.input_dim, e2e.SPLICE_CONTEXT, e.embedding_dim) == (40, 1, 200)
     assert e2e.TD_OFFSETS == ((-3, 0, 3), (-2, 0, 2), (-2, 0, 2))
-    assert build_e2e_net(E2EConfig())[0].meta["effective_context"] == 17
+    assert build_e2e_net(E2EConfig(), seed=0)[0].meta["effective_context"] == 17
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +278,8 @@ def test_pair_loss_laws():
 # --------------------------------------------------------------------------
 
 def test_training_is_byte_deterministic(tmp_path):
-    """Two complete train runs with one seed serialize to identical bytes.
+    """Two complete train runs with one seed serialize to identical bytes and
+    log identical records.
 
     The CLI-level version of this check (every subcommand, including scores
     and reports) is test_run_twice_byte_identical in test_cli.py.
@@ -288,16 +289,19 @@ def test_training_is_byte_deterministic(tmp_path):
             for label in [0, 1] * 4]
     corpus = {f"s{i}": [rng.standard_normal((120, 8)) + i for _ in range(2)]
               for i in range(4)}
-    paths = []
+    paths, logs = [], []
     for run in ("a", "b"):
+        records = []
+        logs.append(records)
         dcfg = DVectorConfig(input_dim=8, conv_dim=16, bottleneck_dim=12,
                              td_dim=16, feature_dim=16, num_speakers=2)
-        net = train_dvector(utts, dcfg, TrainerConfig(learning_rate=0.02,
-                                                      max_epochs=2, seed=3))
+        net = train_dvector(utts, dcfg, TrainerConfig(learning_rate=0.02, max_epochs=2, seed=3),
+                            log=records.append)
         ecfg = E2EConfig(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
                          pre_pool_dim=10, embedding_dim=8, pair_batch_n=2, iterations=5,
                          loss_k=1.0)
-        enet, scorer = train_e2e(corpus, ecfg, TrainerConfig(learning_rate=0.003, seed=3))
+        enet, scorer = train_e2e(corpus, ecfg, TrainerConfig(learning_rate=0.003, seed=3),
+                                 log=records.append)
         d_path = tmp_path / f"dvector_{run}.svbf"
         e_path = tmp_path / f"e2e_{run}.svbf"
         store.save_model(str(d_path), net)
@@ -306,6 +310,7 @@ def test_training_is_byte_deterministic(tmp_path):
     (da, ea), (db, eb) = paths
     assert da.read_bytes() == db.read_bytes()
     assert ea.read_bytes() == eb.read_bytes()
+    assert logs[0] == logs[1] and len(logs[0]) == 2 + 5
 
 
 # --------------------------------------------------------------------------

@@ -90,6 +90,7 @@ def test_run_twice_byte_identical(pipeline_runs):
     # the side vectors `score` kept under each model, named by the model's family
     vectors = [pipeline.vectors_file("segments_C4_2.tsv", family) for family in ("dvector", "e2e")]
     for artifact in ("dvector.svbf", "e2e.svbf", "dvectors.svbf", "lda.svbf", "plda.svbf",
+                     "dvector_train.log", "e2e_train.log",
                      "trials_C4_2.tsv", "segments_C4_2.tsv", *vectors,
                      *[f"scores_{system}.tsv" for system in pipeline.SYSTEMS],
                      "report.txt", "report.tsv"):
@@ -339,12 +340,12 @@ def _with_frontend(net, cmvn="none"):
 
 def _tiny_dvector(cmvn="none"):
     return _with_frontend(build_dvector_net(DVectorConfig(
-        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4)), cmvn)
+        conv_dim=8, bottleneck_dim=8, td_dim=8, feature_dim=8, num_speakers=4), seed=0), cmvn)
 
 
 def _tiny_e2e(cmvn="none"):
     net, scorer = e2e.build_e2e_net(e2e.E2EConfig(lift_dim=8, nin_hidden=8, nin_out=8,
-                                                  pre_pool_dim=8, embedding_dim=8))
+                                                  pre_pool_dim=8, embedding_dim=8), seed=0)
     return _with_frontend(net, cmvn), scorer
 
 
@@ -366,8 +367,8 @@ def test_extract_reads_model_once(tiny_run, score_models, tmp_path, monkeypatch)
                "--manifest", manifest, "--features", os.path.join(out, "feats"),
                "--out", str(tmp_path / f"{name}_vectors.svbf"))
         assert reads.count(model) == 1
-        kind = "dvector" if name == "dvector" else "embedding"
-        assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"), kind)[0]) == 8
+        # a vector set is of its model's family
+        assert len(store.load_vectors(str(tmp_path / f"{name}_vectors.svbf"), name)[0]) == 8
     # score reads its --model and --backend once each and, for a trained system, the
     # side features the first time under a model, then the side vectors it kept of
     # them; no other container
@@ -837,12 +838,12 @@ def test_fit_backend_rejects_non_finite_lda(rank_deficient_vectors, tmp_path):
 
 def test_fit_backend_rejects_e2e_embeddings(tmp_path):
     vectors, out = str(tmp_path / "embeddings.svbf"), str(tmp_path / "backend.svbf")
-    store.save_vectors(vectors, "embedding", ["u1", "u2", "u3", "u4"], ["s1", "s1", "s2", "s2"],
+    store.save_vectors(vectors, "e2e", ["u1", "u2", "u3", "u4"], ["s1", "s1", "s2", "s2"],
                        np.random.default_rng(0).standard_normal((4, 8)))
     for kind in ("lda", "plda"):
         result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "fit-backend",
                                            "--vectors", vectors, "--kind", kind, "--out", out])
-        _rejected(result, f"{vectors}: kind 'embedding', expected 'dvector'")
+        _rejected(result, f"{vectors}: kind 'e2e', expected 'dvector'")
         assert not os.path.exists(out)
 
 

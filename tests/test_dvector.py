@@ -28,7 +28,7 @@ def test_final_layer_width_is_speaker_count():
 
 
 def test_receptive_field_window():
-    net = build_dvector_net(DVectorConfig(**SMALL, input_dim=8))
+    net = build_dvector_net(DVectorConfig(**SMALL, input_dim=8), seed=0)
     left, right = context_window(net.specs())
     assert (left, right) == (-9, 10)
 
@@ -56,7 +56,7 @@ def test_perturbation_oracle():
 
 def test_single_frame_input():
     cfg = DVectorConfig(**SMALL, input_dim=8)
-    net = build_dvector_net(cfg)
+    net = build_dvector_net(cfg, seed=0)
     out = extract_frame_features(net, np.zeros((1, 8)))
     assert out.shape == (1, cfg.feature_dim)
 
@@ -97,23 +97,27 @@ def test_training_on_separable_speakers():
     utts = _separable_utterances()
     cfg = DVectorConfig(**SMALL, input_dim=8)
     tcfg = TrainerConfig(learning_rate=0.02, max_epochs=5, seed=0)
-    net = train_dvector(utts, cfg, tcfg)
-    assert net.meta["history"][-1]["accuracy"] > 0.95
+    records = []
+    train_dvector(utts, cfg, tcfg, log=records.append)
+    assert [r["epoch"] for r in records] == list(range(5))
+    assert records[-1]["accuracy"] > 0.95
 
 
 def test_single_speaker_rejected():
     utts = [(np.zeros((10, 8)), 0), (np.zeros((10, 8)), 0)]
     with pytest.raises(UsageError):
         train_dvector(utts, DVectorConfig(**SMALL, input_dim=8),
-                      TrainerConfig(learning_rate=0.02, max_epochs=1))
+                      TrainerConfig(learning_rate=0.02, max_epochs=1), log=[].append)
 
 
 def test_training_deterministic():
     utts = _separable_utterances(utts_each=2, frames=40)
     cfg = DVectorConfig(**SMALL, input_dim=8)
     tcfg = TrainerConfig(learning_rate=0.02, max_epochs=2, seed=3)
-    a = train_dvector(utts, cfg, tcfg)
-    b = train_dvector(utts, cfg, tcfg)
+    records_a, records_b = [], []
+    a = train_dvector(utts, cfg, tcfg, log=records_a.append)
+    b = train_dvector(utts, cfg, tcfg, log=records_b.append)
+    assert records_a == records_b
     for (ka, va), (kb, vb) in zip(sorted(a.param_map().items()),
                                   sorted(b.param_map().items())):
         assert ka == kb
@@ -124,10 +128,11 @@ def test_training_matches_reference_engine(reference_engine):
     utts = _separable_utterances(num_speakers=3, utts_each=2, frames=40, seed=5)
     cfg = DVectorConfig(**SMALL, input_dim=8)
     tcfg = TrainerConfig(learning_rate=0.02, max_epochs=2, seed=4)
-    net = train_dvector(utts, cfg, tcfg)
+    records, ref_records = [], []
+    net = train_dvector(utts, cfg, tcfg, log=records.append)
     with reference_engine():
-        ref = train_dvector(utts, cfg, tcfg)
-    assert net.meta["history"] == ref.meta["history"]
+        ref = train_dvector(utts, cfg, tcfg, log=ref_records.append)
+    assert records == ref_records
     for name, arr in ref.param_map().items():
         assert net.param_map()[name].tobytes() == arr.tobytes(), name
 
@@ -140,6 +145,6 @@ def test_extract_checks_model_kind():
 
 
 def test_extract_checks_input_dim():
-    net = build_dvector_net(DVectorConfig(**SMALL, input_dim=8))
+    net = build_dvector_net(DVectorConfig(**SMALL, input_dim=8), seed=0)
     with pytest.raises(UsageError):
         extract_frame_features(net, np.zeros((3, 9)))

@@ -169,27 +169,29 @@ def test_verify_pair_symmetric_and_finite():
 
 
 def _short_train(seed, corpus, lr=0.003, iterations=60, k=1.0 / 3.0):
+    """(net, scorer, the records the trainer logged) of a short run."""
     tcfg = TrainerConfig(learning_rate=lr, lr_decay=0.5, lr_decay_interval=400,
                          max_epochs=1, seed=seed)
-    return train_e2e(corpus, E2EConfig(**SMALL, pair_batch_n=4, iterations=iterations,
-                                       loss_k=k), tcfg)
+    records = []
+    net, scorer = train_e2e(corpus, E2EConfig(**SMALL, pair_batch_n=4, iterations=iterations,
+                                              loss_k=k), tcfg, log=records.append)
+    assert [r["iteration"] for r in records] == list(range(iterations))
+    return net, scorer, records
 
 
 def test_train_deterministic():
     corpus = _toy_corpus()
-    net_a, scorer_a = _short_train(3, corpus)
-    net_b, scorer_b = _short_train(3, corpus)
-    hist_a = [h["loss"] for h in net_a.meta["history"]]
-    hist_b = [h["loss"] for h in net_b.meta["history"]]
-    assert hist_a == hist_b
+    _, scorer_a, records_a = _short_train(3, corpus)
+    _, scorer_b, records_b = _short_train(3, corpus)
+    assert [r["loss"] for r in records_a] == [r["loss"] for r in records_b]
     np.testing.assert_array_equal(scorer_a.S, scorer_b.S)
 
 
 @pytest.mark.parametrize("k", [1.0 / 3.0, 1.0])
 def test_train_k_sweep_no_divergence(k):
     corpus = _toy_corpus(seed=1)
-    net, _ = _short_train(4, corpus, k=k)
-    assert all(np.isfinite(h["loss"]) for h in net.meta["history"])
+    _, _, records = _short_train(4, corpus, k=k)
+    assert all(np.isfinite(r["loss"]) for r in records)
 
 
 def test_calibration_centers_embeddings():
@@ -228,10 +230,9 @@ def test_training_matches_reference_engine(reference_engine):
     # the reference embeds and back-propagates chunk by chunk and sums the
     # scorer gradient pair by pair; the packed step regroups those sums
     corpus = _toy_corpus(seed=4)
-    net, scorer = _short_train(5, corpus, iterations=4)
+    net, scorer, hist = _short_train(5, corpus, iterations=4)
     with reference_engine():
-        ref_net, ref_scorer = _short_train(5, corpus, iterations=4)
-    hist, ref_hist = net.meta["history"], ref_net.meta["history"]
+        ref_net, ref_scorer, ref_hist = _short_train(5, corpus, iterations=4)
     assert [h["pair_accuracy"] for h in hist] == [h["pair_accuracy"] for h in ref_hist]
     _assert_close([h["loss"] for h in hist], [h["loss"] for h in ref_hist], "loss")
     for name, arr in ref_net.param_map().items():

@@ -80,6 +80,15 @@ def _eer_cases():
         yield scores, labels
     yield [0.3, 0.1, 0.7, 0.2], ["target", "nontarget", "nontarget", "nontarget"]
     yield [0.5] * 6, ["target", "nontarget"] * 3
+    # crossings at either end of the candidate list: at its second entry when the one
+    # target scores below every nontarget, for one target and one nontarget in either
+    # order, or (interpolated) when the targets tie the lowest nontarget; at its last
+    # entry, one past the top score, when a nontarget ties the top target
+    yield [0.1, 0.8, 0.9], ["target", "nontarget", "nontarget"]
+    yield [0.2, 0.7], ["target", "nontarget"]
+    yield [0.7, 0.2], ["target", "nontarget"]
+    yield [0.1, 0.1, 0.1, 0.5], ["target", "target", "nontarget", "nontarget"]
+    yield [0.0, 1.0, 1.0], ["target", "target", "nontarget"]
     scores = rng.normal(size=20000)
     labels = np.where(rng.random(20000) < 0.1, "target", "nontarget").tolist()
     yield scores + 0.8 * (np.array(labels) == "target"), labels

@@ -364,6 +364,23 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
             load(path)
 
 
+@pytest.mark.parametrize("artifact, change, name", [
+    ("lda", lambda arrays: arrays.update(projection=arrays["projection"][:-1]), "projection"),
+    ("plda", lambda arrays: arrays.update(within=arrays["within"][:-1, :-1]), "within"),
+    ("plda", lambda arrays: arrays.update(mean=arrays["mean"].astype(np.float32)), "mean"),
+    ("plda", lambda arrays: arrays.update(center_mean=np.array(0.0)), "center_mean"),
+    ("lda", lambda arrays: arrays.update(offset=np.zeros(3)), "offset"),
+], ids=["short-projection", "small-within", "float32-mean", "scalar-center", "extra"])
+def test_backend_loader_rejects_bad_arrays(tmp_path, artifact, change, name):
+    # each would otherwise load, and the first two fail inside NumPy at scoring time
+    path, load = _saved_artifacts(tmp_path)[artifact]
+    kind, header, arrays = read_container(path)
+    change(arrays)
+    write_container(path, kind, header, arrays)
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*{name!r}"):
+        load(path)
+
+
 SEGMENTS_SHA = hashlib.sha256(b"#condition\tC(4-2)\t4\t2\n").hexdigest()
 SIDE_VECTORS_STAMP = {"model": "0" * 64, "segments": SEGMENTS_SHA, "sides": "1" * 64}
 
