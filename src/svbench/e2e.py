@@ -105,14 +105,13 @@ class BilinearScorer:
     def symmetrize(self):
         self.S[...] = 0.5 * (self.S + self.S.T)
 
-    def score(self, x, y=None):
-        """Logits of every row pair of two matrices (n x dim, m x dim), `y`
-        defaulting to `x`: the n x m grid L[i, j] = L(x_i, y_j).
+    def score(self, x, y):
+        """Logits of every row pair of two matrices (n x dim, m x dim): the
+        n x m grid L[i, j] = L(x_i, y_j).
 
         L = X Y' - q 1' - 1 r' + b with q_i = x_i' S x_i and r_j = y_j' S y_j.
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = x if y is None else np.asarray(y, dtype=np.float64)
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
             raise UsageError(f"embedding dim mismatch: scorer expects {self.dim}")
         q = np.sum((x @ self.S) * x, axis=1)
@@ -287,7 +286,7 @@ def _batch_step(net, scorer, chunks, k):
     blocks = _chunk_blocks(lengths)
     passes = [net.forward(np.concatenate(chunks[b]), lengths=lengths[b]) for b in blocks]
     emb = np.concatenate([out for out, _ in passes])
-    logits = scorer.score(emb)
+    logits = scorer.score(emb, emb)
     n = len(chunks) // 2
     pairs, cross = np.arange(n), ~np.eye(n, dtype=bool)
     same_logits, diff_logits = logits[0::2, 1::2][pairs, pairs], logits[0::2, 0::2][cross]

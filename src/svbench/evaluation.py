@@ -61,20 +61,23 @@ def build_conditions(entries, enroll_secs, test_secs):
     test_segments = {}
     for spk in sorted(by_speaker):
         utts = sorted(by_speaker[spk], key=lambda e: e.utt_id)
-        segs = []
-        remaining = enroll_secs
+        segs, remaining, used = [], enroll_secs, 0
         for e in utts:
             if remaining <= 0:
                 break
+            used += 1
             take = min(e.duration, remaining)
-            # keep every cut at least MIN_SEGMENT_SECS so no segment falls
-            # below one analysis frame: trim this cut rather than leaving a
-            # sliver for the next utterance
+            # keep every cut at least MIN_SEGMENT_SECS (up to rounding) so no
+            # segment falls below one analysis frame: trim this cut rather than
+            # leaving a sliver for the next utterance, and pass over an
+            # utterance that cannot give a cut that long
             if 0.0 < remaining - take < MIN_SEGMENT_SECS:
                 take = remaining - MIN_SEGMENT_SECS
+            if take < MIN_SEGMENT_SECS - 1e-9:
+                continue
             segs.append(Segment(f"{spk}-enroll", spk, e.gender, e.utt_id, 0.0, take))
             remaining -= take
-        tests = [e for e in utts[len(segs):] if e.duration >= test_secs]
+        tests = [e for e in utts[used:] if e.duration >= test_secs]
         if remaining > 1e-9 or not tests:
             warnings.warn(f"speaker {spk} lacks material for {condition}; excluded")
             continue

@@ -23,12 +23,21 @@ def normalize(feat, mode):
     return feat
 
 
+def _fbank(clip, fcfg, where):
+    """compute_fbank(clip, fcfg), with its UsageError (a clip shorter than one frame, or a
+    frame shift under one sample at the clip's rate) naming `where`."""
+    try:
+        return compute_fbank(clip, fcfg)
+    except UsageError as e:
+        raise UsageError(f"{where}: {e}") from None
+
+
 def featurize_entries(entries, fcfg, feats_dir):
     """Write one raw fbank file per manifest entry, with its frontend record, into `feats_dir`."""
     os.makedirs(feats_dir, exist_ok=True)
     for e in entries:
         store.save_features(os.path.join(feats_dir, f"{e.utt_id}.svbf"),
-                            compute_fbank(read_wav(e.path, id=e.utt_id), fcfg), fcfg.record())
+                            _fbank(read_wav(e.path, id=e.utt_id), fcfg, e.path), fcfg.record())
 
 
 def load_feature_dir(entries, feats_dir, cmvn_mode):
@@ -68,11 +77,12 @@ def segment_frames(segments, entries_by_utt, fcfg):
     """Raw fbank matrix of each segment of one trial side: its featurized slice."""
     parts = []
     for seg in segments:
-        clip = read_wav(entries_by_utt[seg.utt_id].path)
+        path = entries_by_utt[seg.utt_id].path
+        clip = read_wav(path)
         lo = int(round(seg.start * clip.sample_rate))
         hi = int(round((seg.start + seg.duration) * clip.sample_rate))
         piece = AudioClip(clip.samples[lo:hi], clip.sample_rate, id=seg.utt_id, start=lo)
-        parts.append(compute_fbank(piece, fcfg).frames)
+        parts.append(_fbank(piece, fcfg, f"{path}: segment {seg.seg_id}").frames)
     return parts
 
 

@@ -42,14 +42,34 @@ def same_frontend(path, record, other_path, other):
                           f"{record} vs {other}")
 
 
-def _frames(path, frames, frontend, what):
-    """`frames` if it is a float64 T x num_mel_bins matrix with T >= 1, else a FormatError
-    naming `path` and `what`."""
-    if (frames.dtype != np.float64 or frames.ndim != 2 or len(frames) < 1
-            or frames.shape[1] != frontend["num_mel_bins"]):
-        raise FormatError(f"{path}: {what} needs a float64 T x {frontend['num_mel_bins']} "
-                          f"matrix with T >= 1, found {frames.dtype} {frames.shape}")
-    return frames
+# container kind ("features" also serving each side-file row) -> its arrays' shape letters,
+# one letter one size, given by the loader or read off the first array with it: F mel bins,
+# N ids, E/S enroll/test sides, D vector width, K LDA width, T frames (at least 1).
+ARRAYS = {"features": {"frames": "TF"},
+          "dvector": {"vectors": "ND"}, "e2e": {"vectors": "ND"},
+          "side_vectors": {"enroll": "ED", "test": "SD"},
+          "lda": {"mean": "D", "projection": "DK"},
+          "plda": {"mean": "D", "between": "DD", "within": "DD", "center_mean": "D"}}
+
+
+def _arrays(path, kind, arrays, **sizes):
+    """`arrays` if it holds exactly the arrays ARRAYS[kind] names, each float64 and of the
+    shape its letters give, else a FormatError naming `path` and the array."""
+    for name, letters in ARRAYS[kind].items():
+        a = _entry(path, arrays, name)
+        expected = " x ".join(str(sizes.get(letter, letter)) for letter in letters)
+        if a.ndim == len(letters):
+            for letter, n in zip(letters, a.shape):
+                sizes.setdefault(letter, n)
+        if (a.dtype != np.float64 or a.ndim != len(letters) or sizes.get("T", 1) < 1
+                or a.shape != tuple(sizes[letter] for letter in letters)):
+            raise FormatError(f"{path}: {name!r} needs a float64 {expected} array"
+                              f"{' with T >= 1' if 'T' in letters else ''}, "
+                              f"found {a.dtype} {a.shape}")
+    extra = sorted(set(arrays) - set(ARRAYS[kind]))
+    if extra:
+        raise FormatError(f"{path}: {kind} file with an unexpected array {extra[0]!r}")
+    return arrays
 
 
 def save_features(path, feat, frontend):
@@ -62,7 +82,7 @@ def load_features(path):
     """(FeatureMatrix, frontend record) of a feature file."""
     _, header, arrays = read_container(path, expect_kind="features")
     frontend = frontend_record(path, header)
-    frames = _frames(path, _entry(path, arrays, "frames"), frontend, "frames")
+    frames = _arrays(path, "features", arrays, F=frontend["num_mel_bins"])["frames"]
     return FeatureMatrix(frames), frontend
 
 
@@ -99,20 +119,10 @@ def load_side_features(path):
             if name != expected:
                 raise FormatError(f"{path}: array {name!r} is not a row index "
                                   f"(expected {count} arrays named {names[0]} to {names[-1]})")
-            yield _frames(path, frames, frontend, f"row {name}")
+            yield _arrays(f"{path}: row {name}", "features", {"frames": frames},
+                          F=frontend["num_mel_bins"])["frames"]
 
     return frontend, segments, count, rows()
-
-
-def _vector_rows(path, arrays, name, rows, width=None, dtype=None):
-    """arrays[name] if it is a 2-D matrix of `rows` rows (and, if given, `width` columns
-    and `dtype`), else a FormatError naming `path` and `name`."""
-    matrix = _entry(path, arrays, name)
-    if (matrix.ndim != 2 or len(matrix) != rows or width not in (None, matrix.shape[1])
-            or dtype not in (None, matrix.dtype.name)):
-        raise FormatError(f"{path}: {name!r} needs a {dtype or 'numeric'} {rows} x {width or 'd'}"
-                          f" matrix, found {matrix.dtype} {matrix.shape}")
-    return matrix
 
 
 def save_vectors(path, kind, ids, speakers, matrix):
@@ -128,7 +138,7 @@ def load_vectors(path, kind):
     ids, speakers = _entry(path, header, "ids"), _entry(path, header, "speakers")
     if len(ids) != len(speakers):
         raise FormatError(f"{path}: {len(ids)} ids but {len(speakers)} speakers")
-    return ids, speakers, _vector_rows(path, arrays, "vectors", len(ids), dtype="float64")
+    return ids, speakers, _arrays(path, kind, arrays, N=len(ids))["vectors"]
 
 
 def save_side_vectors(path, stamp, enroll, test):
@@ -141,13 +151,13 @@ def save_side_vectors(path, stamp, enroll, test):
 
 def load_side_vectors(path, stamp, enroll_rows, test_rows, width):
     """(enroll, test) matrices of a side-vectors file, or None if its stamp is not `stamp`.
-    Under a matching stamp, anything but float64 matrices of enroll_rows and test_rows rows
-    and `width` columns is a FormatError naming `path`."""
+    Under a matching stamp, anything but float64 `enroll` and `test` matrices of enroll_rows
+    and test_rows rows and `width` columns is a FormatError naming `path`."""
     _, header, arrays = read_container(path, expect_kind="side_vectors")
     if _entry(path, header, "stamp") != stamp:
         return None
-    return (_vector_rows(path, arrays, "enroll", enroll_rows, width, "float64"),
-            _vector_rows(path, arrays, "test", test_rows, width, "float64"))
+    _arrays(path, "side_vectors", arrays, E=enroll_rows, S=test_rows, D=width)
+    return arrays["enroll"], arrays["test"]
 
 
 MODEL_KINDS = {"dvector_net": "dvector", "e2e_model": "e2e"}   # container kind -> meta["model"]
@@ -166,9 +176,9 @@ def save_model(path, net, scorer=None):
 
 
 def load_model(path):
-    """(network, scorer) of a dvector_net file (scorer None) or an e2e_model file,
-    read once. Any other kind or family, a bad frontend record or cmvn mode, layer or
-    width, or a missing, extra or misshaped array is a FormatError naming `path`."""
+    """(network, scorer) of a dvector_net file (scorer None) or an e2e_model file, read
+    once. Any other kind or family, a bad frontend record or cmvn mode, layer or width, or
+    a missing, extra, misshaped or non-float64 array is a FormatError naming `path`."""
     kind, header, arrays = read_container(path)
     if kind not in MODEL_KINDS:
         raise FormatError(f"{path}: kind {kind!r}, expected a model ({' or '.join(MODEL_KINDS)})")
@@ -178,6 +188,9 @@ def load_model(path):
     frontend_record(path, meta)
     if _entry(path, meta, "cmvn") not in CMVN_MODES:
         raise FormatError(f"{path}: cmvn {meta['cmvn']!r}, expected one of {CMVN_MODES}")
+    odd = [name for name in sorted(arrays) if arrays[name].dtype != np.float64]
+    if odd:
+        raise FormatError(f"{path}: {odd[0]!r} needs a float64 array, found {arrays[odd[0]].dtype}")
     scorer = None
     if kind == "e2e_model":
         S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")
@@ -205,28 +218,14 @@ def save_plda(path, model, center_mean):
                      "within": model.within, "center_mean": center_mean})
 
 
-# back-end kind -> the shape of each of its arrays, in d (the length of "mean") and k
-BACKEND_SHAPES = {"lda": {"mean": "d", "projection": "dk"},
-                  "plda": {"mean": "d", "between": "dd", "within": "dd", "center_mean": "d"}}
-
-
 def load_backend(path):
     """The scoring keywords of an lda file, {"lda": LdaTransform}, or of a plda file,
     {"plda": PldaModel, "plda_center": the pre-normalization centering mean}. A missing,
     extra, non-float64 or misshaped array is a FormatError naming `path` and the array."""
     kind, _, arrays = read_container(path)
-    if kind not in BACKEND_SHAPES:
+    if kind not in ("lda", "plda"):
         raise FormatError(f"{path}: kind {kind!r}, expected a back-end ('lda' or 'plda')")
-    shapes, dims = BACKEND_SHAPES[kind], {}
-    for key, shape in shapes.items():
-        a = _entry(path, arrays, key)
-        expected = tuple(dims.setdefault(letter, n) for letter, n in zip(shape, a.shape))
-        if a.dtype != np.float64 or a.ndim != len(shape) or a.shape != expected:
-            raise FormatError(f"{path}: {key!r} needs a float64 {' x '.join(shape)} array "
-                              f"(d = the length of 'mean'), found {a.dtype} {a.shape}")
-    extra = sorted(set(arrays) - set(shapes))
-    if extra:
-        raise FormatError(f"{path}: {kind} back-end with an unexpected array {extra[0]!r}")
+    _arrays(path, kind, arrays)
     if kind == "lda":
         return {"lda": LdaTransform(mean=arrays["mean"], projection=arrays["projection"])}
     return {"plda": PldaModel(arrays["mean"], arrays["between"], arrays["within"]),

@@ -10,7 +10,7 @@ import oracles
 from cli_pipeline import invoke, run_pipeline
 
 from svbench import cli, e2e, pipeline, store
-from svbench.audio import read_wav
+from svbench.audio import AudioClip, read_wav, write_wav
 from svbench.backends import LdaTransform, PldaModel
 from svbench.cli import main
 from svbench.config import dump_config, load_config
@@ -710,20 +710,34 @@ def test_score_rejects_system_model_mismatch_before_reading_audio(
     ("empty", "ends inside its header"),
     ("header-cut", "ends inside its header"),
     ("data-cut", "cut short"),
-], ids=["missing", "empty", "header-cut", "data-cut"])
+    ("zero-frames", "clip too short"),
+], ids=["missing", "empty", "header-cut", "data-cut", "zero-frames"])
 def test_featurize_names_a_wav_it_cannot_read(tiny_run, tmp_path, damage, reason):
+    # ... and so does `trials`, which featurizes each trial side from its WAVs
     runner, config, out = tiny_run
-    entry = read_manifest(os.path.join(out, "corpus", "manifest.tsv"))[0]
+    entries = read_manifest(os.path.join(out, "corpus", "manifest.tsv"))
+    entry = min(entries, key=lambda e: e.utt_id)   # its speaker's first enrollment cut
     wav = tmp_path / "bad.wav"
-    if damage != "missing":
+    if damage == "zero-frames":     # a well-formed WAV, shorter than one frame
+        write_wav(str(wav), AudioClip(np.zeros(0), 16000))
+    elif damage != "missing":
         data = pathlib.Path(entry.path).read_bytes()
         wav.write_bytes({"empty": b"", "header-cut": data[:30], "data-cut": data[:2000]}[damage])
-    manifest = _write(tmp_path / "manifest.tsv", f"{entry.utt_id}\t{entry.speaker_id}\t"
-                      f"{entry.gender}\t{wav}\t{entry.duration:.6f}\n")
+    line = lambda e, path: f"{e.utt_id}\t{e.speaker_id}\t{e.gender}\t{path}\t{e.duration:.6f}\n"
+    manifest = _write(tmp_path / "manifest.tsv", line(entry, wav))
     result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"),
                                   "featurize", "--manifest", manifest])
     _rejected(result, str(wav))
     assert reason in result.output
+    manifest = _write(tmp_path / "trials_manifest.tsv",
+                      "".join(line(e, wav if e is entry else e.path) for e in entries))
+    config = _write(tmp_path / "trials.ini", TINY_CONFIG + "[eval]\nenroll_secs = 1\ntest_secs = 1\n")
+    result = runner.invoke(main, ["--config", config, "--out-dir", str(tmp_path / "out"),
+                                  "trials", "--manifest", manifest])
+    _rejected(result, str(wav))
+    assert reason in result.output
+    if damage == "zero-frames":
+        assert f"{wav}: segment {entry.speaker_id}-enroll: clip too short" in result.output
 
 
 def test_score_into_a_missing_directory_is_reported(tiny_run, tmp_path):

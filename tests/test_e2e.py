@@ -289,7 +289,7 @@ def test_batch_step_in_blocks_matches_one_packed_pass():
     del net.forward
     assert len(blocks) >= 3
     _assert_close(np.concatenate(blocks), packed, "embeddings", rtol=1e-12)
-    logits = scorer.score(packed)
+    logits = scorer.score(packed, packed)
     _assert_close(np.concatenate([same, diff]),
                   np.concatenate([logits[0::2, 1::2].diagonal(),
                                   logits[0::2, 0::2][~np.eye(4, dtype=bool)]]),
@@ -309,7 +309,7 @@ def test_score_matrix_matches_pairwise_scores():
     scorer.b[...] = -0.4
     emb = rng.standard_normal((5, 6))
     expected = [[oracles.bilinear_logit(scorer, x, y) for y in emb] for x in emb]
-    np.testing.assert_allclose(scorer.score(emb), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(scorer.score(emb, emb), expected, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(scorer.score(emb, emb[:3]), np.array(expected)[:, :3],
                                rtol=1e-12, atol=1e-12)
 
@@ -322,7 +322,7 @@ def test_scorer_grads_match_finite_differences():
     emb = rng.standard_normal((3, 4))
     w = rng.standard_normal((3, 3))
     d_emb, d_s, d_b = scorer.grads(emb, w)
-    objective = lambda: float(np.sum(w * scorer.score(emb)))
+    objective = lambda: float(np.sum(w * scorer.score(emb, emb)))
     report = grad_check({"emb": emb, "S": scorer.S, "b": scorer.b}, objective,
                         {"emb": d_emb, "S": d_s, "b": d_b}, step=1e-5)
     assert max(report.values()) < 1e-8

@@ -177,6 +177,22 @@ def test_build_conditions_no_sliver_segments():
             assert s.duration >= 0.1
 
 
+@pytest.mark.parametrize("enroll_secs", [0.1, 0.15, 0.25])
+def test_build_conditions_passes_over_an_utterance_too_short_to_cut(enroll_secs):
+    """A 0.07 s utterance ahead of longer ones gives no enrollment cut (it once
+    gave a 0 s or 0.05 s one); the next utterance supplies the enrollment and
+    the tests start after it."""
+    from svbench.corpus import ManifestEntry
+    entries = [ManifestEntry(f"a{k}", "a", "male", f"a{k}.wav", duration)
+               for k, duration in enumerate([0.07, 0.5, 0.5, 0.5])]
+    tl = build_conditions(entries, enroll_secs, 0.5)
+    segs = tl.enroll_segments["a-enroll"]
+    assert [(s.utt_id, s.start) for s in segs] == [("a1", 0.0)]
+    assert segs[0].duration == pytest.approx(enroll_secs, abs=1e-12)
+    assert sorted(tl.test_segments) == ["a2", "a3"]
+    assert all(s.duration >= 0.1 for s in segs)
+
+
 def test_build_conditions_excludes_short_speakers(small_corpus):
     entries = _eval_entries(small_corpus)
     with pytest.warns(UserWarning):

@@ -39,8 +39,8 @@ def test_features_loader_rejects_bad_frames(tmp_path, frames, found):
     path = str(tmp_path / "f.svbf")
     write_container(path, "features", {"frontend": FrontendConfig(num_mel_bins=5).record()},
                     {"frames": frames})
-    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: frames needs a float64 "
-                                          rf"T x 5 matrix with T >= 1, found {re.escape(found)}$"):
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: 'frames' needs a float64 "
+                                          rf"T x 5 array with T >= 1, found {re.escape(found)}$"):
         store.load_features(path)
 
 
@@ -353,8 +353,15 @@ def _flatten_weight(arrays):
     return name
 
 
-@pytest.mark.parametrize("change", [_drop_weight, _add_array, _flatten_weight],
-                         ids=["missing", "extra", "misshaped"])
+def _float32_weight(arrays):
+    # would be converted to float64 silently if not checked
+    name = min(k for k in arrays if k.endswith(".W"))
+    arrays[name] = arrays[name].astype(np.float32)
+    return name
+
+
+@pytest.mark.parametrize("change", [_drop_weight, _add_array, _flatten_weight, _float32_weight],
+                         ids=["missing", "extra", "misshaped", "non-float64"])
 def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
     for path, load in _small_models(tmp_path):
         kind, header, arrays = read_container(path)
@@ -364,21 +371,38 @@ def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
             load(path)
 
 
-@pytest.mark.parametrize("artifact, change, name", [
-    ("lda", lambda arrays: arrays.update(projection=arrays["projection"][:-1]), "projection"),
-    ("plda", lambda arrays: arrays.update(within=arrays["within"][:-1, :-1]), "within"),
-    ("plda", lambda arrays: arrays.update(mean=arrays["mean"].astype(np.float32)), "mean"),
-    ("plda", lambda arrays: arrays.update(center_mean=np.array(0.0)), "center_mean"),
-    ("lda", lambda arrays: arrays.update(offset=np.zeros(3)), "offset"),
-], ids=["short-projection", "small-within", "float32-mean", "scalar-center", "extra"])
+BAD_ARRAYS = {   # case id -> (artifact, change to its arrays, the array the error names)
+    "short-projection": ("lda", lambda a: a.update(projection=a["projection"][:-1]), "projection"),
+    "small-within": ("plda", lambda a: a.update(within=a["within"][:-1, :-1]), "within"),
+    "float32-mean": ("plda", lambda a: a.update(mean=a["mean"].astype(np.float32)), "mean"),
+    "scalar-center": ("plda", lambda a: a.update(center_mean=np.array(0.0)), "center_mean"),
+    "extra": ("lda", lambda a: a.update(offset=np.zeros(3)), "offset"),
+    "features-extra": ("features", lambda a: a.update(extra=np.zeros(3)), "extra"),
+    "vectors-extra": ("vectors", lambda a: a.update(extra=np.zeros(3)), "extra"),
+    "e2e-vectors-extra": ("e2e_vectors", lambda a: a.update(extra=np.zeros(3)), "extra"),
+    "e2e-vectors-int64": ("e2e_vectors", lambda a: a.update(vectors=np.zeros((2, 3), np.int64)),
+                          "vectors"),
+    "side-vectors-extra": ("side_vectors", lambda a: a.update(extra=np.zeros(3)), "extra"),
+    "side-vectors-narrow-test": ("side_vectors", lambda a: a.update(test=a["test"][:, :2]),
+                                 "test"),
+}
+
+
+@pytest.mark.parametrize("artifact, change, name", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys())
 def test_backend_loader_rejects_bad_arrays(tmp_path, artifact, change, name):
-    # each would otherwise load, and the first two fail inside NumPy at scoring time
+    # the first two would otherwise load and then fail inside NumPy at scoring time
     path, load = _saved_artifacts(tmp_path)[artifact]
     kind, header, arrays = read_container(path)
     change(arrays)
     write_container(path, kind, header, arrays)
     with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*{name!r}"):
         load(path)
+
+
+def test_bad_array_cases_cover_every_kind_of_array_table(tmp_path):
+    artifacts = _saved_artifacts(tmp_path)
+    kinds = {read_container(artifacts[artifact][0])[0] for artifact, _, _ in BAD_ARRAYS.values()}
+    assert kinds == set(store.ARRAYS)
 
 
 SEGMENTS_SHA = hashlib.sha256(b"#condition\tC(4-2)\t4\t2\n").hexdigest()
@@ -392,14 +416,17 @@ def _load_sides(path):
 
 
 def _saved_artifacts(tmp_path):
-    """{name: (path, loader)} for saved features, a vector set, LDA, PLDA, e2e model,
-    trial-side features and trial-side vectors."""
+    """{name: (path, loader)} for saved features, a d-vector and an e2e vector set, LDA,
+    PLDA, e2e model, trial-side features and trial-side vectors."""
     rng = np.random.default_rng(9)
     paths = {name: str(tmp_path / f"{name}.svbf")
-             for name in ("features", "vectors", "lda", "plda", "e2e", "sides", "side_vectors")}
+             for name in ("features", "vectors", "e2e_vectors", "lda", "plda", "e2e", "sides",
+                          "side_vectors")}
     store.save_features(paths["features"], FeatureMatrix(rng.standard_normal((4, 3))),
                         FrontendConfig(num_mel_bins=3).record())
     store.save_vectors(paths["vectors"], "dvector", ["u1", "u2"], ["s1", "s2"],
+                       rng.standard_normal((2, 3)))
+    store.save_vectors(paths["e2e_vectors"], "e2e", ["u1", "u2"], ["s1", "s2"],
                        rng.standard_normal((2, 3)))
     store.save_lda(paths["lda"], LdaTransform(mean=rng.standard_normal(3),
                                               projection=rng.standard_normal((3, 2))))
@@ -411,6 +438,7 @@ def _saved_artifacts(tmp_path):
                             rng.standard_normal((1, 3)), rng.standard_normal((2, 3)))
     loaders = {"features": store.load_features,
                "vectors": lambda p: store.load_vectors(p, "dvector"),
+               "e2e_vectors": lambda p: store.load_vectors(p, "e2e"),
                "lda": store.load_backend, "plda": store.load_backend, "e2e": store.load_model,
                "sides": _load_sides,
                "side_vectors": lambda p: store.load_side_vectors(p, SIDE_VECTORS_STAMP, 1, 2, 3)}
@@ -576,9 +604,10 @@ def _zero_row_piece(header, arrays):
 @pytest.mark.parametrize("change, message", [
     (_drop_row, "array '2' is not a row index (expected 2 arrays named 0 to 1)"),
     (_extra_row, "array '7' is not a row index (expected 4 arrays named 0 to 3)"),
-    (_narrow_row, "row 0 needs a float64 T x 3 matrix with T >= 1, found float64 (2, 2)"),
-    (_float32_row, "row 2 needs a float64 T x 3 matrix with T >= 1, found float32 (4, 3)"),
-    (_zero_row_piece, "row 2 needs a float64 T x 3 matrix with T >= 1, found float64 (0, 3)"),
+    (_narrow_row, "row 0: 'frames' needs a float64 T x 3 array with T >= 1, found float64 (2, 2)"),
+    (_float32_row, "row 2: 'frames' needs a float64 T x 3 array with T >= 1, found float32 (4, 3)"),
+    (_zero_row_piece, "row 2: 'frames' needs a float64 T x 3 array with T >= 1, "
+                      "found float64 (0, 3)"),
 ], ids=["missing", "extra", "misshaped", "float32", "empty-piece"])
 def test_side_features_loader_rejects_bad_sides(tmp_path, change, message):
     path, load = _saved_artifacts(tmp_path)["sides"]
