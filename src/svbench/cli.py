@@ -202,8 +202,7 @@ def fit_backend(ws, vectors, kind, out_path):
 @click.pass_obj
 def trials(ws, manifest):
     """Build gender-matched trial and segment files for the configured condition, and
-    featurize every trial side once (raw fbank) into segments_<tag>.svbf for `score`,
-    deleting the side vectors `score` kept of the previous sides."""
+    featurize every trial side once (raw fbank) into segments_<tag>.svbf for `score`."""
     ws.prepare()
     entries = read_manifest(manifest)
     ev = ws.cfg["eval"]

@@ -14,6 +14,7 @@ from .datagen import SyntheticSpec
 from .dvector import DVectorConfig
 from .e2e import E2EConfig
 from .errors import ConfigError
+from .evaluation import MIN_SEGMENT_SECS
 from .frontend import CMVN_MODES, FrontendConfig
 from .nn import TrainerConfig
 
@@ -79,7 +80,10 @@ SCHEMA = {
         "plda_iterations": (_above(0, int, "must be positive"), 10),
     },
     "eval": {
-        "enroll_secs": (_above(0, float, "must be positive"), 4.0),
+        # build_conditions cuts no enrollment shorter than MIN_SEGMENT_SECS (up to rounding)
+        "enroll_secs": (_above(MIN_SEGMENT_SECS - 1e-9, _above(0, float, "must be positive"),
+                               f"must be at least {MIN_SEGMENT_SECS:g} s, the shortest "
+                               f"enrollment cut `trials` makes"), 4.0),
         "test_secs": (_above(0, float, "must be positive"), 4.0),
     },
 }

@@ -109,11 +109,7 @@ def sha256_of(path):
 def save_trial_sides(segments_path, entries, fcfg):
     """Featurize each side of a segments file once under fcfg into side_file(segments_path),
     one matrix per row (in read_segments_file's order), with the file's sha256, each side
-    written as it is featurized. Every side-vectors file of the segments file is deleted
-    first: its vectors are of the old sides."""
-    for family in store.MODEL_KINDS.values():
-        if os.path.exists(vectors_file(segments_path, family)):
-            os.remove(vectors_file(segments_path, family))
+    written as it is featurized."""
     _, enroll, test = read_segments_file(segments_path)
     entries_by_utt = {e.utt_id: e for e in entries}
     sides = list(enroll.values()) + [[seg] for seg in test.values()]

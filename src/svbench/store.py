@@ -9,7 +9,7 @@ from .container import iter_container, read_container, write_container
 from .e2e import BilinearScorer
 from .errors import FormatError, SvbenchError, UsageError
 from .frontend import CMVN_MODES, FeatureMatrix, FrontendConfig
-from .nn import Network
+from .nn import Affine, Network
 
 FRONTEND_KEYS = sorted(FrontendConfig().record())
 
@@ -52,9 +52,15 @@ ARRAYS = {"features": {"frames": "TF"},
           "plda": {"mean": "D", "between": "DD", "within": "DD", "center_mean": "D"}}
 
 
+def _finite(path, name, a):
+    """FormatError naming `path` and the array `name` if `a` holds a NaN or an inf."""
+    if not np.isfinite(a).all():
+        raise FormatError(f"{path}: {name!r} holds a NaN or inf entry")
+
+
 def _arrays(path, kind, arrays, **sizes):
-    """`arrays` if it holds exactly the arrays ARRAYS[kind] names, each float64 and of the
-    shape its letters give, else a FormatError naming `path` and the array."""
+    """`arrays` if it holds exactly the arrays ARRAYS[kind] names, each finite, float64 and
+    of the shape its letters give, else a FormatError naming `path` and the array."""
     for name, letters in ARRAYS[kind].items():
         a = _entry(path, arrays, name)
         expected = " x ".join(str(sizes.get(letter, letter)) for letter in letters)
@@ -66,6 +72,7 @@ def _arrays(path, kind, arrays, **sizes):
             raise FormatError(f"{path}: {name!r} needs a float64 {expected} array"
                               f"{' with T >= 1' if 'T' in letters else ''}, "
                               f"found {a.dtype} {a.shape}")
+        _finite(path, name, a)
     extra = sorted(set(arrays) - set(ARRAYS[kind]))
     if extra:
         raise FormatError(f"{path}: {kind} file with an unexpected array {extra[0]!r}")
@@ -177,8 +184,9 @@ def save_model(path, net, scorer=None):
 
 def load_model(path):
     """(network, scorer) of a dvector_net file (scorer None) or an e2e_model file, read
-    once. Any other kind or family, a bad frontend record or cmvn mode, layer or width, or
-    a missing, extra, misshaped or non-float64 array is a FormatError naming `path`."""
+    once. Any other kind or family, a bad frontend record or cmvn mode, layer or width, a
+    missing, extra, misshaped, non-float64 or non-finite array, or a scorer that does not
+    fit the embeddings of the net's last affine, is a FormatError naming `path`."""
     kind, header, arrays = read_container(path)
     if kind not in MODEL_KINDS:
         raise FormatError(f"{path}: kind {kind!r}, expected a model ({' or '.join(MODEL_KINDS)})")
@@ -188,22 +196,26 @@ def load_model(path):
     frontend_record(path, meta)
     if _entry(path, meta, "cmvn") not in CMVN_MODES:
         raise FormatError(f"{path}: cmvn {meta['cmvn']!r}, expected one of {CMVN_MODES}")
-    odd = [name for name in sorted(arrays) if arrays[name].dtype != np.float64]
-    if odd:
-        raise FormatError(f"{path}: {odd[0]!r} needs a float64 array, found {arrays[odd[0]].dtype}")
-    scorer = None
+    for name in sorted(arrays):
+        if arrays[name].dtype != np.float64:
+            raise FormatError(f"{path}: {name!r} needs a float64 array, found {arrays[name].dtype}")
+        _finite(path, name, arrays[name])
     if kind == "e2e_model":
         S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or b.shape != (1,):
-            raise FormatError(f"{path}: scorer arrays have shapes {S.shape} and {b.shape}, "
-                              f"expected (d, d) and (1,)")
-        scorer = BilinearScorer(S.shape[0])
-        scorer.S[...], scorer.b[...] = arrays.pop("scorer.S"), arrays.pop("scorer.b")
+        del arrays["scorer.S"], arrays["scorer.b"]
     try:
         net = Network.from_specs(specs, meta=meta)
         net.set_params(arrays)
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from None
+    if kind == "dvector_net":
+        return net, None
+    d = next((layer.d_out for layer in reversed(net.layers) if isinstance(layer, Affine)), None)
+    if S.shape != (d, d) or b.shape != (1,):
+        raise FormatError(f"{path}: scorer arrays have shapes {S.shape} and {b.shape}, expected "
+                          f"'scorer.S' ({d}, {d}) for {d}-dim embeddings and 'scorer.b' (1,)")
+    scorer = BilinearScorer(d)
+    scorer.S[...], scorer.b[...] = S, b
     return net, scorer
 
 

@@ -285,6 +285,7 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     ("backends", "plda_iterations = -3", "plda_iterations", "must be positive",
      "fit-backend --kind plda"),
     ("eval", "enroll_secs = 0", "enroll_secs", "must be positive", "trials"),
+    ("eval", "enroll_secs = 0.05", "enroll_secs", "at least 0.1 s", "trials"),
     ("eval", "test_secs = -1", "test_secs", "must be positive", "trials"),
     ("dvector", "cmvn = global", "cmvn", "not one of", "train-dvector"),
     ("datagen", "utterance_secs = -1,0", "utterance_secs", "low <= high", "gen-data"),
@@ -307,7 +308,7 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
         "e2e_lr_decay", "conv_dim", "bottleneck_dim", "td_dim", "feature_dim", "lift_dim",
         "nin_hidden", "nin_out", "pre_pool_dim", "embedding_dim", "lda_dim_negative",
         "lda_dim_zero", "plda_iterations_zero", "plda_iterations_negative", "enroll_secs",
-        "test_secs", "cmvn", "utterance_secs_negative", "utterance_secs_under_a_sample",
+        "enroll_secs_under_a_segment", "test_secs", "cmvn", "utterance_secs_negative", "utterance_secs_under_a_sample",
         "utterance_secs_order", "sample_rate",
         "noise_level", "utterances_per_speaker", "train_speakers", "eval_speakers",
         "frame_shift_ms", "num_mel_bins", "dither", "pre_emphasis"])
@@ -861,6 +862,18 @@ def test_fit_backend_rejects_e2e_embeddings(tmp_path):
         assert not os.path.exists(out)
 
 
+def test_fit_backend_rejects_non_finite_vectors(tmp_path):
+    vectors, out = str(tmp_path / "vectors.svbf"), str(tmp_path / "backend.svbf")
+    x = np.random.default_rng(0).standard_normal((4, 8))
+    x[2, 5] = np.nan
+    store.save_vectors(vectors, "dvector", ["u1", "u2", "u3", "u4"], ["s1", "s1", "s2", "s2"], x)
+    for kind in ("lda", "plda"):
+        result = CliRunner().invoke(main, ["--out-dir", str(tmp_path / "out"), "fit-backend",
+                                           "--vectors", vectors, "--kind", kind, "--out", out])
+        _rejected(result, f"{vectors}: 'vectors' holds a NaN or inf entry")
+        assert not os.path.exists(out)
+
+
 def test_resolved_config_with_percent_in_out_dir_loads_back(tmp_path):
     out = str(tmp_path / "runs" / "50%")
     scores = _write(tmp_path / "scores.tsv", "e1\tt1\t0.9\ttarget\ne1\tt2\t0.1\tnontarget\n")
@@ -1164,15 +1177,48 @@ def test_kept_vectors_are_never_read_for_changed_inputs(tmp_path, score_models, 
                   str(tmp_path / "cold.tsv")) == second
 
 
-def test_trials_deletes_kept_vectors(tmp_path, score_models):
+def _score_both_families(runner, config, out, trials, segments, models, name):
+    """The score-file bytes of dvector-cosine and of e2e under `models`, system -> CLI
+    args, written as <system>_<name>.tsv."""
+    return [_score(runner, config, out, trials, segments, system, models[system],
+                   os.path.join(os.path.dirname(out), f"{system}_{name}.tsv"))
+            for system in ("dvector-cosine", "e2e")]
+
+
+def test_trials_rerun_on_the_same_inputs_keeps_the_kept_vectors(tmp_path, score_models,
+                                                                monkeypatch):
     runner, config, out, manifest, trials, segments = _trials_run(tmp_path)
-    for system in ("dvector-cosine", "e2e"):
-        _score(runner, config, out, trials, segments, system, score_models[system],
-               str(tmp_path / f"{system}.tsv"))
-    assert len(_vectors_files(out)) == 2
-    other = _write(tmp_path / "sides" / "segments_C2.5_10.dvector.vectors.svbf", "")
+    first = _score_both_families(runner, config, out, trials, segments, score_models, "first")
+    kept = _vectors_files(out)
+    assert len(kept) == 2
     invoke(runner, config, out, "trials", "--manifest", manifest)
-    assert _vectors_files(out) == [os.path.basename(other)]
+    assert _vectors_files(out) == kept
+
+    def no_vectors(*args):
+        raise AssertionError("a side was embedded again")
+
+    monkeypatch.setattr(pipeline, "utterance_vector", no_vectors)
+    assert _score_both_families(runner, config, out, trials, segments, score_models,
+                                "second") == first
+
+
+def test_trials_rerun_with_new_sides_embeds_them_again(tmp_path, monkeypatch):
+    # dither draws its noise from the run seed, so another --seed gives other sides
+    runner, config, out, manifest, trials, segments = _trials_run(tmp_path, dither=0.01)
+    models = {system: ["--model", _model(str(tmp_path / f"{system}.svbf"), system, dither=0.01)]
+              for system in ("dvector-cosine", "e2e")}
+    first = _score_both_families(runner, config, out, trials, segments, models, "first")
+    invoke(runner, config, out, "--seed", "6", "trials", "--manifest", manifest)
+    assert len(_vectors_files(out)) == 2
+    calls = _counting_vectors(monkeypatch)
+    second = _score_both_families(runner, config, out, trials, segments, models, "second")
+    _, enroll, test = read_segments_file(segments)
+    assert len(calls) == 2 * (len(enroll) + len(test))
+    assert second[0] != first[0] and second[1] != first[1]
+    # the re-embedded vectors give the bytes of scoring with no vectors kept
+    for name in _vectors_files(out):
+        os.remove(os.path.join(out, name))
+    assert _score_both_families(runner, config, out, trials, segments, models, "cold") == second
 
 
 @pytest.mark.parametrize("misshape", ["rows", "width", "dtype"])

@@ -360,8 +360,29 @@ def _float32_weight(arrays):
     return name
 
 
-@pytest.mark.parametrize("change", [_drop_weight, _add_array, _flatten_weight, _float32_weight],
-                         ids=["missing", "extra", "misshaped", "non-float64"])
+def _non_finite(name, value=np.inf):
+    """A change to a container's arrays that puts `value` in the first entry of `name`."""
+    def change(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+        return name
+    return change
+
+
+def _nan_weight(arrays):
+    return _non_finite(min(k for k in arrays if k.endswith(".W")), np.nan)(arrays)
+
+
+def _misfit_scorer(arrays):
+    # an extra array of the d-vector net; a scorer of 3-dim embeddings on the e2e net's 16
+    arrays["scorer.S"] = np.eye(3)
+    return "scorer.S"
+
+
+@pytest.mark.parametrize("change", [_drop_weight, _add_array, _flatten_weight, _float32_weight,
+                                    _nan_weight, _misfit_scorer],
+                         ids=["missing", "extra", "misshaped", "non-float64", "non-finite",
+                              "misfit-scorer"])
 def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
     for path, load in _small_models(tmp_path):
         kind, header, arrays = read_container(path)
@@ -385,6 +406,10 @@ BAD_ARRAYS = {   # case id -> (artifact, change to its arrays, the array the err
     "side-vectors-extra": ("side_vectors", lambda a: a.update(extra=np.zeros(3)), "extra"),
     "side-vectors-narrow-test": ("side_vectors", lambda a: a.update(test=a["test"][:, :2]),
                                  "test"),
+    **{f"{artifact}-non-finite": (artifact, _non_finite(name), name)
+       for artifact, name in (("features", "frames"), ("vectors", "vectors"),
+                              ("e2e_vectors", "vectors"), ("side_vectors", "test"),
+                              ("lda", "projection"), ("plda", "within"))},
 }
 
 
@@ -601,6 +626,10 @@ def _zero_row_piece(header, arrays):
     arrays["2"] = np.zeros((0, 3))
 
 
+def _nan_row(header, arrays):
+    arrays["1"] = np.full((3, 3), np.nan)
+
+
 @pytest.mark.parametrize("change, message", [
     (_drop_row, "array '2' is not a row index (expected 2 arrays named 0 to 1)"),
     (_extra_row, "array '7' is not a row index (expected 4 arrays named 0 to 3)"),
@@ -608,7 +637,8 @@ def _zero_row_piece(header, arrays):
     (_float32_row, "row 2: 'frames' needs a float64 T x 3 array with T >= 1, found float32 (4, 3)"),
     (_zero_row_piece, "row 2: 'frames' needs a float64 T x 3 array with T >= 1, "
                       "found float64 (0, 3)"),
-], ids=["missing", "extra", "misshaped", "float32", "empty-piece"])
+    (_nan_row, "row 1: 'frames' holds a NaN or inf entry"),
+], ids=["missing", "extra", "misshaped", "float32", "empty-piece", "non-finite"])
 def test_side_features_loader_rejects_bad_sides(tmp_path, change, message):
     path, load = _saved_artifacts(tmp_path)["sides"]
     kind, header, arrays = read_container(path)
