@@ -57,7 +57,8 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Run configuration file (INI sections per module).")
-@click.option("--seed", type=int, default=None, help="Override the configured seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the configured seed.")
 @click.option("--out-dir", type=click.Path(), default=None, help="Override the output directory.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir):

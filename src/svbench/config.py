@@ -53,7 +53,7 @@ def _fields(cls, *derived):
 SCHEMA = {
     "run": {
         "out_dir": (str, "runs/default"),
-        "seed": (int, 0),
+        "seed": (_above(-1, int, "must not be negative"), 0),
     },
     "datagen": {
         **_fields(SyntheticSpec, "seed"),

@@ -12,9 +12,18 @@ a forward pass over the packed frames of consecutive chunks (see
 `svbench.nn`) that fits in cache. It scores every chunk pair at once as a
 2N x 2N logit matrix, takes the scorer and embedding gradients in closed
 form from the matrix of per-pair logit gradients, and runs one backward
-pass per block.
+pass per block. The blocks' passes run on as many threads as the CPUs that
+the process may run on (`taskset` sets them) leave to spare beside
+OpenBLAS's own threads: one per CPU at one OpenBLAS thread, one in all at
+OpenBLAS's default of a thread per CPU. They share no mutable state and
+NumPy releases the GIL in their GEMMs. Each block's pass has the same bytes
+on every thread and the blocks' gradients are summed in block order, so the
+step's bytes do not depend on the thread count.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +45,13 @@ EMBEDDING_SCALE = 0.3         # calibrate_network's extra shrink of the last aff
 # ten times the size of a 2 MB L2 cache; blocks of this size keep them inside
 # it. At one OpenBLAS thread on a 2-core x86-64 host, a desk-width N = 64 step
 # took 262 ms of CPU (min of 8) at 512 frames, 209 at 1,024, 213 at 2,048,
-# 221 at 4,096, 258 at 8,192 and 294 in one pass.
+# 221 at 4,096, 258 at 8,192 and 294 in one pass. The blocks are also the
+# step's unit of parallel work: an N = 64 batch makes about 19 of them, enough
+# to keep every CPU of a small host busy.
 BLOCK_FRAMES = 1024
+# The variables OpenBLAS takes its thread count from, first set first; unset,
+# it starts one thread per CPU that the process may run on.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -268,7 +282,54 @@ def _chunk_blocks(lengths):
     return blocks
 
 
-def _batch_step(net, scorer, chunks, k):
+def _block_threads():
+    """The number of threads that a step runs its blocks on: the CPUs that
+    this process may run on, divided by the threads that each block's GEMMs
+    take in OpenBLAS. At OpenBLAS's default of one thread per CPU the blocks
+    run one after another; at one OpenBLAS thread, on every CPU. (OpenBLAS
+    reads BLAS_THREAD_VARS once, when NumPy loads it, and this count reads
+    them at each call, so the two agree while the process leaves them be.)"""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return cpus // min(blas, cpus)
+
+
+@contextmanager
+def _on_spare_cpus():
+    """A function run(fn, count) -> [fn(0), ..., fn(count - 1)] that makes its
+    calls on w threads, w = _block_threads() at most `count`: the calling
+    thread makes the calls 0, w, 2w, ... and w - 1 pool threads the others.
+    At w = 1 the calling thread makes every call in order and no thread
+    starts. A failed call's exception is raised as it was: the calling
+    thread's own, else that of the lowest-numbered failed call in the pool.
+    The pool's threads live as long as the context and have ended when it
+    exits. (A thread started just after another ended can get a malloc arena
+    of its own, which keeps the memory freed into it: pools started afresh
+    for each step raised `train-e2e`'s peak RSS by up to a quarter, so a
+    training run keeps one pool.)"""
+    threads = _block_threads()
+    pool = ThreadPoolExecutor(max(threads - 1, 1))
+
+    def run(fn, count):
+        workers = min(threads, count)
+        theirs = {i: pool.submit(fn, i) for i in range(count) if i % workers}
+        mine = {i: fn(i) for i in range(0, count, workers)}
+        return [mine[i] if i in mine else theirs[i].result() for i in range(count)]
+    try:
+        yield run
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _batch_step(net, scorer, chunks, k, run=None):
     """Loss and full gradient map (network + scorer) for the 2N chunks of
     sample_pair_batch; also returns the same- and different-speaker logits.
 
@@ -280,11 +341,17 @@ def _batch_step(net, scorer, chunks, k):
     through the same views into a 2N x 2N matrix, give the scorer and
     embedding gradients in closed form. Each block then runs one backward
     pass on its rows of the embedding gradient, and the network gradient is
-    the sum over blocks, in block order.
+    the sum over blocks, in block order. The blocks' forward passes, and then
+    their backward passes, run on the spare CPUs through `run`, a runner of
+    _on_spare_cpus; by default the step opens its own.
     """
+    if run is None:
+        with _on_spare_cpus() as run:
+            return _batch_step(net, scorer, chunks, k, run)
     lengths = [len(chunk) for chunk in chunks]
     blocks = _chunk_blocks(lengths)
-    passes = [net.forward(np.concatenate(chunks[b]), lengths=lengths[b]) for b in blocks]
+    passes = run(lambda i: net.forward(np.concatenate(chunks[blocks[i]]),
+                                       lengths=lengths[blocks[i]]), len(blocks))
     emb = np.concatenate([out for out, _ in passes])
     logits = scorer.score(emb, emb)
     n = len(chunks) // 2
@@ -297,8 +364,8 @@ def _batch_step(net, scorer, chunks, k):
     w[0::2, 0::2][cross] = g_diff
     d_emb, grad_s, grad_b = scorer.grads(emb, w)
     grads = {}
-    for b, (_, caches) in zip(blocks, passes):
-        for name, g in net.backward(d_emb[b], caches).items():
+    for block_grads in run(lambda i: net.backward(d_emb[blocks[i]], passes[i][1]), len(blocks)):
+        for name, g in block_grads.items():
             if name in grads:
                 grads[name] += g
             else:
@@ -326,14 +393,15 @@ def train_e2e(corpus, cfg, tcfg, log):
     opt = SgdOptimizer(tcfg)
     params = dict(net.param_map())
     params.update(scorer.param_map())
-    for it in range(cfg.iterations):
-        chunks, _ = sample_pair_batch(corpus, n, rng, bounds)
-        loss, grads, same_logits, diff_logits = _batch_step(net, scorer, chunks, k)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at iteration {it}")
-        grad_norm, clip_scale = opt.step(params, grads, lr=tcfg.lr_at(it))
-        scorer.symmetrize()
-        acc = 0.5 * (np.mean(same_logits > 0) + np.mean(diff_logits <= 0))
-        log({"iteration": it, "loss": loss, "pair_accuracy": float(acc),
-             "grad_norm": grad_norm, "clip_scale": clip_scale})
+    with _on_spare_cpus() as run:
+        for it in range(cfg.iterations):
+            chunks, _ = sample_pair_batch(corpus, n, rng, bounds)
+            loss, grads, same_logits, diff_logits = _batch_step(net, scorer, chunks, k, run)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at iteration {it}")
+            grad_norm, clip_scale = opt.step(params, grads, lr=tcfg.lr_at(it))
+            scorer.symmetrize()
+            acc = 0.5 * (np.mean(same_logits > 0) + np.mean(diff_logits <= 0))
+            log({"iteration": it, "loss": loss, "pair_accuracy": float(acc),
+                 "grad_norm": grad_norm, "clip_scale": clip_scale})
     return net, scorer

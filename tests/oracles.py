@@ -210,10 +210,11 @@ def _pair_grads(scorer, x, y):
     return y - s2 @ x, x - s2 @ y, -(np.outer(x, x) + np.outer(y, y)), np.ones(1)
 
 
-def batch_step(net, scorer, chunks, k):
+def batch_step(net, scorer, chunks, k, run=None):
     """e2e._batch_step with one forward/backward per chunk and one logit per pair:
     of the 2N chunks, 2i and 2i+1 form the i-th same-speaker pair, and 2i, 2j
-    (j != i) the different-speaker ones, in that order."""
+    (j != i) the different-speaker ones, in that order. Every pass runs on the
+    calling thread, so `run` is not used."""
     from svbench.e2e import pair_loss       # here, so that importing this module loads only NumPy
 
     n = len(chunks) // 2

@@ -303,6 +303,7 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     ("frontend", "num_mel_bins = 0", "num_mel_bins", "at least 1", "featurize"),
     ("frontend", "dither = -1", "dither", "non-negative", "featurize"),
     ("frontend", "pre_emphasis = -1", "pre_emphasis", "non-negative", "featurize"),
+    ("run", "seed = -3", "seed", "must not be negative", "gen-data"),
 ], ids=["pair_batch_n", "chunk_min", "chunk_order", "loss_k", "e2e_lr_decay_interval",
         "lr_decay_interval", "clip_norm", "iterations", "max_epochs", "lr_decay",
         "e2e_lr_decay", "conv_dim", "bottleneck_dim", "td_dim", "feature_dim", "lift_dim",
@@ -311,7 +312,7 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
         "enroll_secs_under_a_segment", "test_secs", "cmvn", "utterance_secs_negative", "utterance_secs_under_a_sample",
         "utterance_secs_order", "sample_rate",
         "noise_level", "utterances_per_speaker", "train_speakers", "eval_speakers",
-        "frame_shift_ms", "num_mel_bins", "dither", "pre_emphasis"])
+        "frame_shift_ms", "num_mel_bins", "dither", "pre_emphasis", "seed"])
 def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
                                                    reason, command):
     # ... and the reason it is refused
@@ -330,6 +331,15 @@ def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, 
     _rejected(result, named)
     assert reason in result.output
     assert not list((tmp_path / "out").glob("*.svbf"))
+
+
+def test_negative_seed_flag_fails_naming_it(tmp_path):
+    result = CliRunner().invoke(main, ["--seed", "-1", "--out-dir", str(tmp_path / "out"),
+                                       "gen-data"])
+    assert result.exit_code != 0 and isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
+    assert "--seed" in result.output and "-1" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def _with_frontend(net, cmvn="none"):

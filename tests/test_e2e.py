@@ -1,12 +1,17 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import oracles
-from svbench.e2e import (BLOCK_FRAMES, BilinearScorer, E2EConfig, _batch_step, build_e2e_net,
-                         calibrate_network, e2e_specs, embed, pair_loss, pair_probability,
-                         sample_chunk_length, sample_pair_batch, train_e2e)
-from svbench.errors import SamplingError, UsageError
-from svbench.nn import TrainerConfig, effective_context, grad_check
+from svbench.e2e import (BLAS_THREAD_VARS, BLOCK_FRAMES, BilinearScorer, E2EConfig, _batch_step, _chunk_blocks,
+                         _block_threads, build_e2e_net, calibrate_network, e2e_specs, embed,
+                         pair_loss, pair_probability, sample_chunk_length, sample_pair_batch,
+                         train_e2e)
+from svbench.errors import SamplingError, TrainingDivergedError, UsageError
+from svbench.nn import MeanPool, Network, TrainerConfig, effective_context, grad_check
 
 SMALL = dict(input_dim=8, lift_dim=12, nin_hidden=16, nin_out=12,
              pre_pool_dim=10, embedding_dim=16)
@@ -279,16 +284,24 @@ def test_batch_step_in_blocks_matches_one_packed_pass():
     calibrate_network(net, chunks)
     packed, _ = net.forward(np.concatenate(chunks), lengths=lengths)
 
-    forward, blocks = net.forward, []
+    # the blocks may run on several threads, so each pass is recorded under
+    # the block whose packed frames it was given
+    forward, inputs, blocks = net.forward, _chunk_blocks(lengths), {}
+    lock = threading.Lock()
     def recording_forward(x, *args, **kwargs):
         out = forward(x, *args, **kwargs)
-        blocks.append(out[0])
+        b = next(i for i, block in enumerate(inputs)
+                 if np.array_equal(x, np.concatenate(chunks[block])))
+        with lock:
+            assert b not in blocks
+            blocks[b] = out[0]
         return out
     net.forward = recording_forward
     loss, grads, same, diff = _batch_step(net, scorer, chunks, 1.0 / 3.0)
     del net.forward
-    assert len(blocks) >= 3
-    _assert_close(np.concatenate(blocks), packed, "embeddings", rtol=1e-12)
+    assert len(blocks) >= 3 and sorted(blocks) == list(range(len(inputs)))
+    _assert_close(np.concatenate([blocks[b] for b in range(len(inputs))]), packed,
+                  "embeddings", rtol=1e-12)
     logits = scorer.score(packed, packed)
     _assert_close(np.concatenate([same, diff]),
                   np.concatenate([logits[0::2, 1::2].diagonal(),
@@ -300,6 +313,195 @@ def test_batch_step_in_blocks_matches_one_packed_pass():
     assert sorted(grads) == sorted(ref_grads)
     for name in ref_grads:
         _assert_close(grads[name], ref_grads[name], name)
+
+
+def _on_cpus(monkeypatch, cpus, blas_threads="1"):
+    """Make this process appear to run on `cpus` CPUs, with OpenBLAS set to
+    `blas_threads` threads (None: its default)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+def _forward_threads(monkeypatch):
+    """The set that collects every thread that runs Network.forward."""
+    forward, threads = Network.forward, set()
+    def recording_forward(self, *args, **kwargs):
+        threads.add(threading.current_thread())
+        return forward(self, *args, **kwargs)
+    monkeypatch.setattr(Network, "forward", recording_forward)
+    return threads
+
+
+def _block_batch(seed):
+    """(net, scorer, chunks) of an N = 4 batch of at least three blocks."""
+    rng = np.random.default_rng(seed)
+    chunks = [rng.standard_normal((int(t), 8)) + (i // 2)
+              for i, t in enumerate(rng.integers(BLOCK_FRAMES // 4, BLOCK_FRAMES // 2, size=8))]
+    assert len(_chunk_blocks([len(c) for c in chunks])) >= 3
+    net, scorer = build_e2e_net(E2EConfig(**SMALL), seed=seed)
+    scorer.S[...] = 0.05 * rng.standard_normal(scorer.S.shape)
+    scorer.symmetrize()
+    calibrate_network(net, chunks)
+    return net, scorer, chunks
+
+
+def _train_in_blocks(seed, log):
+    """(net, scorer) of 3 iterations on N = 8 batches of 200-300-frame chunks,
+    at least three blocks each."""
+    cfg = E2EConfig(**SMALL, pair_batch_n=8, iterations=3, chunk_min=200, chunk_max=300)
+    return train_e2e(_toy_corpus(num_speakers=8), cfg,
+                     TrainerConfig(learning_rate=0.003, seed=seed), log=log)
+
+
+@pytest.fixture
+def fine_switching():
+    """A short interpreter switch interval, so that the threads of a step
+    interleave their Python code finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_step_bytes_do_not_depend_on_the_cpu_count(monkeypatch, fine_switching):
+    # every block's pass has the same bytes on any thread, and the blocks'
+    # gradients are summed in block order, whichever thread made them
+    net, scorer, chunks = _block_batch(seed=21)
+    steps, threads = {}, _forward_threads(monkeypatch)
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        threads.clear()
+        steps[cpus] = _batch_step(net, scorer, chunks, 1.0 / 3.0)
+        assert (len(threads) > 1) == (cpus > 1)
+    for cpus in (2, 3):
+        loss, grads, same, diff = steps[cpus]
+        assert loss == steps[1][0]
+        np.testing.assert_array_equal(same, steps[1][2])
+        np.testing.assert_array_equal(diff, steps[1][3])
+        assert sorted(grads) == sorted(steps[1][1])
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, steps[1][1][name], err_msg=name)
+
+    # ... and neither do a training run's parameters and records
+    runs = {}
+    for cpus in (1, 3):
+        _on_cpus(monkeypatch, cpus)
+        threads.clear()
+        records = []
+        net, scorer = _train_in_blocks(8, records.append)
+        runs[cpus] = {**net.param_map(), **scorer.param_map()}, records
+        # one pool serves the run's steps, which start no threads of their own
+        assert len(threads) == 1 if cpus == 1 else 1 < len(threads) <= cpus
+    assert sorted(runs[3][0]) == sorted(runs[1][0])
+    for name, arr in runs[3][0].items():
+        np.testing.assert_array_equal(arr, runs[1][0][name], err_msg=name)
+    assert runs[3][1] == runs[1][1] and len(runs[1][1]) == 3
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"OMP_NUM_THREADS": "many"}, 1),
+], ids=["default", "openblas_1", "openblas_2", "openblas_3", "openblas_above_cpus",
+        "openblas_0_then_omp", "openblas_before_omp", "goto_before_omp", "omp_1", "omp_not_a_count"])
+def test_block_threads_are_the_cpus_that_openblas_leaves(monkeypatch, env, threads):
+    _on_cpus(monkeypatch, 4, blas_threads=None)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _block_threads() == threads
+
+
+def test_step_at_openblas_default_runs_on_the_calling_thread(monkeypatch):
+    # at one OpenBLAS thread per CPU, block threads would contend with
+    # OpenBLAS's for the cores
+    _on_cpus(monkeypatch, 3, blas_threads=None)
+    net, scorer, chunks = _block_batch(seed=23)
+    threads = _forward_threads(monkeypatch)
+    _batch_step(net, scorer, chunks, 1.0 / 3.0)
+    assert threads == {threading.current_thread()}
+
+
+def test_step_without_cpu_affinity_counts_the_cpus(monkeypatch):
+    # where the system reports no CPU affinity, every CPU counts
+    _on_cpus(monkeypatch, 1)
+    net, scorer, chunks = _block_batch(seed=24)
+    serial = _batch_step(net, scorer, chunks, 1.0 / 3.0)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    threads = _forward_threads(monkeypatch)
+    for cpus in (None, 1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        threads.clear()
+        loss, grads, same, diff = _batch_step(net, scorer, chunks, 1.0 / 3.0)
+        assert (len(threads) > 1) == (cpus == 3) and len(threads) <= (cpus or 1)
+        assert loss == serial[0]
+        np.testing.assert_array_equal(same, serial[2])
+        np.testing.assert_array_equal(diff, serial[3])
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, serial[1][name], err_msg=name)
+
+
+class BlockFailure(RuntimeError):
+    pass
+
+
+def _failing_forward(monkeypatch, fail, on_main=False):
+    """Make MeanPool.forward call `fail(out)` on the main thread, which runs
+    the first block of every step, if `on_main`, else on every other thread."""
+    forward = MeanPool.forward
+    def failing_forward(self, x, lengths):
+        out, cache, out_lengths = forward(self, x, lengths)
+        if (threading.current_thread() is threading.main_thread()) == on_main:
+            out = fail(out)
+        return out, cache, out_lengths
+    monkeypatch.setattr(MeanPool, "forward", failing_forward)
+
+
+def test_failure_in_a_pool_thread_is_raised_and_its_threads_end(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    net, scorer, chunks = _block_batch(seed=22)
+    threads = threading.active_count()
+    _batch_step(net, scorer, chunks, 1.0 / 3.0)
+    assert threading.active_count() == threads
+
+    def failing_on(where):
+        def fail(out):
+            raise BlockFailure(f"block failed on {where}")
+        return fail
+    with monkeypatch.context() as m:
+        _failing_forward(m, failing_on("a pool thread"))
+        with pytest.raises(BlockFailure, match="^block failed on a pool thread$"):
+            _batch_step(net, scorer, chunks, 1.0 / 3.0)
+        assert threading.active_count() == threads
+        with pytest.raises(BlockFailure, match="^block failed on a pool thread$"):
+            _train_in_blocks(9, log=lambda record: None)
+        assert threading.active_count() == threads
+
+    # ... and so is one in the calling thread's own block, while the pool runs
+    with monkeypatch.context() as m:
+        _failing_forward(m, failing_on("the calling thread"), on_main=True)
+        with pytest.raises(BlockFailure, match="^block failed on the calling thread$"):
+            _batch_step(net, scorer, chunks, 1.0 / 3.0)
+        assert threading.active_count() == threads
+
+
+def test_non_finite_block_in_a_pool_thread_stops_training(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    _failing_forward(monkeypatch, lambda out: out * np.nan)
+    threads = threading.active_count()
+    with pytest.raises(TrainingDivergedError, match="non-finite loss at iteration 0"), \
+            np.errstate(invalid="ignore"):
+        _train_in_blocks(9, log=lambda record: None)
+    assert threading.active_count() == threads
 
 
 def test_score_matrix_matches_pairwise_scores():
