@@ -151,10 +151,10 @@ def plda_log_likelihood(model, x, labels):
     return float(total)
 
 
-def fit_plda(vectors, labels, iterations, check_normalized=True):
+def fit_plda(vectors, labels, iterations):
     """EM for the two-covariance model; returns the PldaModel.
 
-    Expects centered, length-normalized input (checked unless disabled).
+    Expects centered, length-normalized input.
     """
     x = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels)
@@ -164,11 +164,6 @@ def fit_plda(vectors, labels, iterations, check_normalized=True):
     counts = np.array([np.sum(labels == c) for c in classes])
     if counts.min() < 2:
         raise UsageError("every class needs at least 2 examples")
-    if check_normalized:
-        norms = np.linalg.norm(x, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-6):
-            raise UsageError("vectors must be centered and length normalized "
-                             "(pass check_normalized=False to override)")
 
     d = x.shape[1]
     sw, sb, mean, _ = _scatter_matrices(x, labels)

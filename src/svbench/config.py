@@ -9,6 +9,7 @@ artifacts.
 import configparser
 import dataclasses
 import io
+import math
 
 from .datagen import SyntheticSpec
 from .dvector import DVectorConfig
@@ -19,8 +20,16 @@ from .frontend import CMVN_MODES, FrontendConfig
 from .nn import TrainerConfig
 
 
+def _finite(raw):
+    """float(raw), refusing NaN and inf: a NaN would pass every range check."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _secs_pair(raw):
-    lo, hi = (float(p) for p in raw.split(","))
+    lo, hi = (_finite(p) for p in raw.split(","))
     return (lo, hi)
 
 
@@ -43,7 +52,7 @@ def _above(low, parse, reason):
 def _fields(cls, *derived):
     """key -> (parser, default) of every field of dataclass `cls` but `derived`,
     the fields that the CLI fills in itself."""
-    parsers = {int: int, float: float, tuple: _secs_pair}
+    parsers = {int: int, float: _finite, tuple: _secs_pair}
     return {f.name: (parsers[f.type], f.default)
             for f in dataclasses.fields(cls) if f.name not in derived}
 
@@ -69,8 +78,8 @@ SCHEMA = {
         **_fields(E2EConfig, "input_dim"),
         # pair training runs on iterations, not epochs, and needs a much
         # smaller step than frame classification, so it gets its own schedule
-        "learning_rate": (float, 0.003),
-        "lr_decay": (float, 0.5),
+        "learning_rate": (_finite, 0.003),
+        "lr_decay": (_finite, 0.5),
         "lr_decay_interval": (int, 400),
         "cmvn": (_cmvn_mode, "none"),
     },
@@ -81,10 +90,10 @@ SCHEMA = {
     },
     "eval": {
         # build_conditions cuts no enrollment shorter than MIN_SEGMENT_SECS (up to rounding)
-        "enroll_secs": (_above(MIN_SEGMENT_SECS - 1e-9, _above(0, float, "must be positive"),
+        "enroll_secs": (_above(MIN_SEGMENT_SECS - 1e-9, _above(0, _finite, "must be positive"),
                                f"must be at least {MIN_SEGMENT_SECS:g} s, the shortest "
                                f"enrollment cut `trials` makes"), 4.0),
-        "test_secs": (_above(0, float, "must be positive"), 4.0),
+        "test_secs": (_above(0, _finite, "must be positive"), 4.0),
     },
 }
 

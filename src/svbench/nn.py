@@ -208,18 +208,6 @@ class Network:
                 out[f"l{i}.{name}"] = arr
         return out
 
-    def set_params(self, values):
-        """Copy in every parameter array; names and shapes must match exactly."""
-        own = self.param_map()
-        missing, extra = sorted(set(own) - set(values)), sorted(set(values) - set(own))
-        if missing or extra:
-            raise FormatError(f"parameter arrays missing {missing}, unexpected {extra}")
-        for name, arr in own.items():
-            if np.shape(values[name]) != arr.shape:
-                raise FormatError(f"parameter array {name!r} has shape "
-                                  f"{np.shape(values[name])}, expected {arr.shape}")
-            arr[...] = values[name]
-
     def forward(self, x, up_to=None, lengths=None):
         """Run layers [0, up_to) over packed segments; returns (output, caches).
 

@@ -52,30 +52,27 @@ ARRAYS = {"features": {"frames": "TF"},
           "plda": {"mean": "D", "between": "DD", "within": "DD", "center_mean": "D"}}
 
 
-def _finite(path, name, a):
-    """FormatError naming `path` and the array `name` if `a` holds a NaN or an inf."""
-    if not np.isfinite(a).all():
-        raise FormatError(f"{path}: {name!r} holds a NaN or inf entry")
-
-
-def _arrays(path, kind, arrays, **sizes):
-    """`arrays` if it holds exactly the arrays ARRAYS[kind] names, each finite, float64 and
-    of the shape its letters give, else a FormatError naming `path` and the array."""
-    for name, letters in ARRAYS[kind].items():
+def _arrays(path, table, arrays, **sizes):
+    """`arrays` if it holds exactly the arrays `table` names, each finite, float64 and of
+    the shape its entries give (a number is that size; a letter as in ARRAYS), else a
+    FormatError naming `path` and the array."""
+    for name, dims in table.items():
         a = _entry(path, arrays, name)
-        expected = " x ".join(str(sizes.get(letter, letter)) for letter in letters)
-        if a.ndim == len(letters):
-            for letter, n in zip(letters, a.shape):
-                sizes.setdefault(letter, n)
-        if (a.dtype != np.float64 or a.ndim != len(letters) or sizes.get("T", 1) < 1
-                or a.shape != tuple(sizes[letter] for letter in letters)):
+        expected = " x ".join(str(sizes.get(d, d)) for d in dims)
+        if a.ndim == len(dims):
+            for d, n in zip(dims, a.shape):
+                if isinstance(d, str):
+                    sizes.setdefault(d, n)
+        if (a.dtype != np.float64 or a.shape != tuple(sizes.get(d, d) for d in dims)
+                or sizes.get("T", 1) < 1):
             raise FormatError(f"{path}: {name!r} needs a float64 {expected} array"
-                              f"{' with T >= 1' if 'T' in letters else ''}, "
+                              f"{' with T >= 1' if 'T' in dims else ''}, "
                               f"found {a.dtype} {a.shape}")
-        _finite(path, name, a)
-    extra = sorted(set(arrays) - set(ARRAYS[kind]))
+        if not np.isfinite(a).all():
+            raise FormatError(f"{path}: {name!r} holds a NaN or inf entry")
+    extra = sorted(set(arrays) - set(table))
     if extra:
-        raise FormatError(f"{path}: {kind} file with an unexpected array {extra[0]!r}")
+        raise FormatError(f"{path}: unexpected array {extra[0]!r}")
     return arrays
 
 
@@ -89,7 +86,7 @@ def load_features(path):
     """(FeatureMatrix, frontend record) of a feature file."""
     _, header, arrays = read_container(path, expect_kind="features")
     frontend = frontend_record(path, header)
-    frames = _arrays(path, "features", arrays, F=frontend["num_mel_bins"])["frames"]
+    frames = _arrays(path, ARRAYS["features"], arrays, F=frontend["num_mel_bins"])["frames"]
     return FeatureMatrix(frames), frontend
 
 
@@ -126,7 +123,7 @@ def load_side_features(path):
             if name != expected:
                 raise FormatError(f"{path}: array {name!r} is not a row index "
                                   f"(expected {count} arrays named {names[0]} to {names[-1]})")
-            yield _arrays(f"{path}: row {name}", "features", {"frames": frames},
+            yield _arrays(f"{path}: row {name}", ARRAYS["features"], {"frames": frames},
                           F=frontend["num_mel_bins"])["frames"]
 
     return frontend, segments, count, rows()
@@ -145,7 +142,7 @@ def load_vectors(path, kind):
     ids, speakers = _entry(path, header, "ids"), _entry(path, header, "speakers")
     if len(ids) != len(speakers):
         raise FormatError(f"{path}: {len(ids)} ids but {len(speakers)} speakers")
-    return ids, speakers, _arrays(path, kind, arrays, N=len(ids))["vectors"]
+    return ids, speakers, _arrays(path, ARRAYS[kind], arrays, N=len(ids))["vectors"]
 
 
 def save_side_vectors(path, stamp, enroll, test):
@@ -163,7 +160,7 @@ def load_side_vectors(path, stamp, enroll_rows, test_rows, width):
     _, header, arrays = read_container(path, expect_kind="side_vectors")
     if _entry(path, header, "stamp") != stamp:
         return None
-    _arrays(path, "side_vectors", arrays, E=enroll_rows, S=test_rows, D=width)
+    _arrays(path, ARRAYS["side_vectors"], arrays, E=enroll_rows, S=test_rows, D=width)
     return arrays["enroll"], arrays["test"]
 
 
@@ -196,26 +193,23 @@ def load_model(path):
     frontend_record(path, meta)
     if _entry(path, meta, "cmvn") not in CMVN_MODES:
         raise FormatError(f"{path}: cmvn {meta['cmvn']!r}, expected one of {CMVN_MODES}")
-    for name in sorted(arrays):
-        if arrays[name].dtype != np.float64:
-            raise FormatError(f"{path}: {name!r} needs a float64 array, found {arrays[name].dtype}")
-        _finite(path, name, arrays[name])
-    if kind == "e2e_model":
-        S, b = _entry(path, arrays, "scorer.S"), _entry(path, arrays, "scorer.b")
-        del arrays["scorer.S"], arrays["scorer.b"]
     try:
         net = Network.from_specs(specs, meta=meta)
-        net.set_params(arrays)
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from None
+    table = {name: a.shape for name, a in net.param_map().items()}
+    if kind == "e2e_model":
+        d = next((layer.d_out for layer in reversed(net.layers) if isinstance(layer, Affine)), None)
+        if d is None:
+            raise FormatError(f"{path}: an e2e model without an affine layer for its scorer")
+        table.update({"scorer.S": (d, d), "scorer.b": (1,)})
+    _arrays(path, table, arrays)
+    for name, a in net.param_map().items():
+        a[...] = arrays[name]
     if kind == "dvector_net":
         return net, None
-    d = next((layer.d_out for layer in reversed(net.layers) if isinstance(layer, Affine)), None)
-    if S.shape != (d, d) or b.shape != (1,):
-        raise FormatError(f"{path}: scorer arrays have shapes {S.shape} and {b.shape}, expected "
-                          f"'scorer.S' ({d}, {d}) for {d}-dim embeddings and 'scorer.b' (1,)")
     scorer = BilinearScorer(d)
-    scorer.S[...], scorer.b[...] = S, b
+    scorer.S[...], scorer.b[...] = arrays["scorer.S"], arrays["scorer.b"]
     return net, scorer
 
 
@@ -237,7 +231,7 @@ def load_backend(path):
     kind, _, arrays = read_container(path)
     if kind not in ("lda", "plda"):
         raise FormatError(f"{path}: kind {kind!r}, expected a back-end ('lda' or 'plda')")
-    _arrays(path, kind, arrays)
+    _arrays(path, ARRAYS[kind], arrays)
     if kind == "lda":
         return {"lda": LdaTransform(mean=arrays["mean"], projection=arrays["projection"])}
     return {"plda": PldaModel(arrays["mean"], arrays["between"], arrays["within"]),

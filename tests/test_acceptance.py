@@ -232,7 +232,7 @@ def test_plda_em_likelihood_monotone():
     ys = rng.standard_normal((60, 3)) @ b_chol.T
     x = np.concatenate([y + 0.6 * rng.standard_normal((8, 3)) for y in ys])
     labels = np.repeat(np.arange(60), 8)
-    history = [plda_log_likelihood(fit_plda(x, labels, iterations=k, check_normalized=False),
+    history = [plda_log_likelihood(fit_plda(x, labels, iterations=k),
                                    x, labels) for k in range(1, 21)]
     assert len(history) == 20
     assert np.all(np.diff(history) >= -1e-9)

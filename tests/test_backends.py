@@ -138,7 +138,7 @@ def _plda_data(rng, num_classes=200, per_class=10, dim=3):
 def test_plda_recovers_generating_covariances():
     rng = np.random.default_rng(9)
     x, labels, b_true, w_true = _plda_data(rng)
-    model = fit_plda(x, labels, iterations=25, check_normalized=False)
+    model = fit_plda(x, labels, iterations=25)
     assert np.linalg.norm(model.between - b_true) / np.linalg.norm(b_true) < 0.15
     assert np.linalg.norm(model.within - w_true) / np.linalg.norm(w_true) < 0.15
 
@@ -146,7 +146,7 @@ def test_plda_recovers_generating_covariances():
 def test_plda_likelihood_monotone():
     rng = np.random.default_rng(10)
     x, labels, _, _ = _plda_data(rng, num_classes=50)
-    history = [plda_log_likelihood(fit_plda(x, labels, iterations=k, check_normalized=False),
+    history = [plda_log_likelihood(fit_plda(x, labels, iterations=k),
                                    x, labels) for k in range(1, 21)]
     diffs = np.diff(history)
     assert np.all(diffs >= -1e-9)
@@ -154,16 +154,7 @@ def test_plda_likelihood_monotone():
 
 def test_plda_single_class_rejected():
     with pytest.raises(UsageError):
-        fit_plda(np.random.default_rng(11).standard_normal((10, 3)),
-                 np.zeros(10), iterations=20, check_normalized=False)
-
-
-def test_plda_requires_normalized_input():
-    rng = np.random.default_rng(12)
-    x = 5.0 + rng.standard_normal((40, 3))
-    labels = np.repeat(np.arange(4), 10)
-    with pytest.raises(UsageError):
-        fit_plda(x, labels, iterations=20)
+        fit_plda(np.random.default_rng(11).standard_normal((10, 3)), np.zeros(10), iterations=20)
 
 
 def test_plda_zero_between_gives_zero_llr():

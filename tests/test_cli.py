@@ -304,6 +304,15 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
     ("frontend", "dither = -1", "dither", "non-negative", "featurize"),
     ("frontend", "pre_emphasis = -1", "pre_emphasis", "non-negative", "featurize"),
     ("run", "seed = -3", "seed", "must not be negative", "gen-data"),
+    # NaN passes every range check, so each float key refuses NaN and inf first
+    ("datagen", "utterance_secs = 1,inf", "utterance_secs", "must be finite", "gen-data"),
+    ("frontend", "dither = nan", "dither", "must be finite", "featurize"),
+    ("frontend", "pre_emphasis = nan", "pre_emphasis", "must be finite", "featurize"),
+    ("trainer", "clip_norm = nan", "clip_norm", "must be finite", "train-dvector"),
+    ("trainer", "lr_decay = nan", "lr_decay", "must be finite", "train-dvector"),
+    ("e2e", "learning_rate = inf", "learning_rate", "must be finite", "train-e2e"),
+    ("e2e", "loss_k = nan", "loss_k", "must be finite", "train-e2e"),
+    ("eval", "enroll_secs = inf", "enroll_secs", "must be finite", "trials"),
 ], ids=["pair_batch_n", "chunk_min", "chunk_order", "loss_k", "e2e_lr_decay_interval",
         "lr_decay_interval", "clip_norm", "iterations", "max_epochs", "lr_decay",
         "e2e_lr_decay", "conv_dim", "bottleneck_dim", "td_dim", "feature_dim", "lift_dim",
@@ -312,7 +321,9 @@ def test_train_e2e_uses_configured_chunk_bounds(tiny_run, tmp_path, monkeypatch)
         "enroll_secs_under_a_segment", "test_secs", "cmvn", "utterance_secs_negative", "utterance_secs_under_a_sample",
         "utterance_secs_order", "sample_rate",
         "noise_level", "utterances_per_speaker", "train_speakers", "eval_speakers",
-        "frame_shift_ms", "num_mel_bins", "dither", "pre_emphasis", "seed"])
+        "frame_shift_ms", "num_mel_bins", "dither", "pre_emphasis", "seed",
+        "utterance_secs_inf", "dither_nan", "pre_emphasis_nan", "clip_norm_nan", "lr_decay_nan",
+        "e2e_learning_rate_inf", "loss_k_nan", "enroll_secs_inf"])
 def test_out_of_range_setting_fails_naming_its_key(tiny_run, tmp_path, section, keys, named,
                                                    reason, command):
     # ... and the reason it is refused
@@ -413,7 +424,7 @@ def test_extract_names_model_missing_an_array(tiny_run, tmp_path):
                                   "--out", str(tmp_path / "vectors.svbf")])
     assert result.exit_code != 0 and isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    assert f"{model}: parameter arrays missing ['l2.W']" in result.output
+    assert f"{model}: missing 'l2.W'" in result.output
 
 
 def test_training_logs_hold_plain_numbers_and_telemetry(pipeline_runs):

@@ -379,17 +379,41 @@ def _misfit_scorer(arrays):
     return "scorer.S"
 
 
+def _long_scorer_offset(arrays):
+    # an extra array of the d-vector net; two entries where the e2e scorer has one
+    arrays["scorer.b"] = np.zeros(2)
+    return "scorer.b"
+
+
+def _matrix_bias(arrays):
+    # a 1 x d bias would broadcast silently if not checked
+    name = min(k for k in arrays if k.startswith("l") and k.endswith(".b"))
+    arrays[name] = arrays[name][None]
+    return name
+
+
 @pytest.mark.parametrize("change", [_drop_weight, _add_array, _flatten_weight, _float32_weight,
-                                    _nan_weight, _misfit_scorer],
+                                    _nan_weight, _misfit_scorer, _long_scorer_offset,
+                                    _matrix_bias],
                          ids=["missing", "extra", "misshaped", "non-float64", "non-finite",
-                              "misfit-scorer"])
+                              "misfit-scorer", "long-scorer-offset", "matrix-bias"])
 def test_model_loaders_reject_bad_parameter_arrays(tmp_path, change):
     for path, load in _small_models(tmp_path):
         kind, header, arrays = read_container(path)
         name = change(arrays)
         write_container(path, kind, header, arrays)
-        with pytest.raises(FormatError, match=name):
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*{re.escape(repr(name))}"):
             load(path)
+
+
+def test_e2e_loader_needs_an_affine_layer_for_its_scorer(tmp_path):
+    path = str(tmp_path / "e2e.svbf")
+    net, scorer = _e2e_net()
+    write_container(path, "e2e_model", {"layers": [{"kind": "temporal_mean_pool"}],
+                                        "meta": net.meta}, scorer.param_map())
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: an e2e model without an "
+                                          rf"affine layer"):
+        store.load_model(path)
 
 
 BAD_ARRAYS = {   # case id -> (artifact, change to its arrays, the array the error names)
@@ -470,6 +494,29 @@ def _saved_artifacts(tmp_path):
     return {name: (paths[name], loaders[name]) for name in paths}
 
 
+def test_every_loader_checks_its_arrays_with_the_one_checker(tmp_path, monkeypatch):
+    # a file of every kind the store reads hands each of its arrays to store._arrays
+    artifacts = _saved_artifacts(tmp_path)
+    artifacts["net"] = (str(tmp_path / "net.svbf"), store.load_model)
+    store.save_model(artifacts["net"][0], _dvector_net())
+    kinds = {read_container(path)[0] for path, _ in artifacts.values()}
+    assert kinds == {*store.ARRAYS, "side_features", *store.MODEL_KINDS}
+    checked, check = [], store._arrays
+
+    def spy(path, table, arrays, **sizes):
+        checked.extend(f"{path}: {name}" for name in arrays)
+        return check(path, table, arrays, **sizes)
+
+    monkeypatch.setattr(store, "_arrays", spy)
+    for artifact, (path, load) in artifacts.items():
+        checked.clear()
+        load(path)
+        held = read_container(path)[2]
+        expected = ([f"{path}: row {row}: frames" for row in held] if artifact == "sides"
+                    else [f"{path}: {name}" for name in held])
+        assert sorted(checked) == sorted(expected), artifact
+
+
 @pytest.mark.parametrize("artifact, part, key", [
     ("features", "header", "frontend"), ("features", "arrays", "frames"),
     ("vectors", "header", "ids"), ("vectors", "header", "speakers"),
@@ -528,7 +575,8 @@ def test_e2e_loader_rejects_misshaped_scorer(tmp_path):
     kind, header, arrays = read_container(path)
     arrays["scorer.S"] = arrays["scorer.S"][0]     # one row: would broadcast silently
     write_container(path, kind, header, arrays)
-    with pytest.raises(FormatError, match="scorer arrays have shapes"):
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: 'scorer.S' needs a float64 "
+                                          rf"16 x 16 array, found float64 \(16,\)$"):
         load(path)
 
 
@@ -565,7 +613,7 @@ def test_network_loader_errors_name_the_file(tmp_path):
     kind, header, arrays = read_container(path)
     del arrays["l2.W"]
     write_container(path, kind, header, arrays)
-    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: .*missing \['l2.W'\]"):
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}: missing 'l2.W'$"):
         store.load_model(path)
 
 
